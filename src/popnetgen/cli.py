@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .bn import BnError, load_bn
 from .export import (
+    ExportError,
     export_interaction_network,
     export_network,
     export_reports,
@@ -132,7 +133,7 @@ def run(
     error_report = None
     if len(store) > 0:
         learned = learn_marginals(store, attribute_bn)
-        error_report = build_error_report(store, attribute_bn, reports)
+        error_report = build_error_report(learned, attribute_bn, reports)
 
     stats = [graph_statistics(store, "collapsed", seed=seed)]
     for name in sorted(store.link_types):
@@ -191,6 +192,11 @@ def _cmd_stats(args) -> int:
     n = len(agents)
     by_type: dict[str, list[tuple[int, int]]] = {}
     for link in links:
+        if not (0 <= link.source < n and 0 <= link.target < n):
+            raise ExportError(
+                f"{directory / 'edges_all.csv'}: link {link.source},{link.target} "
+                f"names an agent outside [0, {n})"
+            )
         by_type.setdefault(link.type, []).append((link.source, link.target))
     all_stats = [stats_for_edges(n, [(l.source, l.target) for l in links], "collapsed")]
     for name in sorted(by_type):
@@ -235,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (PlanError, BnError, MatchingError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except ExportError as exc:
+        print(f"invalid network files: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

@@ -174,16 +174,30 @@ def export_reports(
 # Readers (round-tripping and the stats-only command)
 
 
+def _fields(path, lineno: int, raw: str, count: int) -> list[str]:
+    fields = raw.split(",")
+    if len(fields) != count:
+        raise ExportError(f"{path}:{lineno}: expected {count} fields, got {len(fields)}")
+    return fields
+
+
+def _agent_id(path, lineno: int, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ExportError(f"{path}:{lineno}: agent id {token!r} is not an integer") from None
+
+
 def read_edges_all(path) -> list[Link]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "source,target,type":
         raise ExportError(f"{path}: expected 'source,target,type' header")
     out = []
-    for raw in lines[1:]:
+    for lineno, raw in enumerate(lines[1:], start=2):
         if not raw:
             continue
-        source, target, name = raw.split(",")
-        out.append(Link(int(source), int(target), name))
+        source, target, name = _fields(path, lineno, raw, 3)
+        out.append(Link(_agent_id(path, lineno, source), _agent_id(path, lineno, target), name))
     return out
 
 
@@ -192,11 +206,13 @@ def read_edge_file(path, link_type: str) -> list[Link]:
     if not lines or lines[0] != "source,target":
         raise ExportError(f"{path}: expected 'source,target' header")
     out = []
-    for raw in lines[1:]:
+    for lineno, raw in enumerate(lines[1:], start=2):
         if not raw:
             continue
-        source, target = raw.split(",")
-        out.append(Link(int(source), int(target), link_type))
+        source, target = _fields(path, lineno, raw, 2)
+        out.append(
+            Link(_agent_id(path, lineno, source), _agent_id(path, lineno, target), link_type)
+        )
     return out
 
 
@@ -206,8 +222,8 @@ def read_agents(path) -> list[dict[str, str]]:
         raise ExportError(f"{path}: empty agent table")
     columns = lines[0].split(",")
     out = []
-    for raw in lines[1:]:
+    for lineno, raw in enumerate(lines[1:], start=2):
         if not raw:
             continue
-        out.append(dict(zip(columns, raw.split(","))))
+        out.append(dict(zip(columns, _fields(path, lineno, raw, len(columns)))))
     return out

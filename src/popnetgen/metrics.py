@@ -12,11 +12,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .bn import BayesianNetwork
 from .matching import RuleReport
-from .population import PopulationStore, learn_marginals
+from .population import LearnedMarginals, PopulationStore, learn_marginals
 from .sampling import substream
 
 EXACT_PATH_LIMIT = 20_000
@@ -49,15 +49,16 @@ class ErrorReport:
 def distribution_error(store: PopulationStore, attribute_bn: BayesianNetwork) -> float:
     """Mean absolute difference between theoretical and re-learned CPT
     probabilities, over rows whose parent combination was observed."""
-    error, _, _ = distribution_error_details(store, attribute_bn)
+    learned = learn_marginals(store, attribute_bn)
+    error, _, _ = distribution_error_details(learned, attribute_bn)
     return error
 
 
 def distribution_error_details(
-    store: PopulationStore, attribute_bn: BayesianNetwork
+    learned: LearnedMarginals, attribute_bn: BayesianNetwork
 ) -> tuple[float, int, int]:
-    """(mean absolute error, observed row count, unobserved row count)."""
-    learned = learn_marginals(store, attribute_bn)
+    """(mean absolute error, observed row count, unobserved row count) of the
+    marginals learned from a population against the network it came from."""
     unobserved = set(learned.unobserved)
     total = 0.0
     entries = 0
@@ -92,11 +93,11 @@ def matching_error(reports: Iterable[RuleReport]) -> dict[str, float]:
 
 
 def build_error_report(
-    store: PopulationStore,
+    learned: LearnedMarginals,
     attribute_bn: BayesianNetwork,
     reports: Iterable[RuleReport],
 ) -> ErrorReport:
-    error, _, unobserved = distribution_error_details(store, attribute_bn)
+    error, _, unobserved = distribution_error_details(learned, attribute_bn)
     return ErrorReport(error, unobserved, matching_error(reports))
 
 
@@ -136,43 +137,56 @@ def stats_for_edges(
     path_sample_sources: int = PATH_SAMPLE_SOURCES,
     seed: int = 0,
 ) -> NetworkStats:
-    adjacency: dict[int, set[int]] = {}
-    edges = set()
-    for a, b in pairs:
-        if a == b:
-            continue
-        edges.add((min(a, b), max(a, b)))
-    for a, b in edges:
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
-
     n = node_count
-    m = len(edges)
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    rows = np.concatenate([ends[:, 0], ends[:, 1]])
+    cols = np.concatenate([ends[:, 1], ends[:, 0]])
+    # Symmetric 0/1 adjacency: conversion sums repeated and reversed pairs,
+    # resetting the data collapses them.  int32, not int8: a common-neighbour
+    # count in A @ A can exceed 127.
+    adjacency = csr_matrix(
+        (np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=(n, n)
+    )
+    adjacency.data[:] = 1
+
+    m = adjacency.nnz // 2
     density = (2.0 * m / (n * (n - 1))) if n > 1 else 0.0
     average_degree = (2.0 * m / n) if n else 0.0
 
-    triangles = 0
-    for a, b in edges:
-        triangles += len(adjacency[a] & adjacency[b])
-    triangles //= 3
-    triples = sum(d * (d - 1) // 2 for d in (len(v) for v in adjacency.values()))
+    triangles = int((adjacency @ adjacency).multiply(adjacency).sum()) // 6
+    degrees = np.diff(adjacency.indptr).astype(np.int64)
+    triples = int((degrees * (degrees - 1) // 2).sum())
     clustering = (3.0 * triangles / triples) if triples else 0.0
 
-    components = _components(adjacency)
-    isolated = n - len(adjacency)
-    component_count = len(components) + isolated
-    largest = max(components, key=lambda c: (len(c), -min(c)), default=[])
-    largest_size = max(len(largest), 1 if n else 0)
+    component_count, labels = connected_components(adjacency, directed=False)
+    sizes = np.bincount(labels)
+    _, lowest_member = np.unique(labels, return_index=True)
+    # The largest component has the most nodes; a tie goes to the component
+    # holding the lowest id.  The slice is empty when there are no nodes.
+    largest = np.lexsort((lowest_member, -sizes))[:1]
+    nodes = np.flatnonzero(np.isin(labels, largest))
 
     apl = None
     estimated = False
-    if len(largest) >= 2:
-        if len(largest) <= exact_path_limit:
-            apl = _average_path_exact(largest, adjacency)
+    s = len(nodes)
+    if s >= 2:
+        if s <= exact_path_limit:
+            sources = np.arange(s)
         else:
             rng = substream(seed, f"stats/{scope}/path-sample")
-            apl = _average_path_sampled(largest, adjacency, rng, path_sample_sources)
+            sources = rng.choice(s, size=min(path_sample_sources, s), replace=False)
             estimated = True
+        component = adjacency[nodes][:, nodes]
+        # Distances are integers, so their float64 sum is exact in any order.
+        total = 0.0
+        for start in range(0, len(sources), 512):
+            dist = shortest_path(
+                component, method="D", unweighted=True,
+                indices=sources[start:start + 512],
+            )
+            total += float(dist.sum())
+        apl = total / (len(sources) * (s - 1))
 
     return NetworkStats(
         scope=scope,
@@ -183,72 +197,9 @@ def stats_for_edges(
         clustering=clustering,
         average_path_length=apl,
         path_length_estimated=estimated,
-        components=component_count,
-        largest_component=largest_size,
+        components=int(component_count),
+        largest_component=s,
     )
-
-
-def _components(adjacency: dict[int, set[int]]) -> list[list[int]]:
-    seen: set[int] = set()
-    out: list[list[int]] = []
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        queue = [start]
-        seen.add(start)
-        component = []
-        while queue:
-            node = queue.pop()
-            component.append(node)
-            for neighbor in adjacency[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    queue.append(neighbor)
-        out.append(sorted(component))
-    return out
-
-
-def _distance_sums(
-    nodes: list[int], adjacency: dict[int, set[int]], sources: Sequence[int]
-) -> float:
-    """Sum of geodesic distances from each source to all nodes in the
-    component, via batched sparse BFS."""
-    position = {node: i for i, node in enumerate(nodes)}
-    rows, cols = [], []
-    for node in nodes:
-        i = position[node]
-        for neighbor in adjacency[node]:
-            rows.append(i)
-            cols.append(position[neighbor])
-    data = np.ones(len(rows), dtype=np.int8)
-    graph = csr_matrix((data, (rows, cols)), shape=(len(nodes), len(nodes)))
-    total = 0.0
-    batch = 512
-    source_idx = [position[s] for s in sources]
-    for start in range(0, len(source_idx), batch):
-        chunk = source_idx[start:start + batch]
-        dist = shortest_path(graph, method="D", unweighted=True, indices=chunk)
-        total += float(dist.sum())
-    return total
-
-
-def _average_path_exact(nodes: list[int], adjacency: dict[int, set[int]]) -> float:
-    s = len(nodes)
-    total = _distance_sums(nodes, adjacency, nodes)
-    return total / (s * (s - 1))
-
-
-def _average_path_sampled(
-    nodes: list[int],
-    adjacency: dict[int, set[int]],
-    rng: np.random.Generator,
-    source_count: int,
-) -> float:
-    s = len(nodes)
-    picks = rng.choice(len(nodes), size=min(source_count, s), replace=False)
-    sources = [nodes[int(i)] for i in picks]
-    total = _distance_sums(nodes, adjacency, sources)
-    return total / (len(sources) * (s - 1))
 
 
 def stats_report_entries(stats: NetworkStats) -> list[tuple[str, object]]:

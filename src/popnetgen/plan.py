@@ -316,8 +316,11 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
         if not 0.0 <= plan.interaction_weights[name] <= 1.0:
             error(f"interaction probability for {name!r} outside [0, 1]")
     if plan.interaction_weights:
+        # export refuses a link type that has links but no weight; a type no
+        # rule produces has no links, so it needs none.
         for name in sorted(declared - set(plan.interaction_weights)):
-            warning(f"no interaction probability for link type {name!r}")
+            issue = error if name in produced else warning
+            issue(f"no interaction probability for link type {name!r}")
 
     return issues
 

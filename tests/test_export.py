@@ -209,7 +209,7 @@ class TestReports:
             learned = learn_marginals(store, bn)
             from popnetgen.metrics import build_error_report
 
-            error = build_error_report(store, bn, [])
+            error = build_error_report(learned, bn, [])
             stats = [stats_for_edges(50, [], "collapsed")]
             text = report_text(error, stats, [], {"population.seed": seed})
             parsed = parse_report(text)

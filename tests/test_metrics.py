@@ -12,7 +12,12 @@ from popnetgen.metrics import (
     stats_for_edges,
     graph_statistics,
 )
-from popnetgen.population import LinkType, PopulationStore, generate_population
+from popnetgen.population import (
+    LinkType,
+    PopulationStore,
+    generate_population,
+    learn_marginals,
+)
 from popnetgen.sampling import substream
 
 from helpers import brute_graph_stats, gnp_edges
@@ -80,6 +85,47 @@ class TestStatsForEdges:
         stats = stats_for_edges(3, [(0, 1), (1, 0), (2, 2), (1, 2)])
         assert stats.links == 2
 
+    def test_hub_pair_with_many_common_neighbours(self):
+        # hubs 0 and 1 share 148 neighbours, more than an int8 count holds
+        n = 150
+        edges = [(0, 1)] + [(hub, leaf) for hub in (0, 1) for leaf in range(2, n)]
+        edges += [(leaf, leaf + 1) for leaf in range(2, n - 1, 2)]
+        stats = stats_for_edges(n, edges)
+        density, degree, clustering, apl = brute_graph_stats(n, edges)
+        assert stats.links == len(edges)
+        assert stats.clustering == pytest.approx(clustering, abs=1e-12)
+        assert stats.average_path_length == pytest.approx(apl, abs=1e-12)
+
+    @pytest.mark.parametrize("low_is_path", [True, False])
+    def test_tied_largest_components_measure_lowest_id(self, low_is_path):
+        def path(nodes):
+            return list(zip(nodes, nodes[1:]))
+
+        def clique(nodes):
+            return [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+
+        low, high = [0, 3, 4, 7], [1, 2, 5, 6]
+        if low_is_path:
+            edges = clique(high) + path(low)
+        else:
+            edges = path(high) + clique(low)
+        stats = stats_for_edges(9, edges)
+        assert (stats.components, stats.largest_component) == (3, 4)
+        # a four-node path has mean distance 20/12, a clique 1
+        assert stats.average_path_length == (20 / 12 if low_is_path else 1.0)
+
+    def test_sampled_path_length_pinned(self):
+        # Sources are positions into the largest component's nodes sorted by
+        # id, drawn from the scope's own substream; seeded reports depend on
+        # both, so the value is pinned exactly.
+        edges = gnp_edges(np.random.default_rng(11), 400, 0.005)
+        stats = stats_for_edges(
+            400, edges, "friendship", exact_path_limit=10, path_sample_sources=50, seed=3
+        )
+        assert stats.path_length_estimated
+        assert (stats.components, stats.largest_component) == (76, 311)
+        assert stats.average_path_length == 7.054451612903226
+
 
 class TestGraphStatistics:
     def store(self):
@@ -120,7 +166,8 @@ class TestDistributionError:
     def test_deterministic_bn_error_zero(self):
         bn = parse_bn(DET_DOC)
         store = generate_population(bn, 20, substream(0, "p"))
-        error, observed, unobserved = distribution_error_details(store, bn)
+        learned = learn_marginals(store, bn)
+        error, observed, unobserved = distribution_error_details(learned, bn)
         assert error == 0.0
         # the y-row of b can never be observed under p(a=y)=0
         assert unobserved == 1
@@ -172,7 +219,7 @@ class TestErrorReport:
         bn = parse_bn(ATTR_DOC)
         store = generate_population(bn, 100, substream(2, "p"))
         reports = [RuleReport("x", "homophily", demand_total=2, links_created=1, unfulfilled=1)]
-        report = build_error_report(store, bn, reports)
+        report = build_error_report(learn_marginals(store, bn), bn, reports)
         assert report.matching_errors == {"x": 0.5}
         assert report.unobserved_rows == 0
         assert 0.0 <= report.distribution_error <= 1.0

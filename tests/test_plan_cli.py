@@ -149,6 +149,14 @@ class TestValidatePlan:
         issues = validate_plan(load_plan(plan_dir / "plan.txt"))
         assert any("RC_ghost" in i.message for i in issues)
 
+    def test_missing_weight_for_unproduced_type_warns(self, plan_dir):
+        text = MINIMAL_PLAN.replace(
+            "interact pair p=1.0", "linktype spare undirected\ninteract pair p=1.0"
+        )
+        plan = parse_plan(text, plan_dir)
+        issues = validate_plan(plan)
+        assert [(i.severity, "'spare'" in i.message) for i in issues] == [("warning", True)]
+
     def test_interaction_weight_out_of_range(self, plan_dir):
         text = MINIMAL_PLAN.replace("interact pair p=1.0", "interact pair p=1.5")
         (plan_dir / "plan.txt").write_text(text)
@@ -229,6 +237,8 @@ class TestCli:
         assert code == EXIT_OK
         stats_out = capsys.readouterr().out
         assert "stats.collapsed.links" in stats_out
+        report = (out / "report.txt").read_text().splitlines()
+        assert stats_out.splitlines() == [l for l in report if l.startswith("stats.")]
 
     def test_validate_subcommand(self, plan_dir, capsys):
         assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_OK
@@ -258,3 +268,33 @@ class TestCli:
         (plan_dir / "attributes.bn").write_text("variable g { a, b }\ncpt g { 0.9, 0.9 }\n")
         code = main(["generate", str(plan_dir / "plan.txt"), "--out", str(plan_dir / "o")])
         assert code == EXIT_INVALID
+
+    def test_missing_weight_exits_before_generating(self, plan_dir, capsys):
+        text = MINIMAL_PLAN.replace(
+            "interact pair p=1.0", "linktype spare undirected\ninteract spare p=0.5"
+        )
+        (plan_dir / "plan.txt").write_text(text)
+        out = plan_dir / "o"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_INVALID
+        assert "no interaction probability" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("edges_all.csv", "source,target\n0,1\n"),  # header of a per-type file
+            ("edges_all.csv", "source,target,type\n0,x,pair\n"),  # non-integer id
+            ("edges_all.csv", "source,target,type\n0,1\n"),  # too few fields
+            ("edges_all.csv", "source,target,type\n0,1,pair,extra\n"),  # too many
+            ("edges_all.csv", "source,target,type\n0,10,pair\n"),  # id == N
+            ("edges_all.csv", "source,target,type\n-1,1,pair\n"),  # negative id
+            ("agents.csv", "id,role,RC_pair\n0,seeker\n"),  # ragged agent row
+        ],
+    )
+    def test_malformed_stats_input_is_invalid_exit(self, plan_dir, capsys, name, text):
+        out = plan_dir / "cli_out"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        (out / name).write_text(text)
+        assert main(["stats", str(out)]) == EXIT_INVALID
+        assert "invalid network files" in capsys.readouterr().err
