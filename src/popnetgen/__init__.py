@@ -47,7 +47,6 @@ from .metrics import (
 )
 from .plan import GenerationPlan, load_plan, parse_plan, validate_plan
 from .population import (
-    Agent,
     CandidateQuery,
     Link,
     LinkType,

@@ -367,7 +367,7 @@ def validate(bn: BayesianNetwork) -> list[Violation]:
                     f"{len(probs)} probabilities for domain of size {len(domain)}",
                 ))
                 continue
-            if any(p < 0.0 or p > 1.0 for p in probs):
+            if any(not 0.0 <= p <= 1.0 for p in probs):  # also refuses NaN
                 out.append(Violation(child, loc, "probability outside [0, 1]"))
                 continue
             if _normalize_row(list(probs)) is None:

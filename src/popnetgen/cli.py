@@ -56,6 +56,9 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_RUNTIME = 3
 
+# Files a run writes only in some cases; a run that skips one deletes it.
+OPTIONAL_OUTPUTS = {"network.dot", "interaction.csv", "learned_attributes.bn"}
+
 
 class _UsageError(Exception):
     pass
@@ -155,6 +158,9 @@ def run(
             learned.bn if learned else None,
             out_dir, header=header,
         )
+        written = {path.name for path in result.files}
+        for name in OPTIONAL_OUTPUTS - written:  # left by an earlier run
+            (out_dir / name).unlink(missing_ok=True)
         print(report_text(error_report, stats, reports, header), end="")
     return result
 

@@ -217,13 +217,19 @@ def read_edge_file(path, link_type: str) -> list[Link]:
 
 
 def read_agents(path) -> list[dict[str, str]]:
+    """Agent rows by column name; row k must carry id k."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ExportError(f"{path}: empty agent table")
     columns = lines[0].split(",")
+    if "id" not in columns:
+        raise ExportError(f"{path}: no 'id' column")
     out = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw:
             continue
-        out.append(dict(zip(columns, _fields(path, lineno, raw, len(columns)))))
+        row = dict(zip(columns, _fields(path, lineno, raw, len(columns))))
+        if row["id"] != str(len(out)):
+            raise ExportError(f"{path}:{lineno}: agent id {row['id']!r}, expected {len(out)}")
+        out.append(row)
     return out

@@ -145,6 +145,11 @@ class Engine:
         self._evidence_cache[key] = value
         return value
 
+    def cpt_table(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
+        """Parents of ``name`` and its dense CPT: one axis per parent, child last."""
+        varnames, table = self._factors[name]
+        return varnames[:-1], table
+
     def cpt_row(self, name: str, parent_values: Mapping[str, str]) -> np.ndarray:
         """Direct CPT lookup p(name | parents); all parents must be present."""
         varnames, table = self._factors[name]

@@ -17,12 +17,7 @@ import numpy as np
 
 from .bn import BayesianNetwork, parse_bn
 from .inference import Engine, ZeroEvidenceError, engine_for
-from .population import (
-    Agent,
-    CandidateQuery,
-    PopulationStore,
-    query_candidates,
-)
+from .population import CandidateQuery, PopulationStore, query_candidates
 from .sampling import PrototypeSampler
 
 LINK_YES = "yes"
@@ -185,10 +180,6 @@ class CandidatePredicate:
     attribute_values: dict[str, frozenset[str]]
     demand_type: str | None = None
 
-    def as_query(self, **kwargs) -> CandidateQuery:
-        demand = (self.demand_type,) if self.demand_type else ()
-        return CandidateQuery(self.attribute_values, demand_types=demand, **kwargs)
-
 
 @dataclass
 class RuleReport:
@@ -239,15 +230,16 @@ def derive_candidate_sets(rule: HomophilyRule) -> tuple[CandidatePredicate, Cand
     )
 
 
-def _a1_evidence(rule: HomophilyRule, agent: Agent) -> dict[str, str]:
+def _a1_evidence(rule: HomophilyRule, a1: Mapping[str, str]) -> dict[str, str]:
     evidence = {rule.link_variable: LINK_YES}
     for bn_var, attribute in rule.a1_map().items():
-        evidence[bn_var] = agent.attributes[attribute]
+        evidence[bn_var] = a1[attribute]
     return evidence
 
 
-def conditional_candidates(rule: HomophilyRule, a1: Agent) -> CandidatePredicate:
-    """Predicate for candidates compatible with one specific agent.
+def conditional_candidates(rule: HomophilyRule, a1: Mapping[str, str]) -> CandidatePredicate:
+    """Predicate for candidates compatible with one agent, given by its
+    attribute labels.
 
     Raises ZeroEvidenceError when the agent's attributes rule out any peer.
     """
@@ -260,19 +252,19 @@ def conditional_candidates(rule: HomophilyRule, a1: Agent) -> CandidatePredicate
     return CandidatePredicate(values, rule.link_type if rule.counts_a2 else None)
 
 
-def compatibility(rule: HomophilyRule, a1: Agent, a2: Agent) -> float:
-    """p(link = yes | both agents' attributes); 0 when the evidence itself
-    is impossible, so it never raises."""
+def compatibility(rule: HomophilyRule, a1: Mapping[str, str], a2: Mapping[str, str]) -> float:
+    """p(link = yes | both agents' attribute labels); 0 when the evidence
+    itself is impossible, so it never raises."""
     engine = engine_for(rule.bn)
     evidence = {}
     try:
         for bn_var, attribute in rule.a1_map().items():
-            value = a1.attributes[attribute]
+            value = a1[attribute]
             if value not in engine.value_index[bn_var]:
                 return 0.0
             evidence[bn_var] = value
         for bn_var, attribute in rule.a2_map().items():
-            value = a2.attributes[attribute]
+            value = a2[attribute]
             if value not in engine.value_index[bn_var]:
                 return 0.0
             evidence[bn_var] = value
@@ -282,70 +274,68 @@ def compatibility(rule: HomophilyRule, a1: Agent, a2: Agent) -> float:
     return float(vec[engine.value_index[rule.link_variable][LINK_YES]])
 
 
+def _class_ids(store: PopulationStore, attributes) -> list[int]:
+    """Per agent, one int naming its combination of labels of ``attributes``."""
+    columns = [store.column(a) for a in attributes]
+    dims = tuple(len(store.labels[j]) for j in columns)
+    return np.ravel_multi_index(tuple(store.codes[:, j] for j in columns), dims).tolist()
+
+
 class _RuleRun:
-    """Mutable state for one rule execution over one store."""
+    """Mutable state for one rule execution over one store.
+
+    Agents enter the caches through their a1 and a2 class ids: the codes
+    of the attributes the rule reads on each side.
+    """
 
     def __init__(self, store: PopulationStore, rule: HomophilyRule, rng: np.random.Generator):
         self.store = store
         self.rule = rule
         self.rng = rng
-        self.engine = engine_for(rule.bn)
-        self.sampler = PrototypeSampler(rule.bn, self.engine)
+        self.sampler = PrototypeSampler(rule.bn)
         self.report = RuleReport(rule.link_type, "homophily")
-        self.a1_map = rule.a1_map()
         self.a2_map = rule.a2_map()
-        self.a1_attrs = tuple(sorted(self.a1_map.values()))
-        self.a2_attrs = tuple(sorted(self.a2_map.values()))
-        self._conditional_cache: dict[tuple, CandidatePredicate | None] = {}
-        self._base_cache: dict[tuple, frozenset[int]] = {}
-        self._compat_cache: dict[tuple, float] = {}
+        self.a1_class = _class_ids(store, rule.a1_map().values())
+        self.a2_class = _class_ids(store, self.a2_map.values())
+        self._base_cache: dict[int, np.ndarray | None] = {}
+        self._compat_cache: dict[tuple[int, int], float] = {}
 
-    def _a1_key(self, agent: Agent) -> tuple:
-        return tuple(agent.attributes[a] for a in self.a1_attrs)
-
-    def conditional(self, agent: Agent) -> CandidatePredicate | None:
-        """Cached conditional predicate; None when no peer can exist."""
-        key = self._a1_key(agent)
-        if key not in self._conditional_cache:
+    def base_candidates(self, a1: int) -> np.ndarray | None:
+        """Sorted ids whose attributes admit a link with a1 (static per run);
+        None when no peer can exist."""
+        key = self.a1_class[a1]
+        if key not in self._base_cache:
             try:
-                self._conditional_cache[key] = conditional_candidates(self.rule, agent)
+                predicate = conditional_candidates(self.rule, self.store.attributes(a1))
             except ZeroEvidenceError:
-                self._conditional_cache[key] = None
-        return self._conditional_cache[key]
+                self._base_cache[key] = None
+            else:
+                mask = self.store.attribute_mask(predicate.attribute_values)
+                self._base_cache[key] = np.flatnonzero(mask)
+        return self._base_cache[key]
 
-    def base_candidates(self, predicate: CandidatePredicate) -> frozenset[int]:
-        """Agents matching the attribute constraints alone (static per run)."""
-        key = tuple(sorted((a, tuple(sorted(v))) for a, v in predicate.attribute_values.items()))
-        cached = self._base_cache.get(key)
-        if cached is None:
-            cached = frozenset(
-                query_candidates(self.store, CandidateQuery(predicate.attribute_values))
-            )
-            self._base_cache[key] = cached
-        return cached
-
-    def pair_compatibility(self, a1: Agent, a2: Agent) -> float:
-        key = (self._a1_key(a1), tuple(a2.attributes[a] for a in self.a2_attrs))
+    def pair_compatibility(self, a1: int, a2: int) -> float:
+        key = (self.a1_class[a1], self.a2_class[a2])
         value = self._compat_cache.get(key)
         if value is None:
-            value = compatibility(self.rule, a1, a2)
+            value = compatibility(
+                self.rule, self.store.attributes(a1), self.store.attributes(a2)
+            )
             self._compat_cache[key] = value
         return value
 
-    def live_pool(self, a1: Agent, base: frozenset[int]) -> list[int]:
-        """Current conditional candidate set: demand still open, dyad free."""
+    def live_pool(self, a1: int, base: np.ndarray) -> np.ndarray:
+        """Current conditional candidate set, sorted: demand still open, dyad free."""
         if self.rule.counts_a2:
-            pool = set(base & self.store.open_demand(self.rule.link_type))
-        else:
-            pool = set(base)
-        pool -= self.store.partners_of(a1.id)
-        pool.discard(a1.id)
-        return sorted(pool)
+            base = base[self.store.remaining(self.rule.link_type, base) > 0]
+        taken = [a1, *self.store.partners_of(a1)]
+        return base[~np.isin(base, taken)]
 
-    def prototype_attempts(self, a1: Agent, evidence: dict[str, str]) -> Agent | None:
+    def prototype_attempts(self, a1: int) -> int | None:
         """Draw prototypes and look them up in the store; None when the retry
         budget runs out."""
         demand = (self.rule.link_type,) if self.rule.counts_a2 else ()
+        evidence = _a1_evidence(self.rule, self.store.attributes(a1))
         for _ in range(self.rule.retries):
             prototype = self.sampler.sample(evidence, self.rng)
             wanted = {
@@ -357,19 +347,19 @@ class _RuleRun:
                 CandidateQuery(
                     wanted,
                     demand_types=demand,
-                    exclude_ids=frozenset((a1.id,)),
-                    not_linked_with=a1.id,
+                    exclude_ids=frozenset((a1,)),
+                    not_linked_with=a1,
                 ),
             )
             if matches:
                 ordered = sorted(matches)
-                return self.store.agents[ordered[int(self.rng.integers(len(ordered)))]]
+                return ordered[int(self.rng.integers(len(ordered)))]
         return None
 
-    def fallback(self, a1: Agent, pool: list[int]) -> Agent | None:
+    def fallback(self, a1: int, pool: list[int]) -> int | None:
         """Uniform draw with compatibility-proportional acceptance; rejected
         candidates leave the pool, so the scan always terminates."""
-        compat = {cand: self.pair_compatibility(a1, self.store.agents[cand]) for cand in pool}
+        compat = {cand: self.pair_compatibility(a1, cand) for cand in pool}
         max_compat = max(compat.values(), default=0.0)
         if max_compat <= 0.0:
             return None
@@ -379,15 +369,15 @@ class _RuleRun:
             candidate = remaining[pick]
             c = compat[candidate]
             if c > 0.0 and self.rng.random() < c / max_compat:
-                return self.store.agents[candidate]
+                return candidate
             self.report.fallback_rejections += 1
             remaining.pop(pick)
         return None
 
-    def link(self, a1: Agent, a2: Agent, by_prototype: bool) -> None:
+    def link(self, a1: int, a2: int, by_prototype: bool) -> None:
         self.store.record_link(
-            a1.id,
-            a2.id,
+            a1,
+            a2,
             self.rule.link_type,
             count_source=self.rule.counts_a1,
             count_target=self.rule.counts_a2,
@@ -408,54 +398,49 @@ def run_homophily_rule(
     Shortfalls never raise; they surface in the report.  Every created link
     passes the dyad-uniqueness and demand checks of the store.
     """
+    try:
+        predicate1, _ = derive_candidate_sets(rule)
+    except ZeroEvidenceError:
+        return RuleReport(rule.link_type, "homophily", vacuous=True)
+    members = np.flatnonzero(store.attribute_mask(predicate1.attribute_values))
+    left = store.remaining(rule.link_type, members)  # refuses an unknown type
     run = _RuleRun(store, rule, rng)
     report = run.report
-    try:
-        predicate1, predicate2 = derive_candidate_sets(rule)
-    except ZeroEvidenceError:
-        report.vacuous = True
-        return report
-
-    members = sorted(run.base_candidates(predicate1))
     if rule.counts_a1:
-        members = [i for i in members if store.agents[i].remaining(rule.link_type) > 0]
-        report.demand_total = sum(
-            store.agents[i].remaining(rule.link_type) for i in members
-        )
+        members = members[left > 0]
+        report.demand_total = int(left[left > 0].sum())
     else:
         report.demand_total = len(members)
 
-    order = [members[int(k)] for k in rng.permutation(len(members))]
+    order = members[rng.permutation(len(members))].tolist()
     uncounted_unfulfilled = 0
 
-    for a1_id in order:
-        a1 = store.agents[a1_id]
+    for a1 in order:
         got_link = False
         orphaned = False
 
         def slots_left() -> bool:
             if rule.counts_a1:
-                return a1.remaining(rule.link_type) > 0
+                return store.remaining(rule.link_type, a1) > 0
             return not got_link
 
         while slots_left() and not orphaned:
-            predicate = run.conditional(a1)
-            if predicate is None:
+            base = run.base_candidates(a1)
+            if base is None:
                 orphaned = True
                 break
-            base = run.base_candidates(predicate)
             pool = run.live_pool(a1, base)
-            if not pool:
+            if not len(pool):
                 orphaned = True
                 break
 
             a2 = None
             by_prototype = False
             if len(pool) >= rule.small_set:
-                a2 = run.prototype_attempts(a1, _a1_evidence(rule, a1))
+                a2 = run.prototype_attempts(a1)
                 by_prototype = a2 is not None
             if a2 is None:
-                a2 = run.fallback(a1, pool)
+                a2 = run.fallback(a1, pool.tolist())
             if a2 is None:
                 orphaned = True
                 break
@@ -468,9 +453,7 @@ def run_homophily_rule(
                 uncounted_unfulfilled += 1
 
     if rule.counts_a1:
-        report.unfulfilled = sum(
-            store.agents[i].remaining(rule.link_type) for i in members
-        )
+        report.unfulfilled = int(store.remaining(rule.link_type, members).sum())
     else:
         report.unfulfilled = uncounted_unfulfilled
     return report

@@ -1,20 +1,24 @@
-"""Agent population and the dyad-unique multiplex link registry.
+"""Agent population as integer codes, and the dyad-unique multiplex link registry.
 
-Agents carry an attribute assignment plus per-link-type required and created
-link counts.  Required counts come from network variables named with the
-``RC_`` prefix (``RC_spouses`` holds the number of spouses links an agent
-needs).  The store indexes agents by (attribute, value) and enforces that any
-unordered pair of agents carries at most one link across all types.
+Agent i is row i of an N x V integer matrix whose column j holds the index
+of the agent's label in the label tuple of variable j.  Variables named with
+the ``RC_`` prefix hold required link counts (``RC_spouses`` is the number
+of spouses links an agent needs); the store turns each into a required-count
+array for its link type, next to a created-count array that links bump.
+Open demand is created < required.  Any unordered pair of agents carries at
+most one link across all types.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bn import BayesianNetwork
-from .sampling import PrototypeSampler
+from .bn import BayesianNetwork, Cpt
+from .inference import engine_for
 
 RC_PREFIX = "RC_"
 
@@ -56,17 +60,6 @@ class Link:
     type: str
 
 
-@dataclass
-class Agent:
-    id: int
-    attributes: dict[str, str]
-    required_links: dict[str, int]
-    created_links: dict[str, int] = field(default_factory=dict)
-
-    def remaining(self, link_type: str) -> int:
-        return self.required_links.get(link_type, 0) - self.created_links.get(link_type, 0)
-
-
 @dataclass(frozen=True)
 class CandidateQuery:
     """Conjunction of constraints for candidate retrieval.
@@ -84,60 +77,96 @@ class CandidateQuery:
 
 
 class PopulationStore:
-    """Indexed agent collection plus the multiplex link registry.
+    """Agent code matrix, per-type link counters and the link registry.
 
-    Reads may run concurrently; mutations go through a single writer, which
-    is what the sequential generation pipeline provides.
+    ``columns`` maps each variable to its label tuple, in declaration order;
+    ``codes`` has one row per agent and one column per variable.  Reads may
+    run concurrently; mutations go through a single writer, which is what
+    the sequential generation pipeline provides.
     """
 
-    def __init__(self, link_types: Iterable[LinkType] = ()):
-        self.agents: list[Agent] = []
+    def __init__(
+        self,
+        link_types: Iterable[LinkType] = (),
+        columns: Mapping[str, Sequence[str]] | None = None,
+        codes: np.ndarray | None = None,
+    ):
+        columns = dict(columns or {})
+        self.columns: tuple[str, ...] = tuple(columns)
+        self.labels: tuple[tuple[str, ...], ...] = tuple(tuple(l) for l in columns.values())
+        # Column-major: queries scan one variable over all agents at a time.
+        self.codes = np.asfortranarray(
+            np.zeros((0, len(self.columns))) if codes is None else codes, dtype=np.intp
+        )
         self.link_types: dict[str, LinkType] = {}
-        self.attribute_order: tuple[str, ...] = ()
-        self.rc_order: tuple[str, ...] = ()
-        self._known_attributes: set[str] = set()
-        self._index: dict[tuple[str, str], set[int]] = {}
-        self._dyads: set[tuple[int, int]] = set()
+        self.required: dict[str, np.ndarray] = {}
+        self.created: dict[str, np.ndarray] = {}
         self._links: dict[str, list[Link]] = {}
         self._out: dict[str, dict[int, set[int]]] = {}
         self._in: dict[str, dict[int, set[int]]] = {}
         self._partners: dict[int, set[int]] = {}
-        self._open_demand: dict[str, set[int]] = {}
+        for j, name in enumerate(self.columns):
+            if not name.startswith(RC_PREFIX):
+                continue
+            link_type = name[len(RC_PREFIX):]
+            try:
+                counts = np.array([int(label) for label in self.labels[j]], dtype=np.int64)
+            except ValueError:
+                raise PopulationError(
+                    f"link-count variable {name!r} has non-integer labels {self.labels[j]}"
+                ) from None
+            required = counts[self.codes[:, j]]
+            if (required < 0).any():
+                raise PopulationError(
+                    f"negative required link count for {link_type!r} on agent "
+                    f"{int(np.argmax(required < 0))}"
+                )
+            self.required[link_type] = required
+            self.created[link_type] = np.zeros(len(self), dtype=np.int64)
         for lt in link_types:
             self.declare_link_type(lt)
 
     def __len__(self) -> int:
-        return len(self.agents)
+        return self.codes.shape[0]
 
     def declare_link_type(self, link_type: LinkType) -> None:
         if link_type.name in self.link_types:
             raise PopulationError(f"link type {link_type.name!r} declared twice")
         self.link_types[link_type.name] = link_type
+        self.required.setdefault(link_type.name, np.zeros(len(self), dtype=np.int64))
+        self.created.setdefault(link_type.name, np.zeros(len(self), dtype=np.int64))
         self._links[link_type.name] = []
         self._out[link_type.name] = {}
         self._in[link_type.name] = {}
 
-    def declare_attributes(self, names: Iterable[str]) -> None:
-        """Make attributes queryable even before any agent carries them."""
-        self._known_attributes.update(names)
+    def column(self, attribute: str) -> int:
+        try:
+            return self.columns.index(attribute)
+        except ValueError:
+            raise UnknownAttributeError(attribute) from None
 
-    def add_agent(self, attributes: Mapping[str, str], required_links: Mapping[str, int]) -> Agent:
-        agent = Agent(len(self.agents), dict(attributes), dict(required_links))
-        self.agents.append(agent)
-        for name, value in agent.attributes.items():
-            self._known_attributes.add(name)
-            self._index.setdefault((name, value), set()).add(agent.id)
-        for link_type, count in agent.required_links.items():
-            if count < 0:
-                raise PopulationError(
-                    f"negative required link count for {link_type!r} on agent {agent.id}"
-                )
-            if count > 0:
-                self._open_demand.setdefault(link_type, set()).add(agent.id)
-        return agent
+    def attributes(self, agent_id: int) -> dict[str, str]:
+        """One agent's label of every variable."""
+        row = self.codes[agent_id].tolist()
+        return {name: labels[c] for name, labels, c in zip(self.columns, self.labels, row)}
 
-    def agent(self, agent_id: int) -> Agent:
-        return self.agents[agent_id]
+    def attribute_mask(self, attribute_values: Mapping[str, Iterable[str]]) -> np.ndarray:
+        """Agents whose label of each named attribute lies in its given set."""
+        mask = np.ones(len(self), dtype=bool)
+        for attribute, values in attribute_values.items():
+            j = self.column(attribute)
+            allowed = [i for i, label in enumerate(self.labels[j]) if label in values]
+            if len(allowed) == 1:
+                mask &= self.codes[:, j] == allowed[0]
+            else:
+                mask &= np.isin(self.codes[:, j], allowed)
+        return mask
+
+    def remaining(self, link_type: str, ids=slice(None)) -> np.ndarray:
+        """Required minus created links of this type, per agent or for ``ids``."""
+        if link_type not in self.required:
+            raise UnknownLinkTypeError(link_type)
+        return self.required[link_type][ids] - self.created[link_type][ids]
 
     def links(self, link_type: str | None = None) -> list[Link]:
         if link_type is None:
@@ -147,7 +176,7 @@ class PopulationStore:
         return list(self._links[link_type])
 
     def dyad_used(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self._dyads
+        return b in self._partners.get(a, ())
 
     def partners_of(self, agent_id: int) -> frozenset[int]:
         """Agents sharing a dyad with this one, across all link types."""
@@ -172,10 +201,6 @@ class PopulationStore:
             return set(inc)
         raise ValueError(f"bad role {role!r}")
 
-    def open_demand(self, link_type: str) -> set[int]:
-        """Ids with created < required for this type (live view, do not mutate)."""
-        return self._open_demand.get(link_type, set())
-
     def record_link(
         self,
         source: int,
@@ -196,16 +221,17 @@ class PopulationStore:
             raise SelfLinkError(f"agent {source} cannot link to itself")
         if link_type not in self.link_types:
             raise UnknownLinkTypeError(link_type)
-        key = (min(source, target), max(source, target))
-        if key in self._dyads:
-            raise DyadOccupiedError(f"agents {key[0]} and {key[1]} already linked")
+        if self.dyad_used(source, target):
+            raise DyadOccupiedError(
+                f"agents {min(source, target)} and {max(source, target)} already linked"
+            )
 
         # Count flags are bound to the caller's endpoint roles, which the
         # canonical storage order below must not disturb.
-        counted_endpoints = ((count_source, source), (count_target, target))
+        counted = [a for flag, a in ((count_source, source), (count_target, target)) if flag]
         if enforce_demand:
-            for counted, agent_id in counted_endpoints:
-                if counted and self.agents[agent_id].remaining(link_type) <= 0:
+            for agent_id in counted:
+                if self.remaining(link_type, agent_id) <= 0:
                     raise DemandExceededError(
                         f"agent {agent_id} has no remaining {link_type!r} demand"
                     )
@@ -213,65 +239,31 @@ class PopulationStore:
         if not self.link_types[link_type].directed and source > target:
             source, target = target, source
         link = Link(source, target, link_type)
-        self._dyads.add(key)
         self._links[link_type].append(link)
         self._out[link_type].setdefault(source, set()).add(target)
         self._in[link_type].setdefault(target, set()).add(source)
         self._partners.setdefault(source, set()).add(target)
         self._partners.setdefault(target, set()).add(source)
-        for counted, agent_id in counted_endpoints:
-            if counted:
-                agent = self.agents[agent_id]
-                agent.created_links[link_type] = agent.created_links.get(link_type, 0) + 1
-                if agent.remaining(link_type) <= 0:
-                    self._open_demand.get(link_type, set()).discard(agent_id)
+        for agent_id in counted:
+            self.created[link_type][agent_id] += 1
         return link
-
-    def ids_with(self, attribute: str, value: str) -> set[int]:
-        if attribute not in self._known_attributes:
-            raise UnknownAttributeError(attribute)
-        return self._index.get((attribute, value), set())
-
-
-_EMPTY: frozenset[int] = frozenset()
 
 
 def query_candidates(store: PopulationStore, query: CandidateQuery) -> set[int]:
     """Exactly the agents satisfying every constraint of the query.
 
-    Runs entirely on the store's indexes: attribute constraints intersect
-    (attribute, value) sets, demand constraints intersect the open-demand
-    sets, exclusions subtract.  The matcher calls this once per prototype
-    draw, so staying off per-agent Python loops matters.
+    Attribute and demand constraints are column masks over the code matrix
+    and the link counters; exclusions and existing partners are subtracted
+    from the ids that remain.
     """
-    constraint_sets = []
-    for attribute, values in query.attribute_values.items():
-        if attribute not in store._known_attributes:
-            raise UnknownAttributeError(attribute)
-        values = tuple(values)
-        if len(values) == 1:
-            constraint_sets.append(store._index.get((attribute, values[0]), _EMPTY))
-        else:
-            union: set[int] = set()
-            for v in values:
-                union |= store._index.get((attribute, v), _EMPTY)
-            constraint_sets.append(union)
-
-    if constraint_sets:
-        constraint_sets.sort(key=len)
-        base = set(constraint_sets[0])
-        for s in constraint_sets[1:]:
-            base &= s
-    else:
-        base = set(range(len(store.agents)))
-
+    ids = np.flatnonzero(store.attribute_mask(query.attribute_values))
     for link_type in query.demand_types:
-        base &= store._open_demand.get(link_type, _EMPTY)
-    if query.exclude_ids:
-        base -= query.exclude_ids
+        ids = ids[store.remaining(link_type, ids) > 0]
+    out = set(ids.tolist())
+    out -= query.exclude_ids
     if query.not_linked_with is not None:
-        base -= store._partners.get(query.not_linked_with, _EMPTY)
-    return base
+        out -= store._partners.get(query.not_linked_with, set())
+    return out
 
 
 def generate_population(
@@ -280,33 +272,38 @@ def generate_population(
     rng: np.random.Generator,
     link_types: Iterable[LinkType] = (),
 ) -> PopulationStore:
-    """Sample ``size`` agents from the attribute network.
+    """Sample ``size`` agents from the attribute network, one variable at a time.
 
-    Plain network variables become agent attributes; RC_-prefixed variables
-    become per-type required link counts (their sampled labels must parse as
-    integers).  Ids are assigned densely in creation order.
+    Ancestral sampling over all agents at once: variables are drawn in
+    topological order, each agent reading its CPT row off its parents'
+    codes and inverting the cumulative row with its own uniform.  The
+    uniforms are laid out as one draw per (agent, variable) in agent-major
+    order, exactly as drawing the agents one after another would consume
+    them.  A uniform past the row's last cumulative sum (float undershoot)
+    takes the last positive value.  RC_ variables become the per-type
+    required link counts (their labels must parse as integers).
     """
-    store = PopulationStore(link_types)
-    attr_names = [v.name for v in attribute_bn.variables if not v.name.startswith(RC_PREFIX)]
-    rc_names = [v.name for v in attribute_bn.variables if v.name.startswith(RC_PREFIX)]
-    for name in rc_names:
-        for label in attribute_bn.domain(name):
-            try:
-                int(label)
-            except ValueError:
-                raise PopulationError(
-                    f"link-count variable {name!r} has non-integer label {label!r}"
-                ) from None
-    store.attribute_order = tuple(attr_names)
-    store.rc_order = tuple(rc_names)
-    store.declare_attributes(attr_names)
-    sampler = PrototypeSampler(attribute_bn)
-    for _ in range(size):
-        prototype = sampler.sample({}, rng)
-        attributes = {name: prototype[name] for name in attr_names}
-        required = {name[len(RC_PREFIX):]: int(prototype[name]) for name in rc_names}
-        store.add_agent(attributes, required)
-    return store
+    engine = engine_for(attribute_bn)
+    column = {name: j for j, name in enumerate(attribute_bn.names)}
+    codes = np.empty((size, len(column)), dtype=np.intp)
+    uniforms = rng.random((size, len(column)))
+    for step, name in enumerate(engine.order):
+        parents, table = engine.cpt_table(name)
+        rows = table.reshape(-1, table.shape[-1])
+        cumulative = np.cumsum(rows, axis=1)
+        last_positive = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+        if parents:
+            row = np.ravel_multi_index(
+                tuple(codes[:, column[p]] for p in parents), table.shape[:-1]
+            )
+        else:
+            row = np.zeros(size, dtype=np.intp)
+        drawn = (cumulative[row] <= uniforms[:, step, None]).sum(axis=1)
+        past = drawn == rows.shape[1]
+        drawn[past] = last_positive[row[past]]
+        codes[:, column[name]] = drawn
+    columns = {v.name: v.domain for v in attribute_bn.variables}
+    return PopulationStore(link_types, columns, codes)
 
 
 @dataclass
@@ -322,37 +319,27 @@ class LearnedMarginals:
 
 
 def learn_marginals(store: PopulationStore, attribute_bn: BayesianNetwork) -> LearnedMarginals:
-    """Maximum-likelihood re-estimation of every CPT row from agent counts."""
-    from .bn import Cpt
-
-    if not store.agents:
+    """Maximum-likelihood re-estimation of every CPT row from agent counts:
+    one bincount per CPT over (parent row, child code)."""
+    if len(store) == 0:
         raise PopulationError("cannot learn marginals from an empty population")
-
-    label_for_count: dict[str, dict[int, str]] = {}
-    for name in store.rc_order:
-        label_for_count[name] = {int(l): l for l in attribute_bn.domain(name)}
-
-    assignments: list[dict[str, str]] = []
-    for agent in store.agents:
-        full = dict(agent.attributes)
-        for name in store.rc_order:
-            link_type = name[len(RC_PREFIX):]
-            full[name] = label_for_count[name][agent.required_links[link_type]]
-        assignments.append(full)
 
     learned_cpts: dict[str, Cpt] = {}
     unobserved: list[tuple[str, tuple[str, ...]]] = []
     for variable in attribute_bn.variables:
         cpt = attribute_bn.cpts[variable.name]
-        value_pos = {v: i for i, v in enumerate(variable.domain)}
-        counts: dict[tuple[str, ...], list[int]] = {
-            combo: [0] * len(variable.domain) for combo in cpt.rows
-        }
-        for full in assignments:
-            combo = tuple(full[p] for p in cpt.parents)
-            counts[combo][value_pos[full[variable.name]]] += 1
+        dims = tuple(len(attribute_bn.domain(p)) for p in cpt.parents)
+        k = len(variable.domain)
+        row = 0
+        if cpt.parents:
+            row = np.ravel_multi_index(
+                tuple(store.codes[:, store.column(p)] for p in cpt.parents), dims
+            )
+        child = store.codes[:, store.column(variable.name)]
+        counts = np.bincount(row * k + child, minlength=math.prod(dims) * k)
+        combos = itertools.product(*(attribute_bn.domain(p) for p in cpt.parents))
         rows: dict[tuple[str, ...], tuple[float, ...]] = {}
-        for combo, tally in counts.items():
+        for combo, tally in zip(combos, counts.reshape(-1, k).tolist()):
             total = sum(tally)
             if total == 0:
                 rows[combo] = cpt.rows[combo]
@@ -365,17 +352,16 @@ def learn_marginals(store: PopulationStore, attribute_bn: BayesianNetwork) -> Le
 
 
 def agents_csv(store: PopulationStore) -> str:
-    """Agent table: id, attribute columns, then RC_ columns, one row per agent."""
-    attr_cols = store.attribute_order or tuple(
-        sorted({name for a in store.agents for name in a.attributes})
-    )
-    rc_cols = store.rc_order or tuple(
-        sorted({RC_PREFIX + t for a in store.agents for t in a.required_links})
-    )
-    lines = [",".join(("id",) + attr_cols + rc_cols)]
-    for agent in store.agents:
-        row = [str(agent.id)]
-        row += [agent.attributes.get(c, "") for c in attr_cols]
-        row += [str(agent.required_links.get(c[len(RC_PREFIX):], 0)) for c in rc_cols]
-        lines.append(",".join(row))
+    """Agent table: id, attribute columns, then RC_ columns, one row per agent.
+
+    RC_ columns print the required count, ``str(int(label))``."""
+    order = sorted(range(len(store.columns)), key=lambda j: store.columns[j].startswith(RC_PREFIX))
+    table = [[str(i) for i in range(len(store))]]
+    for j in order:
+        labels = store.labels[j]
+        if store.columns[j].startswith(RC_PREFIX):
+            labels = [str(int(label)) for label in labels]
+        table.append(np.array(labels, dtype=object)[store.codes[:, j]].tolist())
+    lines = [",".join(("id",) + tuple(store.columns[j] for j in order))]
+    lines += [",".join(row) for row in zip(*table)]
     return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 
 from popnetgen.bn import BayesianNetwork, Cpt, Variable
+from popnetgen.population import RC_PREFIX, PopulationStore
 
 
 def make_random_bn(
@@ -59,6 +60,28 @@ def random_evidence(rng: np.random.Generator, bn: BayesianNetwork, max_items: in
         domain = bn.domain(name)
         out[name] = domain[int(rng.integers(len(domain)))]
     return out
+
+
+def build_store(link_types, rows, required=None) -> PopulationStore:
+    """Store from per-agent labels: rows[i] maps attribute -> label and
+    required[i] maps link type -> required count (absent types count 0).
+    Labels are coded in order of first appearance."""
+    required = required or [{} for _ in rows]
+    types = sorted({t for counts in required for t in counts})
+    full = [
+        {**row, **{RC_PREFIX + t: str(counts.get(t, 0)) for t in types}}
+        for row, counts in zip(rows, required)
+    ]
+    columns: dict[str, list[str]] = {}
+    for row in full:
+        for name, label in row.items():
+            labels = columns.setdefault(name, [])
+            if label not in labels:
+                labels.append(label)
+    codes = [[columns[name].index(row[name]) for name in columns] for row in full]
+    return PopulationStore(
+        link_types, columns, np.array(codes, dtype=np.intp).reshape(len(rows), len(columns))
+    )
 
 
 # -- joint enumeration oracle -------------------------------------------------

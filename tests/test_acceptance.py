@@ -23,12 +23,13 @@ from popnetgen.metrics import (
     stats_for_edges,
 )
 from popnetgen.plan import build_homophily_rule, HomophilyPlanRule, load_plan
-from popnetgen.population import LinkType, PopulationStore, generate_population
+from popnetgen.population import LinkType, generate_population
 from popnetgen.sampling import PrototypeSampler, substream
 from popnetgen.transitivity import TransitivityRule, enumerate_open_triads, run_transitivity_rule
 
 from helpers import (
     brute_graph_stats,
+    build_store,
     gnp_edges,
     make_random_bn,
     random_evidence,
@@ -198,7 +199,7 @@ def _audit_store(store, rules):
         rule = by_type.get(link.type)
         if rule is None:
             continue
-        a1, a2 = store.agents[link.source], store.agents[link.target]
+        a1, a2 = store.attributes(link.source), store.attributes(link.target)
         value = max(compatibility(rule, a1, a2), compatibility(rule, a2, a1))
         assert value > 0.0, f"zero-compatibility link {link}"
         audited += 1
@@ -225,16 +226,16 @@ def test_criterion_06_link_compatibility_audit(kenya_runs):
             counts=("both", "a1", "a2")[int(rng.integers(3))],
         )
         attributes = sorted(set(rule.a1_map().values()) | set(rule.a2_map().values()))
-        store = PopulationStore([LinkType("pair", False)])
+        rows, required = [], []
         for _ in range(int(rng.integers(30, 80))):
-            values = {
+            rows.append({
                 a: rule.bn.domain(f"a1_{a}")[int(rng.integers(len(rule.bn.domain(f"a1_{a}"))))]
                 for a in attributes
-            }
-            store.add_agent(values, {"pair": int(rng.integers(0, 3))})
+            })
+            required.append({"pair": int(rng.integers(0, 3))})
+        store = build_store([LinkType("pair", False)], rows, required)
         run_homophily_rule(store, rule, substream(int(rng.integers(1 << 30)), "fuzz"))
-        for agent in store.agents:
-            assert agent.created_links.get("pair", 0) <= agent.required_links["pair"]
+        assert (store.created["pair"] <= store.required["pair"]).all()
         fuzz_audited += _audit_store(store, [rule])
     ok(6, f"{audited} bundled-run links and {fuzz_audited} fuzzed links all "
           "compatible; dyads unique, no self links")
@@ -249,12 +250,10 @@ def test_criterion_07_transitivity_closure(kenya_runs):
     assert enumerate_open_triads(store, siblings) == []
 
     # binomial behavior at p = 0.5 over ~1000 eligible dyads
-    bench = PopulationStore([
-        LinkType("spouses", False), LinkType("motherOf", True), LinkType("fatherOf", True),
-    ])
     n_triads = 1000
-    for _ in range(3 * n_triads):
-        bench.add_agent({}, {})
+    bench = build_store([
+        LinkType("spouses", False), LinkType("motherOf", True), LinkType("fatherOf", True),
+    ], [{}] * (3 * n_triads))
     for k in range(n_triads):
         h, w, c = 3 * k, 3 * k + 1, 3 * k + 2
         bench.record_link(h, w, "spouses", count_source=False, count_target=False)

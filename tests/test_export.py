@@ -25,16 +25,15 @@ from popnetgen.population import (
 )
 from popnetgen.sampling import substream
 
+from helpers import build_store
+
 
 def demo_store():
-    store = PopulationStore([
-        LinkType("friendship", False),
-        LinkType("motherOf", True),
-    ])
-    for i in range(4):
-        store.add_agent({"color": ("red", "blue")[i % 2]}, {"friendship": 1})
-    store.attribute_order = ("color",)
-    store.rc_order = ("RC_friendship",)
+    store = build_store(
+        [LinkType("friendship", False), LinkType("motherOf", True)],
+        [{"color": ("red", "blue")[i % 2]} for i in range(4)],
+        [{"friendship": 1}] * 4,
+    )
     store.record_link(1, 0, "friendship")
     store.record_link(1, 2, "motherOf", count_source=False, count_target=False)
     return store
@@ -81,9 +80,7 @@ class TestExportNetwork:
         assert "1 -> 2 [type=motherOf]" in dot
 
     def test_dot_file_skipped_above_cap(self, tmp_path):
-        store = PopulationStore([LinkType("friendship", False)])
-        for _ in range(2001):
-            store.add_agent({}, {})
+        store = build_store([LinkType("friendship", False)], [{}] * 2001)
         export_network(store, tmp_path)
         assert not (tmp_path / "network.dot").exists()
 
@@ -124,9 +121,11 @@ class TestInteractionNetwork:
             )
 
     def test_absent_type_needs_no_weight(self, tmp_path):
-        store = PopulationStore([LinkType("friendship", False), LinkType("unused", False)])
-        store.add_agent({}, {"friendship": 1})
-        store.add_agent({}, {"friendship": 1})
+        store = build_store(
+            [LinkType("friendship", False), LinkType("unused", False)],
+            [{}, {}],
+            [{"friendship": 1}, {"friendship": 1}],
+        )
         store.record_link(0, 1, "friendship")
         path = export_interaction_network(store, {"friendship": 0.5}, tmp_path)
         assert path.exists()

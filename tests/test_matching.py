@@ -16,10 +16,10 @@ from popnetgen.matching import (
     run_homophily_rule,
     validate_rule,
 )
-from popnetgen.population import LinkType, PopulationStore
+from popnetgen.population import LinkType
 from popnetgen.sampling import substream
 
-from helpers import enum_joint_items
+from helpers import build_store, enum_joint_items
 
 SPOUSES_MATCHING = """
 matching spouses link=linkSpouses a1=a1_ a2=a2_ counts=both
@@ -95,11 +95,8 @@ def spouses_rule(**overrides):
 
 def agent_store(rows, link_type="spouses", rc=None):
     """rows: list of attribute dicts; rc: list of required counts for link_type."""
-    store = PopulationStore([LinkType(link_type, False)])
-    for i, attrs in enumerate(rows):
-        required = {link_type: (rc[i] if rc else 1)}
-        store.add_agent(attrs, required)
-    return store
+    required = [{link_type: (rc[i] if rc else 1)} for i in range(len(rows))]
+    return build_store([LinkType(link_type, False)], rows, required)
 
 
 def make_random_matching_rule(rng) -> HomophilyRule:
@@ -231,14 +228,14 @@ class TestDeriveCandidateSets:
 class TestConditionalCandidates:
     def test_same_location_constraint(self):
         store = agent_store([{"gender": "male", "location": "v2"}])
-        pred = conditional_candidates(spouses_rule(), store.agents[0])
+        pred = conditional_candidates(spouses_rule(), store.attributes(0))
         assert pred.attribute_values["location"] == frozenset(["v2"])
         assert pred.attribute_values["gender"] == frozenset(["female"])
 
     def test_unconditional_equals_global_set(self):
         rule = load_matching_bn(ALWAYS_YES_MATCHING)
         store = agent_store([{"role": "seeker"}], link_type="pair")
-        pred = conditional_candidates(rule, store.agents[0])
+        pred = conditional_candidates(rule, store.attributes(0))
         _, pred2 = derive_candidate_sets(rule)
         assert pred.attribute_values == pred2.attribute_values
 
@@ -246,7 +243,7 @@ class TestConditionalCandidates:
         # a1 female: no peer can make the link yes
         store = agent_store([{"gender": "female", "location": "v1"}])
         with pytest.raises(ZeroEvidenceError):
-            conditional_candidates(spouses_rule(), store.agents[0])
+            conditional_candidates(spouses_rule(), store.attributes(0))
 
     def test_matches_bruteforce_on_random_rules(self):
         rng = np.random.default_rng(43)
@@ -257,8 +254,7 @@ class TestConditionalCandidates:
                 domain = rule.bn.domain(bn_var)
                 a1_values[bn_var] = domain[int(rng.integers(len(domain)))]
             agent_attrs = {rule.a1_map()[v]: val for v, val in a1_values.items()}
-            store = PopulationStore([LinkType("pair", False)])
-            agent = store.add_agent(agent_attrs, {"pair": 1})
+            agent = build_store([LinkType("pair", False)], [agent_attrs]).attributes(0)
             matching = [
                 (a, w) for a, w in enum_joint_items(rule.bn)
                 if a["link"] == "yes"
@@ -281,19 +277,19 @@ class TestCompatibility:
             {"gender": "male", "location": "v1"},
             {"gender": "male", "location": "v1"},
         ])
-        assert compatibility(spouses_rule(), store.agents[0], store.agents[1]) == 0.0
+        assert compatibility(spouses_rule(), store.attributes(0), store.attributes(1)) == 0.0
 
     def test_unconditional_link_gives_one(self):
         rule = load_matching_bn(ALWAYS_YES_MATCHING)
         store = agent_store([{"role": "seeker"}, {"role": "target"}], link_type="pair")
-        assert compatibility(rule, store.agents[0], store.agents[1]) == 1.0
+        assert compatibility(rule, store.attributes(0), store.attributes(1)) == 1.0
 
     def test_value_outside_matching_domain_gives_zero(self):
         store = agent_store([
             {"gender": "male", "location": "elsewhere"},
             {"gender": "female", "location": "v1"},
         ])
-        assert compatibility(spouses_rule(), store.agents[0], store.agents[1]) == 0.0
+        assert compatibility(spouses_rule(), store.attributes(0), store.attributes(1)) == 0.0
 
     def test_matches_enumeration_on_random_rules(self):
         rng = np.random.default_rng(47)
@@ -303,15 +299,8 @@ class TestCompatibility:
             for bn_var in list(rule.a1_map()) + list(rule.a2_map()):
                 domain = rule.bn.domain(bn_var)
                 values[bn_var] = domain[int(rng.integers(len(domain)))]
-            store = PopulationStore([LinkType("pair", False)])
-            a1 = store.add_agent(
-                {rule.a1_map()[v]: val for v, val in values.items() if v in rule.a1_map()},
-                {"pair": 1},
-            )
-            a2 = store.add_agent(
-                {rule.a2_map()[v]: val for v, val in values.items() if v in rule.a2_map()},
-                {"pair": 1},
-            )
+            a1 = {rule.a1_map()[v]: val for v, val in values.items() if v in rule.a1_map()}
+            a2 = {rule.a2_map()[v]: val for v, val in values.items() if v in rule.a2_map()}
             num = sum(
                 w for a, w in enum_joint_items(rule.bn)
                 if a["link"] == "yes" and all(a[v] == val for v, val in values.items())
@@ -321,7 +310,7 @@ class TestCompatibility:
                 if all(a[v] == val for v, val in values.items())
             )
             expected = num / den if den > 0 else 0.0
-            assert compatibility(rule, store.agents[0], store.agents[1]) == pytest.approx(
+            assert compatibility(rule, a1, a2) == pytest.approx(
                 expected, abs=1e-9
             )
 
@@ -329,7 +318,7 @@ class TestCompatibility:
 def audit_links(store, rule):
     """Every created link of the rule's type must have positive compatibility."""
     for link in store.links(rule.link_type):
-        a1, a2 = store.agents[link.source], store.agents[link.target]
+        a1, a2 = store.attributes(link.source), store.attributes(link.target)
         c = max(compatibility(rule, a1, a2), compatibility(rule, a2, a1))
         assert c > 0.0, f"incompatible link {link}"
 
@@ -396,8 +385,7 @@ class TestRunHomophilyRule:
         store = agent_store(rows, rc=rc)
         rule = spouses_rule()
         run_homophily_rule(store, rule, substream(5, "r"))
-        for agent in store.agents:
-            assert agent.created_links.get("spouses", 0) <= agent.required_links["spouses"]
+        assert (store.created["spouses"] <= store.required["spouses"]).all()
         audit_links(store, rule)
 
     def test_deterministic_under_fixed_seed(self):
@@ -440,7 +428,7 @@ class TestRunHomophilyRule:
         assert report.links_created == 2
         assert report.demand_total == 4
         assert report.unfulfilled == 2
-        assert store.agents[2].created_links == {}
+        assert store.created["pair"][2] == 0
         assert {frozenset((l.source, l.target)) for l in store.links("pair")} == {
             frozenset((0, 2)), frozenset((1, 2)),
         }
@@ -454,8 +442,7 @@ class TestRunHomophilyRule:
         assert report.links_created == 2
         assert report.demand_total == 3
         assert report.unfulfilled == 1
-        assert store.agents[3].created_links == {"pair": 2}
-        assert all(a.created_links == {} for a in store.agents[:3])
+        assert store.created["pair"].tolist() == [0, 0, 0, 2]
 
     def test_fallback_rejects_low_compatibility_candidates(self):
         # same-location pairs are certain, cross-location ones only likely,
@@ -533,7 +520,7 @@ class TestRunHomophilyRule:
         assert report.links_created == 200
         same = sum(
             1 for l in store.links("pair")
-            if store.agents[l.source].attributes["x"] == store.agents[l.target].attributes["x"]
+            if store.attributes(l.source)["x"] == store.attributes(l.target)["x"]
         )
         fraction = same / report.links_created
         assert 0.70 < fraction < 0.90, fraction
@@ -545,23 +532,24 @@ class TestRunHomophilyRule:
             rule = make_random_matching_rule(rng)
             attributes = sorted(set(rule.a1_map().values()) | set(rule.a2_map().values()))
             domains = {a: rule.bn.domain(f"a1_{a}") for a in attributes}
-            store = PopulationStore([LinkType("pair", False)])
-            for values in itertools.product(*(domains[a] for a in attributes)):
-                store.add_agent(dict(zip(attributes, values)), {"pair": 1})
+            agents = [
+                dict(zip(attributes, values))
+                for values in itertools.product(*(domains[a] for a in attributes))
+            ]
             try:
                 pred1, pred2 = derive_candidate_sets(rule)
             except ZeroEvidenceError:
                 continue
-            for x in store.agents:
-                for y in store.agents:
-                    if x.id == y.id:
+            for i, x in enumerate(agents):
+                for j, y in enumerate(agents):
+                    if i == j:
                         continue
                     if compatibility(rule, x, y) > 0.0:
                         assert all(
-                            x.attributes[a] in vals
+                            x[a] in vals
                             for a, vals in pred1.attribute_values.items()
                         )
                         assert all(
-                            y.attributes[a] in vals
+                            y[a] in vals
                             for a, vals in pred2.attribute_values.items()
                         )

@@ -14,13 +14,12 @@ from popnetgen.metrics import (
 )
 from popnetgen.population import (
     LinkType,
-    PopulationStore,
     generate_population,
     learn_marginals,
 )
 from popnetgen.sampling import substream
 
-from helpers import brute_graph_stats, gnp_edges
+from helpers import brute_graph_stats, build_store, gnp_edges
 
 
 def complete_graph_edges(n):
@@ -129,9 +128,7 @@ class TestStatsForEdges:
 
 class TestGraphStatistics:
     def store(self):
-        store = PopulationStore([LinkType("a", False), LinkType("b", True)])
-        for _ in range(5):
-            store.add_agent({}, {})
+        store = build_store([LinkType("a", False), LinkType("b", True)], [{}] * 5)
         store.record_link(0, 1, "a", count_source=False, count_target=False)
         store.record_link(1, 2, "b", count_source=False, count_target=False)
         store.record_link(2, 0, "b", count_source=False, count_target=False)

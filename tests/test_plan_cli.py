@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from popnetgen.bn import BnValidationError, parse_bn
 from popnetgen.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run
 from popnetgen.plan import (
     HomophilyPlanRule,
@@ -196,10 +197,28 @@ class TestRun:
             ]
             assert len(pairs) == len(set(pairs))
             assert all(a != b for a, b in pairs)
-            for agent in store.agents:
-                assert agent.created_links.get("pair", 0) <= agent.required_links["pair"]
+            assert (store.created["pair"] <= store.required["pair"]).all()
             seen.append(sorted(pairs))
         assert seen[0] != seen[1] or seen[1] != seen[2]
+
+    def test_optional_outputs_of_an_earlier_run_removed(self, plan_dir):
+        out = plan_dir / "shared"
+        run(load_plan(plan_dir / "plan.txt"), out=out)
+        assert (out / "network.dot").exists() and (out / "interaction.csv").exists()
+        (out / "notes.txt").write_text("kept")
+        (plan_dir / "bare.txt").write_text(
+            "population N=2001 seed=1 attributes=attributes.bn\nlinktype pair undirected\n"
+        )
+        bare = load_plan(plan_dir / "bare.txt")
+        run(bare, out=out)  # no rules, no interact lines, too large for a dot file
+        assert not (out / "network.dot").exists()
+        assert not (out / "interaction.csv").exists()
+        assert (out / "learned_attributes.bn").exists()
+        run(bare, population=0, out=out)  # no agents to learn from
+        assert not (out / "learned_attributes.bn").exists()
+        assert (out / "network.dot").exists()
+        assert (out / "notes.txt").read_text() == "kept"
+        assert (out / "agents.csv").read_text() == "id,role,RC_pair\n"
 
     def test_empty_population_run(self, plan_dir):
         plan = load_plan(plan_dir / "plan.txt")
@@ -255,6 +274,17 @@ class TestCli:
         assert main([]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    def test_nan_probability_is_invalid(self, plan_dir, capsys):
+        doc = "variable role { seeker, target }\ncpt role { nan, 1.0 }\n"
+        with pytest.raises(BnValidationError, match="outside"):
+            parse_bn(doc)
+        (plan_dir / "attributes.bn").write_text(doc)
+        assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_INVALID
+        assert "plan ok" not in capsys.readouterr().out
+        out = plan_dir / "o"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_INVALID
+        assert not out.exists()
+
     def test_missing_plan_file(self, tmp_path):
         assert main(["generate", str(tmp_path / "nope.plan")]) == EXIT_INVALID
 
@@ -289,6 +319,9 @@ class TestCli:
             ("edges_all.csv", "source,target,type\n0,10,pair\n"),  # id == N
             ("edges_all.csv", "source,target,type\n-1,1,pair\n"),  # negative id
             ("agents.csv", "id,role,RC_pair\n0,seeker\n"),  # ragged agent row
+            # no id column, then ids shifted by 7: both with ten rows
+            ("agents.csv", "role,RC_pair\n" + "seeker,1\n" * 10),
+            ("agents.csv", "id,role,RC_pair\n" + "".join(f"{k + 7},seeker,1\n" for k in range(10))),
         ],
     )
     def test_malformed_stats_input_is_invalid_exit(self, plan_dir, capsys, name, text):

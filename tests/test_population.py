@@ -1,14 +1,15 @@
 """Population store: generation, candidate queries, links, learned CPTs."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from popnetgen.bn import parse_bn
+from popnetgen.bn import BayesianNetwork, Cpt, parse_bn
 from popnetgen.population import (
     CandidateQuery,
     DemandExceededError,
     DyadOccupiedError,
     LinkType,
-    PopulationStore,
     SelfLinkError,
     UnknownAttributeError,
     UnknownLinkTypeError,
@@ -17,7 +18,9 @@ from popnetgen.population import (
     learn_marginals,
     query_candidates,
 )
-from popnetgen.sampling import substream
+from popnetgen.sampling import PrototypeSampler, substream
+
+from helpers import build_store, make_random_bn
 
 ATTR_DOC = """
 variable gender { male, female }
@@ -40,11 +43,11 @@ def attribute_bn():
 
 
 def small_store():
-    store = PopulationStore([LinkType("friendship", False), LinkType("motherOf", True)])
-    store.add_agent({"x": "1"}, {"friendship": 1})
-    store.add_agent({"x": "2"}, {"friendship": 2})
-    store.add_agent({"x": "2"}, {"friendship": 0})
-    return store
+    return build_store(
+        [LinkType("friendship", False), LinkType("motherOf", True)],
+        [{"x": "1"}, {"x": "2"}, {"x": "2"}],
+        [{"friendship": 1}, {"friendship": 2}, {"friendship": 0}],
+    )
 
 
 class TestGeneratePopulation:
@@ -55,21 +58,44 @@ class TestGeneratePopulation:
     def test_deterministic_single_variable(self):
         bn = parse_bn("variable only { v }\ncpt only { 1.0 }")
         store = generate_population(bn, 5, substream(0, "p"))
-        assert [a.id for a in store.agents] == [0, 1, 2, 3, 4]
-        assert all(a.attributes == {"only": "v"} for a in store.agents)
+        assert len(store) == 5
+        assert all(store.attributes(i) == {"only": "v"} for i in range(5))
 
     def test_gender_fraction_within_three_sigma(self, attribute_bn):
         store = generate_population(attribute_bn, 10_000, substream(7, "p"))
-        males = sum(1 for a in store.agents if a.attributes["gender"] == "male")
+        males = int(store.attribute_mask({"gender": {"male"}}).sum())
         assert abs(males / 10_000 - 0.5) <= 0.015
 
     def test_required_links_filled_and_created_zeroed(self, attribute_bn):
         store = generate_population(attribute_bn, 50, substream(1, "p"))
-        for agent in store.agents:
-            assert set(agent.attributes) == {"gender", "ageSlices", "location"}
-            assert set(agent.required_links) == {"friendship"}
-            assert 0 <= agent.required_links["friendship"] <= 2
-            assert agent.created_links == {}
+        assert store.columns == ("gender", "ageSlices", "location", "RC_friendship")
+        assert set(store.required) == {"friendship"}
+        assert store.required["friendship"].shape == (50,)
+        assert 0 <= store.required["friendship"].min() <= store.required["friendship"].max() <= 2
+        assert set(store.created) == {"friendship"}
+        assert not store.created["friendship"].any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 40),
+        deficit=st.sampled_from([0.0, 2.0**-52, 1e-3, 0.1]),
+    )
+    def test_column_sampler_matches_one_agent_at_a_time(self, seed, size, deficit):
+        # Zero entries (often trailing) and rows summing under 1, so that
+        # some uniforms land past the last cumulative sum of their row.
+        bn = make_random_bn(np.random.default_rng(seed), max_vars=5, zero_fraction=0.4)
+        bn = BayesianNetwork(bn.variables, {
+            name: Cpt(name, cpt.parents, {
+                combo: tuple(p * (1.0 - deficit) for p in row)
+                for combo, row in cpt.rows.items()
+            })
+            for name, cpt in bn.cpts.items()
+        })
+        store = generate_population(bn, size, substream(seed, "p"))
+        sampler, rng = PrototypeSampler(bn), substream(seed, "p")
+        expected = [sampler.sample({}, rng) for _ in range(size)]
+        assert [store.attributes(i) for i in range(size)] == expected
 
     def test_non_integer_rc_label_rejected(self):
         bn = parse_bn("variable RC_x { none }\ncpt RC_x { 1.0 }")
@@ -136,16 +162,17 @@ class TestQueryCandidates:
 
             got = query_candidates(store, query)
             expected = set()
-            for agent in store.agents:
-                if agent.id in exclude:
+            for agent in range(len(store)):
+                labels = store.attributes(agent)
+                if agent in exclude:
                     continue
-                if anchor is not None and agent.id in store.partners_of(anchor):
+                if anchor is not None and agent in store.partners_of(anchor):
                     continue
-                if any(agent.attributes[k] not in v for k, v in constraints.items()):
+                if any(labels[k] not in v for k, v in constraints.items()):
                     continue
-                if any(agent.remaining(t) <= 0 for t in demand):
+                if any(store.remaining(t)[agent] <= 0 for t in demand):
                     continue
-                expected.add(agent.id)
+                expected.add(agent)
             assert got == expected
 
 
@@ -192,20 +219,21 @@ class TestRecordLink:
     def test_counters_follow_count_flags(self):
         store = small_store()
         store.record_link(1, 0, "friendship", count_source=True, count_target=False)
-        assert store.agents[1].created_links == {"friendship": 1}
-        assert store.agents[0].created_links == {}
+        assert store.created["friendship"].tolist() == [0, 1, 0]
+        assert store.created["motherOf"].tolist() == [0, 0, 0]
 
     def test_open_demand_tracking(self):
         store = small_store()
-        assert store.open_demand("friendship") == {0, 1}
+        assert store.remaining("friendship").tolist() == [1, 2, 0]
         store.record_link(0, 1, "friendship", enforce_demand=True)
-        assert store.open_demand("friendship") == {1}
+        assert store.remaining("friendship").tolist() == [0, 1, 0]
 
     def test_dyad_uniqueness_under_fuzzed_operations(self):
         rng = np.random.default_rng(29)
-        store = PopulationStore([LinkType("a", False), LinkType("b", True)])
-        for _ in range(40):
-            store.add_agent({"x": str(int(rng.integers(3)))}, {})
+        store = build_store(
+            [LinkType("a", False), LinkType("b", True)],
+            [{"x": str(int(rng.integers(3)))} for _ in range(40)],
+        )
         links = 0
         for _ in range(600):
             s, t = int(rng.integers(40)), int(rng.integers(40))
@@ -224,16 +252,10 @@ class TestRecordLink:
         store = small_store()
         store.record_link(0, 1, "friendship")  # undirected, both counted
         store.record_link(1, 2, "motherOf", count_source=True, count_target=False)
-        undirected_total = sum(a.created_links.get("friendship", 0) for a in store.agents)
+        undirected_total = int(store.created["friendship"].sum())
         assert undirected_total == 2 * len(store.links("friendship"))
-        directed_total = sum(a.created_links.get("motherOf", 0) for a in store.agents)
+        directed_total = int(store.created["motherOf"].sum())
         assert directed_total == len(store.links("motherOf"))
-
-    def test_index_matches_full_scan(self, attribute_bn):
-        store = generate_population(attribute_bn, 80, substream(5, "p"))
-        for (attr, value), ids in store._index.items():
-            expected = {a.id for a in store.agents if a.attributes.get(attr) == value}
-            assert ids == expected
 
 
 class TestLearnMarginals:
@@ -259,6 +281,24 @@ class TestLearnMarginals:
                 if (name, combo) in unobserved:
                     continue
                 assert sorted(probs, reverse=True)[0] == 1.0
+
+    def test_matches_counting_loop(self):
+        bn = make_random_bn(np.random.default_rng(8), n_vars=6, max_parents=2)
+        store = generate_population(bn, 300, substream(8, "p"))
+        agents = [store.attributes(i) for i in range(len(store))]
+        learned = learn_marginals(store, bn)
+        for variable in bn.variables:
+            cpt = bn.cpts[variable.name]
+            for combo, row in learned.bn.cpts[variable.name].rows.items():
+                tally = [0] * len(variable.domain)
+                for agent in agents:
+                    if tuple(agent[p] for p in cpt.parents) == combo:
+                        tally[variable.domain.index(agent[variable.name])] += 1
+                if sum(tally):
+                    assert row == tuple(c / sum(tally) for c in tally)
+                else:
+                    assert row == cpt.rows[combo]
+                    assert (variable.name, combo) in learned.unobserved
 
     def test_rc_variables_included(self, attribute_bn):
         store = generate_population(attribute_bn, 500, substream(4, "p"))

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from popnetgen.population import LinkType, PopulationStore, UnknownLinkTypeError
+from popnetgen.population import LinkType, UnknownLinkTypeError
 from popnetgen.sampling import substream
 from popnetgen.transitivity import (
     TransitivityRule,
@@ -11,17 +11,17 @@ from popnetgen.transitivity import (
     run_transitivity_rule,
 )
 
+from helpers import build_store
+
 
 def family_store():
     """0 = husband, 1 = wife, 2..3 = wife's children."""
-    store = PopulationStore([
+    store = build_store([
         LinkType("spouses", False),
         LinkType("motherOf", True),
         LinkType("fatherOf", True),
         LinkType("siblings", False),
-    ])
-    for _ in range(4):
-        store.add_agent({}, {})
+    ], [{}] * 4)
     store.record_link(0, 1, "spouses", count_source=False, count_target=False)
     store.record_link(1, 2, "motherOf", count_source=False, count_target=False)
     store.record_link(1, 3, "motherOf", count_source=False, count_target=False)
@@ -84,9 +84,8 @@ class TestEnumerateOpenTriads:
         assert enumerate_open_triads(store, FATHER_RULE) == [(0, 3)]
 
     def test_empty_network(self):
-        store = PopulationStore([LinkType("spouses", False), LinkType("motherOf", True),
-                                 LinkType("fatherOf", True)])
-        store.add_agent({}, {})
+        store = build_store([LinkType("spouses", False), LinkType("motherOf", True),
+                             LinkType("fatherOf", True)], [{}])
         assert enumerate_open_triads(store, FATHER_RULE) == []
 
     def test_unknown_type_rejected(self):
@@ -101,9 +100,7 @@ class TestEnumerateOpenTriads:
 
     def test_multiple_pivots_emit_once(self):
         # two mothers sharing the same two children: one dyad, two pivots
-        store = PopulationStore([LinkType("motherOf", True), LinkType("siblings", False)])
-        for _ in range(4):
-            store.add_agent({}, {})
+        store = build_store([LinkType("motherOf", True), LinkType("siblings", False)], [{}] * 4)
         for mother in (0, 1):
             for child in (2, 3):
                 store.record_link(mother, child, "motherOf",
@@ -123,13 +120,11 @@ class TestEnumerateOpenTriads:
     def test_matches_bruteforce_on_random_networks(self):
         rng = np.random.default_rng(61)
         for trial in range(8):
-            store = PopulationStore([
+            store = build_store([
                 LinkType("spouses", False),
                 LinkType("motherOf", True),
                 LinkType("fatherOf", True),
-            ])
-            for _ in range(30):
-                store.add_agent({}, {})
+            ], [{}] * 30)
             for _ in range(50):
                 a, b = int(rng.integers(30)), int(rng.integers(30))
                 name = ("spouses", "motherOf")[int(rng.integers(2))]
@@ -168,14 +163,12 @@ class TestRunTransitivityRule:
     def test_binomial_count_at_half(self):
         # ~1000 eligible dyads: one mother with 500 child pairs is unwieldy,
         # so use 500 independent husband-wife-child triangles twice
-        store = PopulationStore([
+        n_triads = 1000
+        store = build_store([
             LinkType("spouses", False),
             LinkType("motherOf", True),
             LinkType("fatherOf", True),
-        ])
-        n_triads = 1000
-        for _ in range(3 * n_triads):
-            store.add_agent({}, {})
+        ], [{}] * (3 * n_triads))
         for k in range(n_triads):
             h, w, c = 3 * k, 3 * k + 1, 3 * k + 2
             store.record_link(h, w, "spouses", count_source=False, count_target=False)
