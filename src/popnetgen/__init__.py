@@ -29,12 +29,8 @@ from .inference import (
     probability_of_evidence,
 )
 from .matching import (
-    CandidatePredicate,
     HomophilyRule,
     RuleReport,
-    compatibility,
-    conditional_candidates,
-    derive_candidate_sets,
     load_matching_bn,
     run_homophily_rule,
 )
@@ -47,7 +43,6 @@ from .metrics import (
 )
 from .plan import GenerationPlan, load_plan, parse_plan, validate_plan
 from .population import (
-    CandidateQuery,
     Link,
     LinkType,
     PopulationStore,

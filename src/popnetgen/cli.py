@@ -23,6 +23,7 @@ from .export import (
     read_edges_all,
     report_text,
 )
+from .inference import InferenceError
 from .matching import MatchingError, RuleReport, run_homophily_rule
 from .metrics import (
     ErrorReport,
@@ -193,9 +194,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     directory = Path(args.dir)
-    agents = read_agents(directory / "agents.csv")
+    n = read_agents(directory / "agents.csv")
     links = read_edges_all(directory / "edges_all.csv")
-    n = len(agents)
     by_type: dict[str, list[tuple[int, int]]] = {}
     for link in links:
         if not (0 <= link.source < n and 0 <= link.target < n):
@@ -254,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (PopulationError, OSError) as exc:
+    except (PopulationError, InferenceError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -216,20 +216,22 @@ def read_edge_file(path, link_type: str) -> list[Link]:
     return out
 
 
-def read_agents(path) -> list[dict[str, str]]:
-    """Agent rows by column name; row k must carry id k."""
+def read_agents(path) -> int:
+    """Number of agents in an agent table; every row has one field per
+    column and row k carries id k."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ExportError(f"{path}: empty agent table")
     columns = lines[0].split(",")
     if "id" not in columns:
         raise ExportError(f"{path}: no 'id' column")
-    out = []
+    at = columns.index("id")
+    count = 0
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw:
             continue
-        row = dict(zip(columns, _fields(path, lineno, raw, len(columns))))
-        if row["id"] != str(len(out)):
-            raise ExportError(f"{path}:{lineno}: agent id {row['id']!r}, expected {len(out)}")
-        out.append(row)
-    return out
+        agent_id = _fields(path, lineno, raw, len(columns))[at]
+        if agent_id != str(count):
+            raise ExportError(f"{path}:{lineno}: agent id {agent_id!r}, expected {count}")
+        count += 1
+    return count

@@ -8,7 +8,6 @@ so callers can tell "no candidates exist" apart from numeric noise.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -61,8 +60,8 @@ class Engine:
 
     An Engine never mutates its network, so one instance can serve concurrent
     reads.  Construction is cheap; the win from reuse is the posterior and
-    evidence memo shared across queries, which the generator leans on heavily
-    when the same agent attribute combinations recur.
+    evidence memo shared across queries, which prototype sampling leans on
+    heavily when the same agent attribute combinations recur.
     """
 
     def __init__(self, bn: BayesianNetwork):
@@ -144,6 +143,14 @@ class Engine:
             self._evidence_cache.clear()
         self._evidence_cache[key] = value
         return value
+
+    def joint(self, variables: tuple[str, ...]) -> np.ndarray:
+        """Exact p(variables), one axis per variable in the given order;
+        every other variable is summed out."""
+        relevant = set(variables)
+        for name in variables:
+            relevant |= self.ancestors[name]
+        return _eliminate(self._restricted_factors({}, relevant), variables, self.domains)[1]
 
     def cpt_table(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
         """Parents of ``name`` and its dense CPT: one axis per parent, child last."""
@@ -246,27 +253,17 @@ def _eliminate(factors: list[_Factor], keep: tuple[str, ...], domains) -> _Facto
 
 
 # ---------------------------------------------------------------------------
-# Module-level operations (engine reuse is handled transparently)
-
-_engines: "weakref.WeakKeyDictionary[BayesianNetwork, Engine]" = weakref.WeakKeyDictionary()
-
-
-def engine_for(bn: BayesianNetwork) -> Engine:
-    eng = _engines.get(bn)
-    if eng is None:
-        eng = Engine(bn)
-        _engines[bn] = eng
-    return eng
+# Module-level operations: each call builds its own engine
 
 
 def posterior(bn: BayesianNetwork, evidence: Evidence, query: str) -> Posterior:
     """Exact marginal p(query | evidence)."""
-    vec = engine_for(bn).posterior(evidence, query)
+    vec = Engine(bn).posterior(evidence, query)
     return Posterior(query, tuple(float(p) for p in vec))
 
 
 def probability_of_evidence(bn: BayesianNetwork, evidence: Evidence) -> float:
-    return engine_for(bn).probability_of_evidence(evidence)
+    return Engine(bn).probability_of_evidence(evidence)
 
 
 def joint_probability(bn: BayesianNetwork, assignment: Mapping[str, str]) -> float:

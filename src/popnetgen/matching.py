@@ -3,21 +3,24 @@
 A matching network contains prefixed copies of both agents' attributes
 (``a1_age``, ``a2_age``, ...), any internal condition variables, and one
 boolean link variable whose posterior given both attribute sets is the
-probability that the pair may be linked.  Setting the link variable to yes
-and zero-pruning each copied attribute yields the candidate sets; pairing
-then proceeds by prototype search against the store with an accept/reject
-fallback over the conditional candidate set.
+probability that the pair may be linked.  One elimination per rule gives
+that probability for every pair of agent classes; zero-pruning it per copied
+attribute yields the candidate sets.  Pairing then proceeds by prototype
+search against the store with an accept/reject fallback over the
+conditional candidate set.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .bn import BayesianNetwork, parse_bn
-from .inference import Engine, ZeroEvidenceError, engine_for
-from .population import CandidateQuery, PopulationStore, query_candidates
+from .inference import Engine
+from .population import PopulationStore, query_candidates
 from .sampling import PrototypeSampler
 
 LINK_YES = "yes"
@@ -173,14 +176,6 @@ def load_matching_bn_file(path, *, defaults: Mapping[str, object] | None = None)
         return load_matching_bn(fh.read(), defaults=defaults)
 
 
-@dataclass(frozen=True)
-class CandidatePredicate:
-    """Attribute-value-set constraints plus an optional remaining-demand type."""
-
-    attribute_values: dict[str, frozenset[str]]
-    demand_type: str | None = None
-
-
 @dataclass
 class RuleReport:
     """Tallies for one executed generation rule.
@@ -202,32 +197,9 @@ class RuleReport:
     vacuous: bool = False
 
 
-def _support(engine: Engine, evidence: Mapping[str, str], variable: str) -> frozenset[str]:
-    vec = engine.posterior(evidence, variable)
-    domain = engine.domains[variable]
-    return frozenset(domain[i] for i in range(len(domain)) if vec[i] > 0.0)
-
-
-def derive_candidate_sets(rule: HomophilyRule) -> tuple[CandidatePredicate, CandidatePredicate]:
-    """Zero-pruned attribute predicates for both candidate sets.
-
-    Raises ZeroEvidenceError when the link variable can never be yes, which
-    makes the rule vacuous.
-    """
-    engine = engine_for(rule.bn)
-    evidence = {rule.link_variable: LINK_YES}
-    values1 = {
-        attribute: _support(engine, evidence, bn_var)
-        for bn_var, attribute in rule.a1_map().items()
-    }
-    values2 = {
-        attribute: _support(engine, evidence, bn_var)
-        for bn_var, attribute in rule.a2_map().items()
-    }
-    return (
-        CandidatePredicate(values1, rule.link_type if rule.counts_a1 else None),
-        CandidatePredicate(values2, rule.link_type if rule.counts_a2 else None),
-    )
+def vacuous(rule: HomophilyRule, engine: Engine) -> bool:
+    """The link variable can never be yes: the rule links no pair."""
+    return engine.probability_of_evidence({rule.link_variable: LINK_YES}) <= 0.0
 
 
 def _a1_evidence(rule: HomophilyRule, a1: Mapping[str, str]) -> dict[str, str]:
@@ -237,137 +209,131 @@ def _a1_evidence(rule: HomophilyRule, a1: Mapping[str, str]) -> dict[str, str]:
     return evidence
 
 
-def conditional_candidates(rule: HomophilyRule, a1: Mapping[str, str]) -> CandidatePredicate:
-    """Predicate for candidates compatible with one agent, given by its
-    attribute labels.
+def _class_ids(store: PopulationStore, engine: Engine, copies: Mapping[str, str]) -> np.ndarray:
+    """Per agent, its combination of labels of the attributes ``copies``
+    reads, numbered over the copies' domains; an agent with a label outside
+    them falls in the extra last class."""
+    codes = np.empty((len(copies), len(store)), dtype=np.intp)
+    for k, (bn_var, attribute) in enumerate(copies.items()):
+        j = store.column(attribute)
+        index = engine.value_index[bn_var]
+        codes[k] = np.array([index.get(label, -1) for label in store.labels[j]])[store.codes[:, j]]
+    dims = tuple(len(engine.domains[bn_var]) for bn_var in copies)
+    ids = np.ravel_multi_index(tuple(np.maximum(codes, 0)), dims)
+    ids[(codes < 0).any(axis=0)] = math.prod(dims)
+    return ids
 
-    Raises ZeroEvidenceError when the agent's attributes rule out any peer.
+
+class ClassTables(NamedTuple):
+    """One homophily rule over one store's agents, by class.
+
+    An agent's a1 (a2) class numbers its labels of the attributes the rule
+    copies on side 1 (2); the extra last class holds the agents with a label
+    outside the matching network's domain and admits nothing.
+    ``compat[c1, c2]`` is p(link = yes | both classes' labels), 0 where those
+    labels have probability 0 together.  ``members[c1]`` holds when each
+    label of c1 is possible with link = yes; ``box[c1, c2]`` when each label
+    of c2 is possible with c1's labels and link = yes.  Both are products of
+    per-attribute supports, so they may admit classes whose compatibility
+    is 0.
     """
-    engine = engine_for(rule.bn)
-    evidence = _a1_evidence(rule, a1)
-    values = {
-        attribute: _support(engine, evidence, bn_var)
-        for bn_var, attribute in rule.a2_map().items()
-    }
-    return CandidatePredicate(values, rule.link_type if rule.counts_a2 else None)
+
+    a1_class: np.ndarray
+    a2_class: np.ndarray
+    compat: np.ndarray
+    members: np.ndarray
+    box: np.ndarray
 
 
-def compatibility(rule: HomophilyRule, a1: Mapping[str, str], a2: Mapping[str, str]) -> float:
-    """p(link = yes | both agents' attribute labels); 0 when the evidence
-    itself is impossible, so it never raises."""
-    engine = engine_for(rule.bn)
-    evidence = {}
-    try:
-        for bn_var, attribute in rule.a1_map().items():
-            value = a1[attribute]
-            if value not in engine.value_index[bn_var]:
-                return 0.0
-            evidence[bn_var] = value
-        for bn_var, attribute in rule.a2_map().items():
-            value = a2[attribute]
-            if value not in engine.value_index[bn_var]:
-                return 0.0
-            evidence[bn_var] = value
-        vec = engine.posterior(evidence, rule.link_variable)
-    except ZeroEvidenceError:
-        return 0.0
-    return float(vec[engine.value_index[rule.link_variable][LINK_YES]])
+def class_tables(rule: HomophilyRule, engine: Engine, store: PopulationStore) -> ClassTables:
+    """Compatibility of every class pair, from one elimination that keeps
+    each copied variable and the link variable."""
+    a1, a2 = rule.a1_map(), rule.a2_map()
+    joint = engine.joint((*a1, *a2, rule.link_variable))
+    pair = joint.sum(axis=-1)
+    yes = joint[..., engine.value_index[rule.link_variable][LINK_YES]]
+    compat = np.divide(yes, pair, out=np.zeros_like(pair), where=pair > 0.0)
+    del joint, pair, yes  # the spouses joint alone holds 4 MB
+    possible = compat > 0.0
+    side1, side2 = range(len(a1)), range(len(a1), possible.ndim)
+    n1 = math.prod(possible.shape[:len(a1)])
 
+    def support(axis: int, keep=()) -> np.ndarray:
+        """Labels of copy ``axis`` possible with link = yes, for each
+        combination of labels of the copies ``keep``."""
+        others = [a for a in range(possible.ndim) if a != axis and a not in keep]
+        return possible.any(axis=tuple(others))
 
-def _class_ids(store: PopulationStore, attributes) -> list[int]:
-    """Per agent, one int naming its combination of labels of ``attributes``."""
-    columns = [store.column(a) for a in attributes]
-    dims = tuple(len(store.labels[j]) for j in columns)
-    return np.ravel_multi_index(tuple(store.codes[:, j] for j in columns), dims).tolist()
+    members = functools.reduce(np.logical_and.outer, [support(a) for a in side1]).ravel()
+    codes2 = np.unravel_index(np.arange(possible.size // n1), possible.shape[len(a1):])
+    box = functools.reduce(np.logical_and, [
+        support(a, side1).reshape(n1, -1)[:, codes] for a, codes in zip(side2, codes2)
+    ])
+    outside = ((0, 1), (0, 1))
+    return ClassTables(
+        _class_ids(store, engine, a1),
+        _class_ids(store, engine, a2),
+        np.pad(compat.reshape(n1, -1), outside),
+        np.append(members, False),
+        np.pad(box, outside),
+    )
 
 
 class _RuleRun:
-    """Mutable state for one rule execution over one store.
+    """Mutable state for one rule execution over one store."""
 
-    Agents enter the caches through their a1 and a2 class ids: the codes
-    of the attributes the rule reads on each side.
-    """
-
-    def __init__(self, store: PopulationStore, rule: HomophilyRule, rng: np.random.Generator):
+    def __init__(
+        self, store: PopulationStore, rule: HomophilyRule, engine: Engine,
+        rng: np.random.Generator,
+    ):
         self.store = store
         self.rule = rule
         self.rng = rng
-        self.sampler = PrototypeSampler(rule.bn)
+        self.engine = engine
+        self.sampler = PrototypeSampler(rule.bn, engine)
         self.report = RuleReport(rule.link_type, "homophily")
-        self.a2_map = rule.a2_map()
-        self.a1_class = _class_ids(store, rule.a1_map().values())
-        self.a2_class = _class_ids(store, self.a2_map.values())
-        self._base_cache: dict[int, np.ndarray | None] = {}
-        self._compat_cache: dict[tuple[int, int], float] = {}
+        self.demand = rule.link_type if rule.counts_a2 else None
+        self.tables = class_tables(rule, engine, store)
+        self.a2_vars = tuple(rule.a2_map())
+        # Agents sorted by a2 class, ids ascending within each class.
+        self.by_a2_class = np.argsort(self.tables.a2_class, kind="stable")
+        self.a2_starts = np.searchsorted(
+            self.tables.a2_class[self.by_a2_class], np.arange(self.tables.box.shape[1] + 1)
+        )
 
-    def base_candidates(self, a1: int) -> np.ndarray | None:
-        """Sorted ids whose attributes admit a link with a1 (static per run);
-        None when no peer can exist."""
-        key = self.a1_class[a1]
-        if key not in self._base_cache:
-            try:
-                predicate = conditional_candidates(self.rule, self.store.attributes(a1))
-            except ZeroEvidenceError:
-                self._base_cache[key] = None
-            else:
-                mask = self.store.attribute_mask(predicate.attribute_values)
-                self._base_cache[key] = np.flatnonzero(mask)
-        return self._base_cache[key]
-
-    def pair_compatibility(self, a1: int, a2: int) -> float:
-        key = (self.a1_class[a1], self.a2_class[a2])
-        value = self._compat_cache.get(key)
-        if value is None:
-            value = compatibility(
-                self.rule, self.store.attributes(a1), self.store.attributes(a2)
-            )
-            self._compat_cache[key] = value
-        return value
-
-    def live_pool(self, a1: int, base: np.ndarray) -> np.ndarray:
-        """Current conditional candidate set, sorted: demand still open, dyad free."""
-        if self.rule.counts_a2:
-            base = base[self.store.remaining(self.rule.link_type, base) > 0]
-        taken = [a1, *self.store.partners_of(a1)]
-        return base[~np.isin(base, taken)]
+    def prototype_bucket(self, prototype: Mapping[str, str]) -> np.ndarray:
+        """Sorted ids of the agents carrying the prototype's a2 labels."""
+        c2 = np.ravel_multi_index(
+            tuple(self.engine.value_index[v][prototype[v]] for v in self.a2_vars),
+            tuple(len(self.engine.domains[v]) for v in self.a2_vars),
+        )
+        return self.by_a2_class[self.a2_starts[c2]:self.a2_starts[c2 + 1]]
 
     def prototype_attempts(self, a1: int) -> int | None:
         """Draw prototypes and look them up in the store; None when the retry
         budget runs out."""
-        demand = (self.rule.link_type,) if self.rule.counts_a2 else ()
         evidence = _a1_evidence(self.rule, self.store.attributes(a1))
         for _ in range(self.rule.retries):
             prototype = self.sampler.sample(evidence, self.rng)
-            wanted = {
-                attribute: frozenset((prototype[bn_var],))
-                for bn_var, attribute in self.a2_map.items()
-            }
             matches = query_candidates(
-                self.store,
-                CandidateQuery(
-                    wanted,
-                    demand_types=demand,
-                    exclude_ids=frozenset((a1,)),
-                    not_linked_with=a1,
-                ),
+                self.store, self.prototype_bucket(prototype), self.demand, a1
             )
-            if matches:
-                ordered = sorted(matches)
-                return ordered[int(self.rng.integers(len(ordered)))]
+            if len(matches):
+                return int(matches[self.rng.integers(len(matches))])
         return None
 
-    def fallback(self, a1: int, pool: list[int]) -> int | None:
+    def fallback(self, a1: int, pool: np.ndarray) -> int | None:
         """Uniform draw with compatibility-proportional acceptance; rejected
         candidates leave the pool, so the scan always terminates."""
-        compat = {cand: self.pair_compatibility(a1, cand) for cand in pool}
-        max_compat = max(compat.values(), default=0.0)
+        tables = self.tables
+        compat = tables.compat[tables.a1_class[a1], tables.a2_class[pool]].tolist()
+        max_compat = max(compat, default=0.0)
         if max_compat <= 0.0:
             return None
-        remaining = list(pool)
+        remaining = list(zip(pool.tolist(), compat))
         while remaining:
             pick = int(self.rng.integers(len(remaining)))
-            candidate = remaining[pick]
-            c = compat[candidate]
+            candidate, c = remaining[pick]
             if c > 0.0 and self.rng.random() < c / max_compat:
                 return candidate
             self.report.fallback_rejections += 1
@@ -398,13 +364,13 @@ def run_homophily_rule(
     Shortfalls never raise; they surface in the report.  Every created link
     passes the dyad-uniqueness and demand checks of the store.
     """
-    try:
-        predicate1, _ = derive_candidate_sets(rule)
-    except ZeroEvidenceError:
+    engine = Engine(rule.bn)
+    if vacuous(rule, engine):
         return RuleReport(rule.link_type, "homophily", vacuous=True)
-    members = np.flatnonzero(store.attribute_mask(predicate1.attribute_values))
+    run = _RuleRun(store, rule, engine, rng)
+    tables = run.tables
+    members = np.flatnonzero(tables.members[tables.a1_class])
     left = store.remaining(rule.link_type, members)  # refuses an unknown type
-    run = _RuleRun(store, rule, rng)
     report = run.report
     if rule.counts_a1:
         members = members[left > 0]
@@ -424,12 +390,9 @@ def run_homophily_rule(
                 return store.remaining(rule.link_type, a1) > 0
             return not got_link
 
+        base = np.flatnonzero(tables.box[tables.a1_class[a1]][tables.a2_class])
         while slots_left() and not orphaned:
-            base = run.base_candidates(a1)
-            if base is None:
-                orphaned = True
-                break
-            pool = run.live_pool(a1, base)
+            pool = query_candidates(store, base, run.demand, a1)
             if not len(pool):
                 orphaned = True
                 break
@@ -440,7 +403,7 @@ def run_homophily_rule(
                 a2 = run.prototype_attempts(a1)
                 by_prototype = a2 is not None
             if a2 is None:
-                a2 = run.fallback(a1, pool.tolist())
+                a2 = run.fallback(a1, pool)
             if a2 is None:
                 orphaned = True
                 break

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bn import BayesianNetwork, BnError, load_bn
-from .inference import ZeroEvidenceError
+from .inference import Engine
 from .matching import (
     HomophilyRule,
     MatchingError,
-    derive_candidate_sets,
     load_matching_bn_file,
+    vacuous,
     validate_rule,
 )
 from .population import RC_PREFIX, LinkType
@@ -289,9 +289,7 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
                 if attribute_bn is not None:
                     for problem in validate_rule(loaded, attribute_bn):
                         error(f"{where}: {problem}")
-                try:
-                    derive_candidate_sets(loaded)
-                except ZeroEvidenceError:
+                if vacuous(loaded, Engine(loaded.bn)):
                     warning(f"{where}: link variable can never be yes (vacuous rule)")
             produced.add(rule.link_type)
         else:

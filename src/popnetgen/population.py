@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bn import BayesianNetwork, Cpt
-from .inference import engine_for
+from .inference import Engine
 
 RC_PREFIX = "RC_"
 
@@ -58,22 +58,6 @@ class Link:
     source: int
     target: int
     type: str
-
-
-@dataclass(frozen=True)
-class CandidateQuery:
-    """Conjunction of constraints for candidate retrieval.
-
-    attribute_values: per attribute, the set of labels still admissible.
-    demand_types: link types for which created < required must hold.
-    exclude_ids: agents removed from the result outright.
-    not_linked_with: drop agents already sharing a dyad (any type) with this id.
-    """
-
-    attribute_values: Mapping[str, frozenset[str]] = field(default_factory=dict)
-    demand_types: tuple[str, ...] = ()
-    exclude_ids: frozenset[int] = frozenset()
-    not_linked_with: int | None = None
 
 
 class PopulationStore:
@@ -149,18 +133,6 @@ class PopulationStore:
         """One agent's label of every variable."""
         row = self.codes[agent_id].tolist()
         return {name: labels[c] for name, labels, c in zip(self.columns, self.labels, row)}
-
-    def attribute_mask(self, attribute_values: Mapping[str, Iterable[str]]) -> np.ndarray:
-        """Agents whose label of each named attribute lies in its given set."""
-        mask = np.ones(len(self), dtype=bool)
-        for attribute, values in attribute_values.items():
-            j = self.column(attribute)
-            allowed = [i for i, label in enumerate(self.labels[j]) if label in values]
-            if len(allowed) == 1:
-                mask &= self.codes[:, j] == allowed[0]
-            else:
-                mask &= np.isin(self.codes[:, j], allowed)
-        return mask
 
     def remaining(self, link_type: str, ids=slice(None)) -> np.ndarray:
         """Required minus created links of this type, per agent or for ``ids``."""
@@ -249,21 +221,15 @@ class PopulationStore:
         return link
 
 
-def query_candidates(store: PopulationStore, query: CandidateQuery) -> set[int]:
-    """Exactly the agents satisfying every constraint of the query.
-
-    Attribute and demand constraints are column masks over the code matrix
-    and the link counters; exclusions and existing partners are subtracted
-    from the ids that remain.
-    """
-    ids = np.flatnonzero(store.attribute_mask(query.attribute_values))
-    for link_type in query.demand_types:
-        ids = ids[store.remaining(link_type, ids) > 0]
-    out = set(ids.tolist())
-    out -= query.exclude_ids
-    if query.not_linked_with is not None:
-        out -= store._partners.get(query.not_linked_with, set())
-    return out
+def query_candidates(
+    store: PopulationStore, ids: np.ndarray, demand_type: str | None, agent: int
+) -> np.ndarray:
+    """``ids`` without the agents whose ``demand_type`` demand is met, without
+    ``agent`` and without its partners; sorted ids stay sorted."""
+    if demand_type is not None:
+        ids = ids[store.remaining(demand_type, ids) > 0]
+    taken = [agent, *store.partners_of(agent)]
+    return ids[~np.isin(ids, taken)]
 
 
 def generate_population(
@@ -283,7 +249,7 @@ def generate_population(
     takes the last positive value.  RC_ variables become the per-type
     required link counts (their labels must parse as integers).
     """
-    engine = engine_for(attribute_bn)
+    engine = Engine(attribute_bn)
     column = {name: j for j, name in enumerate(attribute_bn.names)}
     codes = np.empty((size, len(column)), dtype=np.intp)
     uniforms = rng.random((size, len(column)))

@@ -17,7 +17,7 @@ import hashlib
 import numpy as np
 
 from .bn import BayesianNetwork, Evidence
-from .inference import Engine, ZeroEvidenceError, engine_for
+from .inference import Engine, ZeroEvidenceError
 
 
 def substream(master_seed: int, label: str) -> np.random.Generator:
@@ -52,7 +52,7 @@ class PrototypeSampler:
 
     def __init__(self, bn: BayesianNetwork, engine: Engine | None = None):
         self.bn = bn
-        self.engine = engine if engine is not None else engine_for(bn)
+        self.engine = engine if engine is not None else Engine(bn)
         self._plans: dict[frozenset[str], list[tuple[str, bool]]] = {}
 
     def _plan(self, ev_names: frozenset[str]) -> list[tuple[str, bool]]:

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 
 from popnetgen.bn import BayesianNetwork, Cpt, Variable
+from popnetgen.inference import Engine, ZeroEvidenceError
 from popnetgen.population import RC_PREFIX, PopulationStore
 
 
@@ -82,6 +83,24 @@ def build_store(link_types, rows, required=None) -> PopulationStore:
     return PopulationStore(
         link_types, columns, np.array(codes, dtype=np.intp).reshape(len(rows), len(columns))
     )
+
+
+def link_probability(engine: Engine, rule, a1: dict[str, str], a2: dict[str, str]) -> float:
+    """p(link = yes | both agents' labels) from one posterior query on full
+    evidence, for ``engine`` built on ``rule.bn``: 0 when a label lies
+    outside the matching network's domain or the labels have probability 0
+    together.  Independent of the matcher's class tables."""
+    evidence = {}
+    for labels, copies in ((a1, rule.a1_map()), (a2, rule.a2_map())):
+        for bn_var, attribute in copies.items():
+            if labels[attribute] not in engine.value_index[bn_var]:
+                return 0.0
+            evidence[bn_var] = labels[attribute]
+    try:
+        vec = engine.posterior(evidence, rule.link_variable)
+    except ZeroEvidenceError:
+        return 0.0
+    return float(vec[engine.value_index[rule.link_variable]["yes"]])
 
 
 # -- joint enumeration oracle -------------------------------------------------

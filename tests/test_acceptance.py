@@ -15,8 +15,8 @@ import pytest
 
 from popnetgen.bn import load_bn, parse_bn
 from popnetgen.cli import run
-from popnetgen.inference import ZeroEvidenceError, engine_for, posterior
-from popnetgen.matching import compatibility, run_homophily_rule
+from popnetgen.inference import Engine, ZeroEvidenceError, posterior
+from popnetgen.matching import run_homophily_rule
 from popnetgen.metrics import (
     distribution_error,
     matching_error,
@@ -31,6 +31,7 @@ from helpers import (
     brute_graph_stats,
     build_store,
     gnp_edges,
+    link_probability,
     make_random_bn,
     random_evidence,
     tensor_posterior,
@@ -73,7 +74,7 @@ def test_criterion_01_inference_exactness():
     for _ in range(200):
         bn = make_random_bn(rng, max_vars=10, max_domain=4)
         ev = random_evidence(rng, bn, max_items=3)
-        engine = engine_for(bn)
+        engine = Engine(bn)
         p_ev = engine.probability_of_evidence(ev)
         assert abs(p_ev - tensor_probability(bn, ev)) <= 1e-9
         if p_ev > 0.0:
@@ -193,14 +194,16 @@ def _audit_store(store, rules):
     pairs = [(min(l.source, l.target), max(l.source, l.target)) for l in links]
     assert len(pairs) == len(set(pairs)), "dyad carries more than one link"
     assert all(l.source != l.target for l in links), "self link"
-    by_type = {rule.link_type: rule for rule in rules}
+    by_type = {rule.link_type: (rule, Engine(rule.bn)) for rule in rules}
     audited = 0
     for link in links:
-        rule = by_type.get(link.type)
-        if rule is None:
+        if link.type not in by_type:
             continue
+        rule, engine = by_type[link.type]
         a1, a2 = store.attributes(link.source), store.attributes(link.target)
-        value = max(compatibility(rule, a1, a2), compatibility(rule, a2, a1))
+        value = max(
+            link_probability(engine, rule, a1, a2), link_probability(engine, rule, a2, a1)
+        )
         assert value > 0.0, f"zero-compatibility link {link}"
         audited += 1
     return audited

@@ -86,8 +86,9 @@ class TestExportNetwork:
 
     def test_agents_csv_readable(self, tmp_path):
         export_network(demo_store(), tmp_path)
-        rows = read_agents(tmp_path / "agents.csv")
-        assert rows[0] == {"id": "0", "color": "red", "RC_friendship": "1"}
+        lines = (tmp_path / "agents.csv").read_text().splitlines()
+        assert lines[:2] == ["id,color,RC_friendship", "0,red,1"]
+        assert read_agents(tmp_path / "agents.csv") == len(demo_store())
 
 
 class TestInteractionNetwork:

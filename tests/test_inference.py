@@ -4,6 +4,7 @@ import pytest
 
 from popnetgen.bn import iter_assignments, parse_bn
 from popnetgen.inference import (
+    Engine,
     IncompleteAssignmentError,
     UnknownVariableError,
     ZeroEvidenceError,
@@ -17,6 +18,7 @@ from helpers import (
     enum_probability,
     make_random_bn,
     random_evidence,
+    tensor_joint,
     tensor_posterior,
     tensor_probability,
 )
@@ -139,6 +141,22 @@ class TestProbabilityOfEvidence:
             assert probability_of_evidence(bn, ev) == pytest.approx(
                 enum_probability(bn, ev), abs=TOL
             )
+
+
+class TestEngineJoint:
+    def test_marginal_matches_tensor_joint(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            bn = make_random_bn(rng, max_vars=7)
+            names = list(bn.names)
+            keep = [names[int(i)] for i in rng.permutation(len(names))[:int(rng.integers(1, 5))]]
+            full = tensor_joint(bn)
+            summed = tuple(i for i, n in enumerate(names) if n not in keep)
+            kept = [n for n in names if n in keep]
+            expected = np.transpose(full.sum(axis=summed), [kept.index(n) for n in keep])
+            got = Engine(bn).joint(tuple(keep))
+            assert got.shape == expected.shape
+            assert float(np.max(np.abs(got - expected))) <= TOL
 
 
 class TestJointProbability:

@@ -1,25 +1,24 @@
-"""Homophily matching: candidate derivation, compatibility, rule execution."""
+"""Homophily matching: class tables (compatibility and candidate boxes), rule execution."""
 import itertools
 
 import numpy as np
 import pytest
 
 from popnetgen.bn import BayesianNetwork, Cpt, Variable, parse_bn
-from popnetgen.inference import ZeroEvidenceError
+from popnetgen.inference import Engine
 from popnetgen.matching import (
     HomophilyRule,
     MatchingError,
-    compatibility,
-    conditional_candidates,
-    derive_candidate_sets,
+    class_tables,
     load_matching_bn,
     run_homophily_rule,
+    vacuous,
     validate_rule,
 )
-from popnetgen.population import LinkType
+from popnetgen.population import LinkType, UnknownAttributeError
 from popnetgen.sampling import substream
 
-from helpers import build_store, enum_joint_items
+from helpers import build_store, enum_joint_items, link_probability
 
 SPOUSES_MATCHING = """
 matching spouses link=linkSpouses a1=a1_ a2=a2_ counts=both
@@ -99,6 +98,33 @@ def agent_store(rows, link_type="spouses", rc=None):
     return build_store([LinkType(link_type, False)], rows, required)
 
 
+def class_store(rule, link_type="pair"):
+    """One agent per combination of the labels the rule's copies carry.
+
+    An attribute takes the labels of its a1 copy, then those only its a2
+    copy has, so with differing domains some labels lie outside one side's
+    domain."""
+    domains = {}
+    for copies in (rule.a1_map(), rule.a2_map()):
+        for bn_var, attribute in copies.items():
+            labels = domains.setdefault(attribute, [])
+            labels += [v for v in rule.bn.domain(bn_var) if v not in labels]
+    rows = [dict(zip(domains, combo)) for combo in itertools.product(*domains.values())]
+    return build_store([LinkType(link_type, False)], rows)
+
+
+def tables_for(rule, store):
+    return class_tables(rule, Engine(rule.bn), store)
+
+
+def compat_of(tables, a1, a2):
+    return float(tables.compat[tables.a1_class[a1], tables.a2_class[a2]])
+
+
+def in_box(tables, a1, a2):
+    return bool(tables.box[tables.a1_class[a1], tables.a2_class[a2]])
+
+
 def make_random_matching_rule(rng) -> HomophilyRule:
     """Random link CPT over prefixed attribute copies, zeros included."""
     n_attrs = int(rng.integers(1, 3))
@@ -172,154 +198,192 @@ class TestLoadMatchingBn:
         assert any("location" in p for p in problems)
 
 
-class TestDeriveCandidateSets:
+class TestMemberBox:
     def test_spouses_gender_split(self):
-        pred1, pred2 = derive_candidate_sets(spouses_rule())
-        assert pred1.attribute_values["gender"] == frozenset(["male"])
-        assert pred2.attribute_values["gender"] == frozenset(["female"])
-        assert pred1.attribute_values["location"] == frozenset(["v1", "v2"])
-        assert pred1.demand_type == "spouses" and pred2.demand_type == "spouses"
+        rule = spouses_rule()
+        store = class_store(rule)
+        tables = tables_for(rule, store)
+        members = {
+            i for i in range(len(store)) if tables.members[tables.a1_class[i]]
+        }
+        assert {store.attributes(i)["gender"] for i in members} == {"male"}
+        assert {store.attributes(i)["location"] for i in members} == {"v1", "v2"}
+        partners = {
+            j for i in members for j in range(len(store)) if in_box(tables, i, j)
+        }
+        assert {store.attributes(j)["gender"] for j in partners} == {"female"}
 
     def test_unconditional_link_admits_everything(self):
-        pred1, pred2 = derive_candidate_sets(load_matching_bn(ALWAYS_YES_MATCHING))
-        assert pred1.attribute_values["role"] == frozenset(["seeker", "target"])
-        assert pred2.attribute_values["role"] == frozenset(["seeker", "target"])
+        rule = load_matching_bn(ALWAYS_YES_MATCHING)
+        tables = tables_for(rule, class_store(rule))
+        assert tables.members[tables.a1_class].all()
+        assert tables.box[np.ix_(tables.a1_class, tables.a2_class)].all()
 
-    def test_counts_controls_demand_constraint(self):
-        rule = spouses_rule(counts="a1")
-        pred1, pred2 = derive_candidate_sets(rule)
-        assert pred1.demand_type == "spouses"
-        assert pred2.demand_type is None
+    @pytest.mark.parametrize("counts, rc, links", [
+        ("both", [1, 0], 0),  # the female has no demand of her own
+        ("a1", [1, 0], 1),
+        ("a2", [0, 1], 1),
+        ("both", [0, 1], 0),  # the male has no demand of his own
+    ])
+    def test_counts_controls_demand_constraint(self, counts, rc, links):
+        store = agent_store(
+            [{"gender": "male", "location": "v1"}, {"gender": "female", "location": "v1"}],
+            rc=rc,
+        )
+        report = run_homophily_rule(store, spouses_rule(counts=counts), substream(0, "r"))
+        assert report.links_created == links
 
-    def test_vacuous_rule_raises_zero_evidence(self):
+    def test_vacuous_rule(self):
         doc = ALWAYS_YES_MATCHING.replace("cpt link { 1.0, 0.0 }", "cpt link { 0.0, 1.0 }")
-        with pytest.raises(ZeroEvidenceError):
-            derive_candidate_sets(load_matching_bn(doc))
+        rule = load_matching_bn(doc)
+        assert vacuous(rule, Engine(rule.bn))
+        assert not vacuous(spouses_rule(), Engine(spouses_rule().bn))
+        tables = tables_for(rule, class_store(rule))
+        assert not tables.members.any() and not tables.box.any()
+        assert not tables.compat.any()
 
     def test_matches_bruteforce_support_on_random_rules(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             rule = make_random_matching_rule(rng)
-            try:
-                pred1, pred2 = derive_candidate_sets(rule)
-            except ZeroEvidenceError:
-                assert all(
-                    w == 0.0
-                    for a, w in enum_joint_items(rule.bn)
-                    if a["link"] == "yes"
+            items = list(enum_joint_items(rule.bn))
+            store = class_store(rule)
+            tables = tables_for(rule, store)
+            possible = [a for a, w in items if w > 0.0 and a["link"] == "yes"]
+            assert vacuous(rule, Engine(rule.bn)) == (not possible)
+            for i in range(len(store)):
+                labels = store.attributes(i)
+                expected = all(
+                    labels[attribute] in {a[bn_var] for a in possible}
+                    for bn_var, attribute in rule.a1_map().items()
                 )
-                continue
-            for bn_var, attribute in rule.a1_map().items():
-                expected = {
-                    a[bn_var]
-                    for a, w in enum_joint_items(rule.bn)
-                    if w > 0.0 and a["link"] == "yes"
-                }
-                assert pred1.attribute_values[attribute] == expected
+                assert bool(tables.members[tables.a1_class[i]]) == expected
+            # over all a1 classes, the boxes admit exactly the a2 labels
+            # possible with link = yes
             for bn_var, attribute in rule.a2_map().items():
-                expected = {
-                    a[bn_var]
-                    for a, w in enum_joint_items(rule.bn)
-                    if w > 0.0 and a["link"] == "yes"
+                admitted = {
+                    store.attributes(j)[attribute]
+                    for i in range(len(store)) for j in range(len(store))
+                    if in_box(tables, i, j)
                 }
-                assert pred2.attribute_values[attribute] == expected
+                assert admitted == {a[bn_var] for a in possible}
 
 
-class TestConditionalCandidates:
+class TestBaseBox:
     def test_same_location_constraint(self):
-        store = agent_store([{"gender": "male", "location": "v2"}])
-        pred = conditional_candidates(spouses_rule(), store.attributes(0))
-        assert pred.attribute_values["location"] == frozenset(["v2"])
-        assert pred.attribute_values["gender"] == frozenset(["female"])
+        rule = spouses_rule()
+        store = class_store(rule, "spouses")
+        tables = tables_for(rule, store)
+        a1 = next(
+            i for i in range(len(store))
+            if store.attributes(i) == {"gender": "male", "location": "v2"}
+        )
+        admitted = [store.attributes(j) for j in range(len(store)) if in_box(tables, a1, j)]
+        assert admitted == [{"gender": "female", "location": "v2"}]
 
     def test_unconditional_equals_global_set(self):
         rule = load_matching_bn(ALWAYS_YES_MATCHING)
-        store = agent_store([{"role": "seeker"}], link_type="pair")
-        pred = conditional_candidates(rule, store.attributes(0))
-        _, pred2 = derive_candidate_sets(rule)
-        assert pred.attribute_values == pred2.attribute_values
+        store = agent_store([{"role": "seeker"}, {"role": "target"}], link_type="pair")
+        tables = tables_for(rule, store)
+        assert all(in_box(tables, 0, j) for j in range(len(store)))
 
-    def test_incompatible_agent_raises(self):
+    def test_incompatible_agent_has_empty_box(self):
         # a1 female: no peer can make the link yes
-        store = agent_store([{"gender": "female", "location": "v1"}])
-        with pytest.raises(ZeroEvidenceError):
-            conditional_candidates(spouses_rule(), store.attributes(0))
+        store = agent_store([
+            {"gender": "female", "location": "v1"},
+            {"gender": "male", "location": "v1"},
+        ])
+        tables = tables_for(spouses_rule(), store)
+        assert not tables.members[tables.a1_class[0]]
+        assert not tables.box[tables.a1_class[0]].any()
 
     def test_matches_bruteforce_on_random_rules(self):
         rng = np.random.default_rng(43)
         for _ in range(15):
             rule = make_random_matching_rule(rng)
-            a1_values = {}
-            for bn_var, attribute in rule.a1_map().items():
-                domain = rule.bn.domain(bn_var)
-                a1_values[bn_var] = domain[int(rng.integers(len(domain)))]
-            agent_attrs = {rule.a1_map()[v]: val for v, val in a1_values.items()}
-            agent = build_store([LinkType("pair", False)], [agent_attrs]).attributes(0)
-            matching = [
-                (a, w) for a, w in enum_joint_items(rule.bn)
-                if a["link"] == "yes"
-                and all(a[v] == val for v, val in a1_values.items())
-            ]
-            support_total = sum(w for _, w in matching)
-            if support_total == 0.0:
-                with pytest.raises(ZeroEvidenceError):
-                    conditional_candidates(rule, agent)
-                continue
-            pred = conditional_candidates(rule, agent)
-            for bn_var, attribute in rule.a2_map().items():
-                expected = {a[bn_var] for a, w in matching if w > 0.0}
-                assert pred.attribute_values[attribute] == expected
+            items = list(enum_joint_items(rule.bn))
+            store = class_store(rule)
+            tables = tables_for(rule, store)
+            for i in range(len(store)):
+                a1 = store.attributes(i)
+                matching = [
+                    a for a, w in items
+                    if w > 0.0 and a["link"] == "yes"
+                    and all(a[v] == a1[attr] for v, attr in rule.a1_map().items())
+                ]
+                supports = {
+                    attribute: {a[bn_var] for a in matching}
+                    for bn_var, attribute in rule.a2_map().items()
+                }
+                for j in range(len(store)):
+                    a2 = store.attributes(j)
+                    expected = all(a2[attr] in values for attr, values in supports.items())
+                    assert in_box(tables, i, j) == expected
 
 
-class TestCompatibility:
+class TestCompatTable:
     def test_two_males_zero(self):
         store = agent_store([
             {"gender": "male", "location": "v1"},
             {"gender": "male", "location": "v1"},
         ])
-        assert compatibility(spouses_rule(), store.attributes(0), store.attributes(1)) == 0.0
+        assert compat_of(tables_for(spouses_rule(), store), 0, 1) == 0.0
 
     def test_unconditional_link_gives_one(self):
         rule = load_matching_bn(ALWAYS_YES_MATCHING)
         store = agent_store([{"role": "seeker"}, {"role": "target"}], link_type="pair")
-        assert compatibility(rule, store.attributes(0), store.attributes(1)) == 1.0
+        assert compat_of(tables_for(rule, store), 0, 1) == 1.0
 
     def test_value_outside_matching_domain_gives_zero(self):
         store = agent_store([
             {"gender": "male", "location": "elsewhere"},
             {"gender": "female", "location": "v1"},
+            {"gender": "male", "location": "v1"},
         ])
-        assert compatibility(spouses_rule(), store.attributes(0), store.attributes(1)) == 0.0
+        tables = tables_for(spouses_rule(), store)
+        assert compat_of(tables, 0, 1) == 0.0
+        assert not tables.members[tables.a1_class[0]]
+        assert compat_of(tables, 2, 1) == 1.0
+        assert not in_box(tables, 2, 0)
+
+    def test_impossible_labels_give_zero(self):
+        # no a1 copy is ever a target, so p(a1 target, a2) = 0 for every a2
+        rule = load_matching_bn(ALWAYS_YES_MATCHING.replace(
+            "cpt a1_role { 0.5, 0.5 }", "cpt a1_role { 1.0, 0.0 }"
+        ))
+        store = agent_store([{"role": "target"}, {"role": "seeker"}], link_type="pair")
+        tables = tables_for(rule, store)
+        assert compat_of(tables, 0, 1) == compat_of(tables, 0, 0) == 0.0
+        assert compat_of(tables, 1, 0) == 1.0
 
     def test_matches_enumeration_on_random_rules(self):
         rng = np.random.default_rng(47)
         for _ in range(15):
             rule = make_random_matching_rule(rng)
-            values = {}
-            for bn_var in list(rule.a1_map()) + list(rule.a2_map()):
-                domain = rule.bn.domain(bn_var)
-                values[bn_var] = domain[int(rng.integers(len(domain)))]
-            a1 = {rule.a1_map()[v]: val for v, val in values.items() if v in rule.a1_map()}
-            a2 = {rule.a2_map()[v]: val for v, val in values.items() if v in rule.a2_map()}
-            num = sum(
-                w for a, w in enum_joint_items(rule.bn)
-                if a["link"] == "yes" and all(a[v] == val for v, val in values.items())
-            )
-            den = sum(
-                w for a, w in enum_joint_items(rule.bn)
-                if all(a[v] == val for v, val in values.items())
-            )
-            expected = num / den if den > 0 else 0.0
-            assert compatibility(rule, a1, a2) == pytest.approx(
-                expected, abs=1e-9
-            )
+            items = list(enum_joint_items(rule.bn))
+            store = class_store(rule)
+            tables = tables_for(rule, store)
+            for i in range(len(store)):
+                for j in range(len(store)):
+                    a1, a2 = store.attributes(i), store.attributes(j)
+                    values = {v: a1[attr] for v, attr in rule.a1_map().items()}
+                    values |= {v: a2[attr] for v, attr in rule.a2_map().items()}
+                    agree = [
+                        (a, w) for a, w in items
+                        if all(a[v] == val for v, val in values.items())
+                    ]
+                    num = sum(w for a, w in agree if a["link"] == "yes")
+                    den = sum(w for _, w in agree)
+                    expected = num / den if den > 0 else 0.0
+                    assert compat_of(tables, i, j) == pytest.approx(expected, abs=1e-9)
 
 
 def audit_links(store, rule):
     """Every created link of the rule's type must have positive compatibility."""
+    engine = Engine(rule.bn)
     for link in store.links(rule.link_type):
         a1, a2 = store.attributes(link.source), store.attributes(link.target)
-        c = max(compatibility(rule, a1, a2), compatibility(rule, a2, a1))
+        c = max(link_probability(engine, rule, a1, a2), link_probability(engine, rule, a2, a1))
         assert c > 0.0, f"incompatible link {link}"
 
 
@@ -530,26 +594,21 @@ class TestRunHomophilyRule:
         rng = np.random.default_rng(59)
         for _ in range(10):
             rule = make_random_matching_rule(rng)
-            attributes = sorted(set(rule.a1_map().values()) | set(rule.a2_map().values()))
-            domains = {a: rule.bn.domain(f"a1_{a}") for a in attributes}
-            agents = [
-                dict(zip(attributes, values))
-                for values in itertools.product(*(domains[a] for a in attributes))
-            ]
-            try:
-                pred1, pred2 = derive_candidate_sets(rule)
-            except ZeroEvidenceError:
+            engine = Engine(rule.bn)
+            if vacuous(rule, engine):
                 continue
-            for i, x in enumerate(agents):
-                for j, y in enumerate(agents):
+            store = class_store(rule)
+            tables = class_tables(rule, engine, store)
+            for i in range(len(store)):
+                for j in range(len(store)):
                     if i == j:
                         continue
-                    if compatibility(rule, x, y) > 0.0:
-                        assert all(
-                            x[a] in vals
-                            for a, vals in pred1.attribute_values.items()
-                        )
-                        assert all(
-                            y[a] in vals
-                            for a, vals in pred2.attribute_values.items()
-                        )
+                    x, y = store.attributes(i), store.attributes(j)
+                    if link_probability(engine, rule, x, y) > 0.0:
+                        assert tables.members[tables.a1_class[i]]
+                        assert in_box(tables, i, j)
+
+    def test_unknown_attribute(self):
+        store = agent_store([{"gender": "male"}, {"gender": "female"}])
+        with pytest.raises(UnknownAttributeError):
+            run_homophily_rule(store, spouses_rule(), substream(0, "r"))

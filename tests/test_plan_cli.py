@@ -1,9 +1,13 @@
 """Plan parsing, validation warnings, and the command-line pipeline."""
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-from popnetgen.bn import BnValidationError, parse_bn
+import popnetgen
+from popnetgen import cli
+from popnetgen.bn import BnSyntaxError, BnValidationError, parse_bn
 from popnetgen.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run
 from popnetgen.plan import (
     HomophilyPlanRule,
@@ -49,6 +53,28 @@ linktype pair undirected
 rule homophily pair bn=pair.bn counts=both
 interact pair p=1.0
 """
+
+
+def package_exceptions() -> list[type]:
+    """Every exception class the package defines.  The parser's private
+    usage error is left out: only argument parsing raises it (exit 1)."""
+    found = set()
+    for info in pkgutil.iter_modules(popnetgen.__path__):
+        module = importlib.import_module(f"popnetgen.{info.name}")
+        found |= {
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__ and not obj.__name__.startswith("_")
+        }
+    return sorted(found, key=lambda cls: (cls.__module__, cls.__name__))
+
+
+# Constructor arguments of the classes that take more than a message.
+EXCEPTION_ARGS = {
+    BnSyntaxError: ("injected", 1),
+    BnValidationError: ([],),
+    PlanSyntaxError: ("injected", 1),
+}
 
 
 @pytest.fixture()
@@ -331,3 +357,13 @@ class TestCli:
         (out / name).write_text(text)
         assert main(["stats", str(out)]) == EXIT_INVALID
         assert "invalid network files" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", package_exceptions(), ids=lambda cls: cls.__name__)
+    def test_every_package_error_has_an_exit_code(self, plan_dir, capsys, monkeypatch, error):
+        def failing_run(*args, **kwargs):
+            raise error(*EXCEPTION_ARGS.get(error, ("injected",)))
+
+        monkeypatch.setattr(cli, "run", failing_run)
+        code = main(["generate", str(plan_dir / "plan.txt"), "--out", str(plan_dir / "o")])
+        assert code in (EXIT_INVALID, EXIT_RUNTIME)
+        assert "Traceback" not in capsys.readouterr().err

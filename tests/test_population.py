@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from popnetgen.bn import BayesianNetwork, Cpt, parse_bn
 from popnetgen.population import (
-    CandidateQuery,
     DemandExceededError,
     DyadOccupiedError,
     LinkType,
     SelfLinkError,
-    UnknownAttributeError,
     UnknownLinkTypeError,
     agents_csv,
     generate_population,
@@ -63,7 +61,8 @@ class TestGeneratePopulation:
 
     def test_gender_fraction_within_three_sigma(self, attribute_bn):
         store = generate_population(attribute_bn, 10_000, substream(7, "p"))
-        males = int(store.attribute_mask({"gender": {"male"}}).sum())
+        j = store.column("gender")
+        males = int((store.codes[:, j] == store.labels[j].index("male")).sum())
         assert abs(males / 10_000 - 0.5) <= 0.015
 
     def test_required_links_filled_and_created_zeroed(self, attribute_bn):
@@ -104,39 +103,28 @@ class TestGeneratePopulation:
 
 
 class TestQueryCandidates:
-    def test_empty_query_returns_all(self):
+    def test_drops_only_the_agent_itself(self):
         store = small_store()
-        assert query_candidates(store, CandidateQuery()) == {0, 1, 2}
+        assert query_candidates(store, np.arange(3), None, 0).tolist() == [1, 2]
 
-    def test_attribute_filter(self):
+    def test_keeps_given_ids_in_order(self):
         store = small_store()
-        got = query_candidates(store, CandidateQuery({"x": frozenset(["2"])}))
-        assert got == {1, 2}
+        assert query_candidates(store, np.array([1, 2]), None, 0).tolist() == [1, 2]
+        assert query_candidates(store, np.array([], dtype=np.intp), None, 0).tolist() == []
 
-    def test_unknown_attribute(self):
+    def test_unknown_demand_type(self):
         store = small_store()
-        with pytest.raises(UnknownAttributeError):
-            query_candidates(store, CandidateQuery({"ghost": frozenset(["1"])}))
+        with pytest.raises(UnknownLinkTypeError):
+            query_candidates(store, np.arange(3), "ghost", 0)
 
     def test_combined_constraint_query(self):
-        # attribute constraints + open friendship demand + exclusions
+        # open friendship demand + the agent itself + its partners
         store = small_store()
         store.record_link(1, 2, "friendship")
-        query = CandidateQuery(
-            {"x": frozenset(["2"])},
-            demand_types=("friendship",),
-            exclude_ids=frozenset([0]),
-            not_linked_with=2,
-        )
-        # agent 2 excluded (no remaining demand and linked with 2 itself);
+        # agent 2 excluded (no remaining demand and the agent itself);
         # agent 1 still has demand 2-1=1 but is linked with 2 -> excluded
-        assert query_candidates(store, query) == set()
-        query2 = CandidateQuery(
-            {"x": frozenset(["2"])},
-            demand_types=("friendship",),
-            not_linked_with=0,
-        )
-        assert query_candidates(store, query2) == {1}
+        assert query_candidates(store, np.array([1, 2]), "friendship", 2).tolist() == []
+        assert query_candidates(store, np.array([1, 2]), "friendship", 0).tolist() == [1]
 
     def test_matches_brute_force_on_fuzzed_stores(self, attribute_bn):
         rng = np.random.default_rng(17)
@@ -150,29 +138,20 @@ class TestQueryCandidates:
                 store.record_link(int(a), int(b), "friendship",
                                   count_source=False, count_target=False)
         for _ in range(50):
-            constraints = {}
-            if rng.random() < 0.8:
-                constraints["gender"] = frozenset(["male"] if rng.random() < 0.5 else ["male", "female"])
-            if rng.random() < 0.5:
-                constraints["location"] = frozenset([("v1", "v2")[int(rng.integers(2))]])
-            demand = ("friendship",) if rng.random() < 0.5 else ()
-            exclude = frozenset(int(i) for i in rng.integers(0, 200, size=3))
-            anchor = int(rng.integers(0, 200)) if rng.random() < 0.7 else None
-            query = CandidateQuery(constraints, demand, exclude, anchor)
+            ids = np.flatnonzero(rng.random(200) < rng.random())
+            demand = "friendship" if rng.random() < 0.5 else None
+            agent = int(rng.integers(0, 200))
 
-            got = query_candidates(store, query)
-            expected = set()
-            for agent in range(len(store)):
-                labels = store.attributes(agent)
-                if agent in exclude:
+            got = query_candidates(store, ids, demand, agent).tolist()
+            expected = []
+            for candidate in range(len(store)):
+                if candidate not in ids or candidate == agent:
                     continue
-                if anchor is not None and agent in store.partners_of(anchor):
+                if candidate in store.partners_of(agent):
                     continue
-                if any(labels[k] not in v for k, v in constraints.items()):
+                if demand and store.remaining(demand)[candidate] <= 0:
                     continue
-                if any(store.remaining(t)[agent] <= 0 for t in demand):
-                    continue
-                expected.add(agent)
+                expected.append(candidate)
             assert got == expected
 
 
