@@ -43,7 +43,6 @@ from .metrics import (
 )
 from .plan import GenerationPlan, load_plan, parse_plan, validate_plan
 from .population import (
-    Link,
     LinkType,
     PopulationStore,
     generate_population,

@@ -13,12 +13,16 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .bn import BnError, load_bn
 from .export import (
     ExportError,
     export_interaction_network,
+    export_manifest,
     export_network,
     export_reports,
+    manifest_names,
     read_agents,
     read_edges_all,
     report_text,
@@ -56,9 +60,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_RUNTIME = 3
-
-# Files a run writes only in some cases; a run that skips one deletes it.
-OPTIONAL_OUTPUTS = {"network.dot", "interaction.csv", "learned_attributes.bn"}
 
 
 class _UsageError(Exception):
@@ -148,6 +149,7 @@ def run(
         learned, out_dir,
     )
     if write:
+        earlier = manifest_names(out_dir)
         result.files += export_network(store, out_dir)
         if plan.interaction_weights:
             result.files.append(
@@ -159,9 +161,11 @@ def run(
             learned.bn if learned else None,
             out_dir, header=header,
         )
-        written = {path.name for path in result.files}
-        for name in OPTIONAL_OUTPUTS - written:  # left by an earlier run
-            (out_dir / name).unlink(missing_ok=True)
+        written = {path.relative_to(out_dir).as_posix() for path in result.files}
+        for name in set(earlier) - written:  # left by an earlier run
+            if (out_dir / name).is_file():
+                (out_dir / name).unlink()
+        result.files.append(export_manifest(result.files, out_dir))
         print(report_text(error_report, stats, reports, header), end="")
     return result
 
@@ -195,18 +199,18 @@ def _cmd_validate(args) -> int:
 def _cmd_stats(args) -> int:
     directory = Path(args.dir)
     n = read_agents(directory / "agents.csv")
-    links = read_edges_all(directory / "edges_all.csv")
-    by_type: dict[str, list[tuple[int, int]]] = {}
-    for link in links:
-        if not (0 <= link.source < n and 0 <= link.target < n):
-            raise ExportError(
-                f"{directory / 'edges_all.csv'}: link {link.source},{link.target} "
-                f"names an agent outside [0, {n})"
-            )
-        by_type.setdefault(link.type, []).append((link.source, link.target))
-    all_stats = [stats_for_edges(n, [(l.source, l.target) for l in links], "collapsed")]
-    for name in sorted(by_type):
-        all_stats.append(stats_for_edges(n, by_type[name], name))
+    ends, types = read_edges_all(directory / "edges_all.csv")
+    outside = ((ends < 0) | (ends >= n)).any(axis=1)
+    if outside.any():
+        source, target = ends[np.argmax(outside)].tolist()
+        raise ExportError(
+            f"{directory / 'edges_all.csv'}: link {source},{target} "
+            f"names an agent outside [0, {n})"
+        )
+    all_stats = [stats_for_edges(n, ends, "collapsed")]
+    names, kind = np.unique(types, return_inverse=True)
+    for k, name in enumerate(names.tolist()):
+        all_stats.append(stats_for_edges(n, ends[kind == k], name))
     for s in all_stats:
         for key, value in stats_report_entries(s):
             print(f"{key} = {value if not isinstance(value, bool) else str(value).lower()}")

@@ -6,15 +6,19 @@ declared direction semantics; undirected links are stored lowest-id first.
 """
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .bn import BayesianNetwork, serialize_bn
 from .matching import RuleReport
 from .metrics import ErrorReport, NetworkStats, stats_report_entries
-from .population import Link, PopulationStore, agents_csv
+from .population import PopulationStore, agents_csv
 
 DOT_NODE_LIMIT = 2_000
+MANIFEST = "manifest.txt"
 
 
 class ExportError(Exception):
@@ -31,8 +35,9 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
-def _sorted_links(links: Iterable[Link]) -> list[Link]:
-    return sorted(links, key=lambda l: (l.type, l.source, l.target))
+def _sorted(ends: np.ndarray) -> np.ndarray:
+    """Rows ordered by source, then target."""
+    return ends[np.lexsort((ends[:, 1], ends[:, 0]))]
 
 
 def export_network(store: PopulationStore, out_dir) -> list[Path]:
@@ -43,22 +48,21 @@ def export_network(store: PopulationStore, out_dir) -> list[Path]:
 
     written.append(_write(out / "agents.csv", agents_csv(store)))
 
-    for name in sorted(store.link_types):
-        lines = ["source,target"]
-        for link in _sorted_links(store.links(name)):
-            lines.append(f"{link.source},{link.target}")
+    layers = {name: _sorted(store.edges(name)).tolist() for name in sorted(store.link_types)}
+    for name, ends in layers.items():
+        lines = ["source,target", *(f"{s},{t}" for s, t in ends)]
         written.append(_write(out / f"edges_{name}.csv", "\n".join(lines) + "\n"))
 
     lines = ["source,target,type"]
-    for link in _sorted_links(store.links()):
-        lines.append(f"{link.source},{link.target},{link.type}")
+    for name, ends in layers.items():
+        lines += (f"{s},{t},{name}" for s, t in ends)
     written.append(_write(out / "edges_all.csv", "\n".join(lines) + "\n"))
 
     if len(store) <= DOT_NODE_LIMIT:
         dot = [f"// multiplex network: {len(store)} agents"]
-        for link in _sorted_links(store.links()):
-            arrow = "->" if store.link_types[link.type].directed else "--"
-            dot.append(f"{link.source} {arrow} {link.target} [type={link.type}]")
+        for name, ends in layers.items():
+            arrow = "->" if store.link_types[name].directed else "--"
+            dot += (f"{s} {arrow} {t} [type={name}]" for s, t in ends)
         written.append(_write(out / "network.dot", "\n".join(dot) + "\n"))
     return written
 
@@ -70,15 +74,20 @@ def export_interaction_network(
     for name, p in weights.items():
         if not 0.0 <= p <= 1.0:
             raise ExportError(f"interaction probability for {name!r} outside [0, 1]")
-    present = {link.type for link in store.links()}
-    missing = sorted(present - set(weights))
+    names = list(store.link_types)
+    counts = [len(store.edges(name)) for name in names]
+    missing = sorted(name for name, m in zip(names, counts) if m and name not in weights)
     if missing:
         raise MissingWeightError(
             "no interaction probability for link types: " + ", ".join(missing)
         )
+    # No two links share a dyad, so (source, target) orders every row.
+    ends = store.edges()
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    kinds = np.repeat(np.arange(len(names)), counts)[order].tolist()
     lines = ["source,target,probability"]
-    for link in sorted(store.links(), key=lambda l: (l.source, l.target, l.type)):
-        lines.append(f"{link.source},{link.target},{weights[link.type]!r}")
+    for (s, t), k in zip(ends[order].tolist(), kinds):
+        lines.append(f"{s},{t},{weights[names[k]]!r}")
     return _write(Path(out_dir) / "interaction.csv", "\n".join(lines) + "\n")
 
 
@@ -170,6 +179,26 @@ def export_reports(
     return written
 
 
+def manifest_names(out_dir) -> list[str]:
+    """Bare file names listed in the directory's manifest; none without one.
+    Entries with a directory part are left out."""
+    try:
+        text = (Path(out_dir) / MANIFEST).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return []
+    names = [line.partition("  ")[2] for line in text.splitlines()]
+    return [name for name in names if name == Path(name).name and name not in ("", "..")]
+
+
+def export_manifest(files: Sequence[Path], out_dir) -> Path:
+    """manifest.txt: one '<sha256>  <name>' line per file, by name, in the
+    format ``sha256sum -c manifest.txt`` checks."""
+    out = Path(out_dir)
+    names = sorted(path.relative_to(out).as_posix() for path in files)
+    lines = [f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}" for name in names]
+    return _write(out / MANIFEST, "".join(line + "\n" for line in lines))
+
+
 # ---------------------------------------------------------------------------
 # Readers (round-tripping and the stats-only command)
 
@@ -183,37 +212,42 @@ def _fields(path, lineno: int, raw: str, count: int) -> list[str]:
 
 def _agent_id(path, lineno: int, token: str) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ExportError(f"{path}:{lineno}: agent id {token!r} is not an integer") from None
+    if not -2**63 <= value < 2**63:
+        raise ExportError(f"{path}:{lineno}: agent id {token!r} does not fit in 64 bits")
+    return value
 
 
-def read_edges_all(path) -> list[Link]:
+def _rows(path, header: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-empty line below the header."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "source,target,type":
-        raise ExportError(f"{path}: expected 'source,target,type' header")
-    out = []
+    if not lines or lines[0] != header:
+        raise ExportError(f"{path}: expected {header!r} header")
+    count = header.count(",") + 1
     for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw:
-            continue
-        source, target, name = _fields(path, lineno, raw, 3)
-        out.append(Link(_agent_id(path, lineno, source), _agent_id(path, lineno, target), name))
-    return out
+        if raw:
+            yield lineno, _fields(path, lineno, raw, count)
 
 
-def read_edge_file(path, link_type: str) -> list[Link]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "source,target":
-        raise ExportError(f"{path}: expected 'source,target' header")
-    out = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw:
-            continue
-        source, target = _fields(path, lineno, raw, 2)
-        out.append(
-            Link(_agent_id(path, lineno, source), _agent_id(path, lineno, target), link_type)
-        )
-    return out
+def read_edges_all(path) -> tuple[np.ndarray, np.ndarray]:
+    """Links of a collapsed edge list: an int64 (m, 2) array of (source,
+    target) rows and the type of each row."""
+    ends, types = [], []
+    for lineno, (source, target, name) in _rows(path, "source,target,type"):
+        ends.append((_agent_id(path, lineno, source), _agent_id(path, lineno, target)))
+        types.append(name)
+    return np.array(ends, dtype=np.int64).reshape(-1, 2), np.array(types, dtype=str)
+
+
+def read_edge_file(path) -> np.ndarray:
+    """(source, target) rows of one type's edge list, int64, shape (m, 2)."""
+    ends = [
+        (_agent_id(path, lineno, source), _agent_id(path, lineno, target))
+        for lineno, (source, target) in _rows(path, "source,target")
+    ]
+    return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
 def read_agents(path) -> int:

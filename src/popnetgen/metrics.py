@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .bn import BayesianNetwork
 from .matching import RuleReport
-from .population import LearnedMarginals, PopulationStore, learn_marginals
+from .population import LearnedMarginals, PopulationStore, learn_marginals, link_matrix
 from .sampling import substream
 
 EXACT_PATH_LIMIT = 20_000
@@ -115,13 +114,8 @@ def graph_statistics(
 ) -> NetworkStats:
     """Density, degree, clustering and path length for one link layer or for
     the collapsed uniplex graph."""
-    if scope == "collapsed":
-        links = store.links()
-    else:
-        links = store.links(scope)
-    pairs = [(link.source, link.target) for link in links]
     return stats_for_edges(
-        len(store), pairs, scope,
+        len(store), store.edges(None if scope == "collapsed" else scope), scope,
         exact_path_limit=exact_path_limit,
         path_sample_sources=path_sample_sources,
         seed=seed,
@@ -139,16 +133,7 @@ def stats_for_edges(
 ) -> NetworkStats:
     n = node_count
     ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    ends = ends[ends[:, 0] != ends[:, 1]]
-    rows = np.concatenate([ends[:, 0], ends[:, 1]])
-    cols = np.concatenate([ends[:, 1], ends[:, 0]])
-    # Symmetric 0/1 adjacency: conversion sums repeated and reversed pairs,
-    # resetting the data collapses them.  int32, not int8: a common-neighbour
-    # count in A @ A can exceed 127.
-    adjacency = csr_matrix(
-        (np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=(n, n)
-    )
-    adjacency.data[:] = 1
+    adjacency = link_matrix(n, ends[ends[:, 0] != ends[:, 1]], both_ways=True)
 
     m = adjacency.nnz // 2
     density = (2.0 * m / (n * (n - 1))) if n > 1 else 0.0

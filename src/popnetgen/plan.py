@@ -14,7 +14,7 @@ occupied dyads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .bn import BayesianNetwork, BnError, load_bn
@@ -70,9 +70,6 @@ class GenerationPlan:
     interaction_weights: dict[str, float] = field(default_factory=dict)
     output_dir: Path | None = None
     base_dir: Path = Path(".")
-
-    def declared_types(self) -> dict[str, LinkType]:
-        return {lt.name: lt for lt in self.link_types}
 
 
 def _options(tokens: list[str], lineno: int, allowed: set[str]) -> dict[str, str]:
@@ -223,6 +220,12 @@ class PlanIssue:
         return f"{self.severity}: {self.message}"
 
 
+def _overrides(rule: HomophilyPlanRule) -> dict[str, object]:
+    """The options a plan rule sets, as matching-file loader overrides."""
+    options = {"counts": rule.counts, "retries": rule.retries, "small_set": rule.small_set}
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
     """Static consistency checks; a dry run without any generation."""
     issues: list[PlanIssue] = []
@@ -269,14 +272,9 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
         if rule.link_type not in declared:
             error(f"{where}: link type not declared")
         if isinstance(rule, HomophilyPlanRule):
-            if rule.counts is not None and rule.counts not in ("both", "a1", "a2"):
-                error(f"{where}: counts must be both, a1 or a2")
             loaded = None
             try:
-                defaults = {}
-                if rule.counts:
-                    defaults["counts"] = rule.counts
-                loaded = load_matching_bn_file(rule.bn_path, defaults=defaults)
+                loaded = load_matching_bn_file(rule.bn_path, defaults=_overrides(rule))
             except FileNotFoundError:
                 error(f"{where}: matching network file not found: {rule.bn_path}")
             except (BnError, MatchingError) as exc:
@@ -336,23 +334,5 @@ def build_transitivity_rule(rule: TransitivePlanRule) -> TransitivityRule:
 
 
 def build_homophily_rule(rule: HomophilyPlanRule) -> HomophilyRule:
-    defaults: dict[str, object] = {}
-    if rule.counts is not None:
-        defaults["counts"] = rule.counts
-    if rule.retries is not None:
-        defaults["retries"] = rule.retries
-    if rule.small_set is not None:
-        defaults["small_set"] = rule.small_set
-    loaded = load_matching_bn_file(rule.bn_path, defaults=defaults)
-    if loaded.link_type != rule.link_type:
-        loaded = HomophilyRule(
-            link_type=rule.link_type,
-            bn=loaded.bn,
-            link_variable=loaded.link_variable,
-            a1_prefix=loaded.a1_prefix,
-            a2_prefix=loaded.a2_prefix,
-            counts=loaded.counts,
-            retries=loaded.retries,
-            small_set=loaded.small_set,
-        )
-    return loaded
+    loaded = load_matching_bn_file(rule.bn_path, defaults=_overrides(rule))
+    return replace(loaded, link_type=rule.link_type)

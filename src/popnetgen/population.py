@@ -5,8 +5,9 @@ of the agent's label in the label tuple of variable j.  Variables named with
 the ``RC_`` prefix hold required link counts (``RC_spouses`` is the number
 of spouses links an agent needs); the store turns each into a required-count
 array for its link type, next to a created-count array that links bump.
-Open demand is created < required.  Any unordered pair of agents carries at
-most one link across all types.
+Open demand is created < required.  Each link type keeps its links as one
+list of (source, target) pairs, undirected ones lowest id first.  Any
+unordered pair of agents carries at most one link across all types.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .bn import BayesianNetwork, Cpt
 from .inference import Engine
@@ -53,13 +55,6 @@ class LinkType:
     directed: bool
 
 
-@dataclass(frozen=True)
-class Link:
-    source: int
-    target: int
-    type: str
-
-
 class PopulationStore:
     """Agent code matrix, per-type link counters and the link registry.
 
@@ -85,9 +80,7 @@ class PopulationStore:
         self.link_types: dict[str, LinkType] = {}
         self.required: dict[str, np.ndarray] = {}
         self.created: dict[str, np.ndarray] = {}
-        self._links: dict[str, list[Link]] = {}
-        self._out: dict[str, dict[int, set[int]]] = {}
-        self._in: dict[str, dict[int, set[int]]] = {}
+        self._ends: dict[str, list[tuple[int, int]]] = {}
         self._partners: dict[int, set[int]] = {}
         for j, name in enumerate(self.columns):
             if not name.startswith(RC_PREFIX):
@@ -119,9 +112,7 @@ class PopulationStore:
         self.link_types[link_type.name] = link_type
         self.required.setdefault(link_type.name, np.zeros(len(self), dtype=np.int64))
         self.created.setdefault(link_type.name, np.zeros(len(self), dtype=np.int64))
-        self._links[link_type.name] = []
-        self._out[link_type.name] = {}
-        self._in[link_type.name] = {}
+        self._ends[link_type.name] = []
 
     def column(self, attribute: str) -> int:
         try:
@@ -140,12 +131,16 @@ class PopulationStore:
             raise UnknownLinkTypeError(link_type)
         return self.required[link_type][ids] - self.created[link_type][ids]
 
-    def links(self, link_type: str | None = None) -> list[Link]:
+    def edges(self, link_type: str | None = None) -> np.ndarray:
+        """(source, target) rows of one type's links in insertion order, or
+        of every type's, types in declaration order; int64, shape (m, 2)."""
         if link_type is None:
-            return [link for links in self._links.values() for link in links]
-        if link_type not in self.link_types:
+            pairs = [pair for ends in self._ends.values() for pair in ends]
+        elif link_type in self.link_types:
+            pairs = self._ends[link_type]
+        else:
             raise UnknownLinkTypeError(link_type)
-        return list(self._links[link_type])
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
     def dyad_used(self, a: int, b: int) -> bool:
         return b in self._partners.get(a, ())
@@ -153,25 +148,6 @@ class PopulationStore:
     def partners_of(self, agent_id: int) -> frozenset[int]:
         """Agents sharing a dyad with this one, across all link types."""
         return frozenset(self._partners.get(agent_id, ()))
-
-    def neighbors(self, agent_id: int, link_type: str, role: str = "any") -> set[int]:
-        """Counterparts of this agent's links of one type.
-
-        ``role`` is the role this agent plays in the link: "source" keeps
-        links it emits, "target" links it receives, "any" both.  Undirected
-        types ignore the role.
-        """
-        if link_type not in self.link_types:
-            raise UnknownLinkTypeError(link_type)
-        out = self._out[link_type].get(agent_id, set())
-        inc = self._in[link_type].get(agent_id, set())
-        if not self.link_types[link_type].directed or role == "any":
-            return set(out) | set(inc)
-        if role == "source":
-            return set(out)
-        if role == "target":
-            return set(inc)
-        raise ValueError(f"bad role {role!r}")
 
     def record_link(
         self,
@@ -182,8 +158,8 @@ class PopulationStore:
         count_source: bool = True,
         count_target: bool = True,
         enforce_demand: bool = False,
-    ) -> Link:
-        """Insert a link if the dyad is still free.
+    ) -> tuple[int, int]:
+        """Insert a link if the dyad is still free; returns the stored pair.
 
         Counted endpoints have their created counter for the type bumped;
         with enforce_demand the insert refuses to push created past required
@@ -210,15 +186,25 @@ class PopulationStore:
 
         if not self.link_types[link_type].directed and source > target:
             source, target = target, source
-        link = Link(source, target, link_type)
-        self._links[link_type].append(link)
-        self._out[link_type].setdefault(source, set()).add(target)
-        self._in[link_type].setdefault(target, set()).add(source)
+        self._ends[link_type].append((source, target))
         self._partners.setdefault(source, set()).add(target)
         self._partners.setdefault(target, set()).add(source)
         for agent_id in counted:
             self.created[link_type][agent_id] += 1
-        return link
+        return source, target
+
+
+def link_matrix(n: int, ends: np.ndarray, both_ways: bool = False) -> csr_matrix:
+    """n x n 0/1 matrix with a one at each (source, target) row of ``ends``,
+    and at (target, source) too with ``both_ways``; repeated pairs collapse.
+    int32, not int8: entries of a product count common neighbours past 127."""
+    if both_ways:
+        ends = np.concatenate([ends, ends[:, ::-1]])
+    matrix = csr_matrix(
+        (np.ones(len(ends), dtype=np.int32), (ends[:, 0], ends[:, 1])), shape=(n, n)
+    )
+    matrix.data[:] = 1
+    return matrix
 
 
 def query_candidates(

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix, tril
 
 from .matching import RuleReport
-from .population import PopulationStore, UnknownLinkTypeError
+from .population import PopulationStore, UnknownLinkTypeError, link_matrix
 
 PIVOT_ROLES = ("source", "target", "any")
 
@@ -51,6 +52,15 @@ def parse_pattern(spec: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
+def _relation(store: PopulationStore, link_type: str, role: str) -> csr_matrix:
+    """Pivot x counterpart 0/1 matrix of one link type, the pivot playing
+    ``role`` in the link (either role for "any" and undirected types)."""
+    ends = store.edges(link_type)
+    if not store.link_types[link_type].directed or role == "any":
+        return link_matrix(len(store), ends, both_ways=True)
+    return link_matrix(len(store), ends if role == "source" else ends[:, ::-1])
+
+
 def enumerate_open_triads(store: PopulationStore, rule: TransitivityRule) -> list[tuple[int, int]]:
     """All closable (a1, a3) dyads, in ascending id order.
 
@@ -63,24 +73,18 @@ def enumerate_open_triads(store: PopulationStore, rule: TransitivityRule) -> lis
         if t not in store.link_types:
             raise UnknownLinkTypeError(t)
 
-    oriented: set[tuple[int, int]] = set()
-    pivots = set()
-    for link in store.links(rule.t1):
-        pivots.add(link.source)
-        pivots.add(link.target)
-    for a2 in sorted(pivots):
-        side1 = store.neighbors(a2, rule.t1, rule.pivot_role_1)
-        if not side1:
-            continue
-        side2 = store.neighbors(a2, rule.t2, rule.pivot_role_2)
-        for a1 in side1:
-            for a3 in side2:
-                if a1 != a3 and not store.dyad_used(a1, a3):
-                    oriented.add((a1, a3))
-    out = []
-    for lo, hi in {(min(a, b), max(a, b)) for a, b in oriented}:
-        out.append((lo, hi) if (lo, hi) in oriented else (hi, lo))
-    return sorted(out)
+    # paths[a1, a3] counts the pivots a2 of the two-link paths a1 - a2 - a3.
+    paths = _relation(store, rule.t1, rule.pivot_role_1).T @ _relation(
+        store, rule.t2, rule.pivot_role_2
+    )
+    occupied = link_matrix(len(store), store.edges(), both_ways=True)
+    open_pairs = (paths - paths.multiply(occupied)).sign()
+    # Where both orientations qualify, drop the descending one (a1 > a3).
+    open_pairs = (open_pairs - tril(open_pairs.multiply(open_pairs.T), k=-1)).tocoo()
+    keep = (open_pairs.data > 0) & (open_pairs.row != open_pairs.col)
+    a1, a3 = open_pairs.row[keep], open_pairs.col[keep]
+    order = np.lexsort((a3, a1))
+    return list(zip(a1[order].tolist(), a3[order].tolist()))
 
 
 def run_transitivity_rule(

@@ -190,22 +190,21 @@ def test_criterion_05_matching_error_threshold():
 
 
 def _audit_store(store, rules):
-    links = store.links()
-    pairs = [(min(l.source, l.target), max(l.source, l.target)) for l in links]
+    links = store.edges().tolist()
+    pairs = [(min(s, t), max(s, t)) for s, t in links]
     assert len(pairs) == len(set(pairs)), "dyad carries more than one link"
-    assert all(l.source != l.target for l in links), "self link"
-    by_type = {rule.link_type: (rule, Engine(rule.bn)) for rule in rules}
+    assert all(s != t for s, t in links), "self link"
+    by_type = {rule.link_type: rule for rule in rules}
     audited = 0
-    for link in links:
-        if link.type not in by_type:
-            continue
-        rule, engine = by_type[link.type]
-        a1, a2 = store.attributes(link.source), store.attributes(link.target)
-        value = max(
-            link_probability(engine, rule, a1, a2), link_probability(engine, rule, a2, a1)
-        )
-        assert value > 0.0, f"zero-compatibility link {link}"
-        audited += 1
+    for link_type, rule in by_type.items():
+        engine = Engine(rule.bn)
+        for source, target in store.edges(link_type).tolist():
+            a1, a2 = store.attributes(source), store.attributes(target)
+            value = max(
+                link_probability(engine, rule, a1, a2), link_probability(engine, rule, a2, a1)
+            )
+            assert value > 0.0, f"zero-compatibility link {source},{target} ({link_type})"
+            audited += 1
     return audited
 
 

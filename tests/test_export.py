@@ -17,7 +17,6 @@ from popnetgen.export import (
 from popnetgen.matching import RuleReport
 from popnetgen.metrics import ErrorReport, stats_for_edges
 from popnetgen.population import (
-    Link,
     LinkType,
     PopulationStore,
     generate_population,
@@ -61,10 +60,14 @@ class TestExportNetwork:
     def test_round_trip_reconstructs_link_multiset(self, tmp_path):
         store = demo_store()
         export_network(store, tmp_path)
-        links = set(read_edges_all(tmp_path / "edges_all.csv"))
-        assert links == set(store.links())
-        friendship = read_edge_file(tmp_path / "edges_friendship.csv", "friendship")
-        assert set(friendship) == set(store.links("friendship"))
+        ends, types = read_edges_all(tmp_path / "edges_all.csv")
+        got = sorted(zip(map(tuple, ends.tolist()), types.tolist()))
+        expected = sorted(
+            (tuple(pair), name) for name in store.link_types for pair in store.edges(name).tolist()
+        )
+        assert got == expected
+        friendship = read_edge_file(tmp_path / "edges_friendship.csv")
+        assert friendship.tolist() == store.edges("friendship").tolist()
 
     def test_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

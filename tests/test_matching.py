@@ -381,10 +381,10 @@ class TestCompatTable:
 def audit_links(store, rule):
     """Every created link of the rule's type must have positive compatibility."""
     engine = Engine(rule.bn)
-    for link in store.links(rule.link_type):
-        a1, a2 = store.attributes(link.source), store.attributes(link.target)
+    for source, target in store.edges(rule.link_type).tolist():
+        a1, a2 = store.attributes(source), store.attributes(target)
         c = max(link_probability(engine, rule, a1, a2), link_probability(engine, rule, a2, a1))
-        assert c > 0.0, f"incompatible link {link}"
+        assert c > 0.0, f"incompatible link {source},{target}"
 
 
 class TestRunHomophilyRule:
@@ -406,7 +406,7 @@ class TestRunHomophilyRule:
         report = run_homophily_rule(store, spouses_rule(), substream(1, "r"))
         assert report.links_created == 1
         assert report.unfulfilled == 0
-        assert len(store.links("spouses")) == 1
+        assert len(store.edges("spouses")) == 1
         audit_links(store, spouses_rule())
 
     def test_supply_demand_mismatch_counts(self):
@@ -463,7 +463,7 @@ class TestRunHomophilyRule:
                 })
             store = agent_store(rows, rc=[1] * 40)
             run_homophily_rule(store, spouses_rule(), substream(seed, "r"))
-            return sorted((l.source, l.target) for l in store.links("spouses"))
+            return sorted(store.edges("spouses").tolist())
 
         assert one_run(7) == one_run(7)
         assert one_run(7) == one_run(7)
@@ -493,7 +493,7 @@ class TestRunHomophilyRule:
         assert report.demand_total == 4
         assert report.unfulfilled == 2
         assert store.created["pair"][2] == 0
-        assert {frozenset((l.source, l.target)) for l in store.links("pair")} == {
+        assert {frozenset(pair) for pair in store.edges("pair").tolist()} == {
             frozenset((0, 2)), frozenset((1, 2)),
         }
 
@@ -583,8 +583,8 @@ class TestRunHomophilyRule:
         report = run_homophily_rule(store, rule, substream(12, "r"))
         assert report.links_created == 200
         same = sum(
-            1 for l in store.links("pair")
-            if store.attributes(l.source)["x"] == store.attributes(l.target)["x"]
+            1 for source, target in store.edges("pair").tolist()
+            if store.attributes(source)["x"] == store.attributes(target)["x"]
         )
         fraction = same / report.links_created
         assert 0.70 < fraction < 0.90, fraction

@@ -1,4 +1,5 @@
 """Plan parsing, validation warnings, and the command-line pipeline."""
+import hashlib
 import importlib
 import pkgutil
 from pathlib import Path
@@ -17,6 +18,7 @@ from popnetgen.plan import (
     parse_plan,
     validate_plan,
 )
+from popnetgen.population import LinkType
 
 REPO = Path(__file__).resolve().parent.parent
 KENYA_PLAN = REPO / "plans" / "kenya" / "kenya.plan"
@@ -217,10 +219,7 @@ class TestRun:
         seen = []
         for seed in (1, 2, 3):
             store = run(plan, population=60, seed=seed, write=False).store
-            pairs = [
-                (min(l.source, l.target), max(l.source, l.target))
-                for l in store.links()
-            ]
+            pairs = [(min(s, t), max(s, t)) for s, t in store.edges().tolist()]
             assert len(pairs) == len(set(pairs))
             assert all(a != b for a, b in pairs)
             assert (store.created["pair"] <= store.required["pair"]).all()
@@ -246,6 +245,39 @@ class TestRun:
         assert (out / "notes.txt").read_text() == "kept"
         assert (out / "agents.csv").read_text() == "id,role,RC_pair\n"
 
+    def test_manifest_lists_every_written_file(self, plan_dir):
+        out = plan_dir / "out"
+        result = run(load_plan(plan_dir / "plan.txt"), out=out)
+        lines = (out / "manifest.txt").read_text().splitlines()
+        names = [line.split("  ", 1)[1] for line in lines]
+        assert names == sorted(p.name for p in result.files if p.name != "manifest.txt")
+        for line in lines:
+            digest, name = line.split("  ", 1)
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_stale_edge_file_of_an_earlier_run_removed(self, plan_dir):
+        out = plan_dir / "shared"
+        plan = load_plan(plan_dir / "plan.txt")
+        plan.link_types.append(LinkType("spare", False))
+        run(plan, out=out)
+        assert (out / "edges_spare.csv").exists()
+        (out / "edges_mine.csv").write_text("kept")  # never in a manifest
+        run(load_plan(plan_dir / "plan.txt"), out=out)
+        assert not (out / "edges_spare.csv").exists()
+        assert (out / "edges_mine.csv").read_text() == "kept"
+        assert "edges_spare.csv" not in (out / "manifest.txt").read_text()
+
+    def test_manifest_deletes_only_bare_file_names(self, plan_dir):
+        out = plan_dir / "out"
+        (plan_dir / "x").write_text("kept")
+        (out / "sub").mkdir(parents=True)
+        (out / "sub" / "y").write_text("kept")
+        entries = ("../x", "sub/y", "sub")  # the last names a directory
+        (out / "manifest.txt").write_text("".join(f"{'0' * 64}  {e}\n" for e in entries))
+        run(load_plan(plan_dir / "plan.txt"), out=out)
+        assert (plan_dir / "x").read_text() == "kept"
+        assert (out / "sub" / "y").read_text() == "kept"
+
     def test_empty_population_run(self, plan_dir):
         plan = load_plan(plan_dir / "plan.txt")
         out = plan_dir / "empty"
@@ -264,9 +296,9 @@ class TestRun:
         )
         (plan_dir / "plan2.txt").write_text(text)
         shuffled = load_plan(plan_dir / "plan2.txt")
-        links_a = run(base, write=False).store.links("pair")
-        links_b = run(shuffled, write=False).store.links("pair")
-        assert links_a == links_b
+        links_a = run(base, write=False).store.edges("pair")
+        links_b = run(shuffled, write=False).store.edges("pair")
+        assert links_a.tolist() == links_b.tolist()
 
 
 class TestCli:
@@ -325,6 +357,25 @@ class TestCli:
         code = main(["generate", str(plan_dir / "plan.txt"), "--out", str(plan_dir / "o")])
         assert code == EXIT_INVALID
 
+    def test_matching_options_refused_by_validate_and_generate(self, plan_dir, capsys):
+        text = MINIMAL_PLAN.replace("counts=both", "counts=both retries=0 smallset=-1")
+        (plan_dir / "plan.txt").write_text(text)
+        assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_INVALID
+        assert "retries must be at least 1" in capsys.readouterr().out
+        out = plan_dir / "o"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "small_set must be non-negative" in err
+        assert "generating population" not in err
+        assert not out.exists()
+
+    def test_bad_counts_reported_once(self, plan_dir, capsys):
+        text = MINIMAL_PLAN.replace("counts=both", "counts=foo")
+        (plan_dir / "plan.txt").write_text(text)
+        assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_INVALID
+        errors = [l for l in capsys.readouterr().out.splitlines() if l.startswith("error")]
+        assert len(errors) == 1 and "counts must be one of" in errors[0]
+
     def test_missing_weight_exits_before_generating(self, plan_dir, capsys):
         text = MINIMAL_PLAN.replace(
             "interact pair p=1.0", "linktype spare undirected\ninteract spare p=0.5"
@@ -344,6 +395,7 @@ class TestCli:
             ("edges_all.csv", "source,target,type\n0,1,pair,extra\n"),  # too many
             ("edges_all.csv", "source,target,type\n0,10,pair\n"),  # id == N
             ("edges_all.csv", "source,target,type\n-1,1,pair\n"),  # negative id
+            ("edges_all.csv", "source,target,type\n0,99999999999999999999,pair\n"),  # > int64
             ("agents.csv", "id,role,RC_pair\n0,seeker\n"),  # ragged agent row
             # no id column, then ids shifted by 7: both with ten rows
             ("agents.csv", "role,RC_pair\n" + "seeker,1\n" * 10),

@@ -158,8 +158,7 @@ class TestQueryCandidates:
 class TestRecordLink:
     def test_fresh_dyad_inserted(self):
         store = small_store()
-        link = store.record_link(0, 1, "friendship")
-        assert link.source == 0 and link.target == 1
+        assert store.record_link(0, 1, "friendship") == (0, 1)
         assert store.dyad_used(0, 1) and store.dyad_used(1, 0)
 
     def test_same_pair_different_type_rejected(self):
@@ -180,13 +179,14 @@ class TestRecordLink:
 
     def test_undirected_stored_canonically(self):
         store = small_store()
-        link = store.record_link(2, 0, "friendship")
-        assert (link.source, link.target) == (0, 2)
+        assert store.record_link(2, 0, "friendship") == (0, 2)
+        assert store.edges("friendship").tolist() == [[0, 2]]
 
     def test_directed_preserves_orientation(self):
         store = small_store()
         link = store.record_link(2, 0, "motherOf", count_source=False, count_target=False)
-        assert (link.source, link.target) == (2, 0)
+        assert link == (2, 0)
+        assert store.edges("motherOf").tolist() == [[2, 0]]
 
     def test_demand_enforcement(self):
         store = small_store()
@@ -222,9 +222,9 @@ class TestRecordLink:
                 links += 1
             except (SelfLinkError, DyadOccupiedError):
                 continue
-        all_links = store.links()
+        all_links = store.edges().tolist()
         assert len(all_links) == links
-        pairs = [(min(l.source, l.target), max(l.source, l.target)) for l in all_links]
+        pairs = [(min(s, t), max(s, t)) for s, t in all_links]
         assert len(pairs) == len(set(pairs)), "a dyad carries more than one link"
 
     def test_created_sum_matches_link_counts(self):
@@ -232,9 +232,9 @@ class TestRecordLink:
         store.record_link(0, 1, "friendship")  # undirected, both counted
         store.record_link(1, 2, "motherOf", count_source=True, count_target=False)
         undirected_total = int(store.created["friendship"].sum())
-        assert undirected_total == 2 * len(store.links("friendship"))
+        assert undirected_total == 2 * len(store.edges("friendship"))
         directed_total = int(store.created["motherOf"].sum())
-        assert directed_total == len(store.links("motherOf"))
+        assert directed_total == len(store.edges("motherOf"))
 
 
 class TestLearnMarginals:

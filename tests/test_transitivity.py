@@ -1,10 +1,13 @@
 """Triad closure: enumeration against a cubic oracle, Bernoulli behavior."""
+import itertools
+
 import numpy as np
 import pytest
 
 from popnetgen.population import LinkType, UnknownLinkTypeError
 from popnetgen.sampling import substream
 from popnetgen.transitivity import (
+    PIVOT_ROLES,
     TransitivityRule,
     enumerate_open_triads,
     parse_pattern,
@@ -38,25 +41,39 @@ SIBLING_RULE = TransitivityRule(
 )
 
 
+def neighbour_sets(store, link_type, role):
+    """Per agent, the counterparts of its links of one type in which it
+    plays ``role``; undirected types ignore the role."""
+    out = [set() for _ in range(len(store))]
+    either = not store.link_types[link_type].directed or role == "any"
+    for source, target in store.edges(link_type).tolist():
+        if either or role == "source":
+            out[source].add(target)
+        if either or role == "target":
+            out[target].add(source)
+    return out
+
+
 def brute_open_triads(store, rule):
-    """O(n^3) oracle: scan every (a1, a2, a3) triple."""
-    out = set()
+    """O(n^3) oracle: scan every (a1, a2, a3) triple, then keep the
+    ascending orientation of a dyad when both qualify, sorted."""
+    side1 = neighbour_sets(store, rule.t1, rule.pivot_role_1)
+    side2 = neighbour_sets(store, rule.t2, rule.pivot_role_2)
+    oriented = set()
     n = len(store)
     for a2 in range(n):
         for a1 in range(n):
-            if a1 == a2:
-                continue
-            if a1 not in store.neighbors(a2, rule.t1, rule.pivot_role_1):
+            if a1 == a2 or a1 not in side1[a2]:
                 continue
             for a3 in range(n):
-                if a3 in (a1, a2):
-                    continue
-                if a3 not in store.neighbors(a2, rule.t2, rule.pivot_role_2):
+                if a3 in (a1, a2) or a3 not in side2[a2]:
                     continue
                 if store.dyad_used(a1, a3):
                     continue
-                out.add((min(a1, a3), max(a1, a3)))
-    return out
+                oriented.add((a1, a3))
+    return sorted(
+        (a1, a3) for a1, a3 in oriented if not (a1 > a3 and (a3, a1) in oriented)
+    )
 
 
 class TestParsePattern:
@@ -132,17 +149,11 @@ class TestEnumerateOpenTriads:
                     store.record_link(a, b, name, count_source=False, count_target=False)
                 except Exception:
                     continue
-            rules = (
-                FATHER_RULE,
-                TransitivityRule("motherOf", "motherOf", "fatherOf", 1.0, "source", "source"),
-                TransitivityRule("spouses", "spouses", "fatherOf", 1.0),
-                TransitivityRule("motherOf", "spouses", "fatherOf", 1.0, "target", "any"),
-            )
-            for rule in rules:
-                got = set(
-                    (min(a, b), max(a, b)) for a, b in enumerate_open_triads(store, rule)
-                )
-                assert got == brute_open_triads(store, rule)
+            # every role pair, across a directed and an undirected type
+            for t1, t2 in itertools.product(("spouses", "motherOf"), repeat=2):
+                for role1, role2 in itertools.product(PIVOT_ROLES, repeat=2):
+                    rule = TransitivityRule(t1, t2, "fatherOf", 1.0, role1, role2)
+                    assert enumerate_open_triads(store, rule) == brute_open_triads(store, rule)
 
 
 class TestRunTransitivityRule:
@@ -150,7 +161,7 @@ class TestRunTransitivityRule:
         store = family_store()
         report = run_transitivity_rule(store, FATHER_RULE, substream(0, "t"))
         assert report.links_created == 2
-        assert {(l.source, l.target) for l in store.links("fatherOf")} == {(0, 2), (0, 3)}
+        assert store.edges("fatherOf").tolist() == [[0, 2], [0, 3]]
         assert enumerate_open_triads(store, FATHER_RULE) == []
 
     def test_probability_zero_creates_nothing(self):
@@ -158,7 +169,7 @@ class TestRunTransitivityRule:
         rule = TransitivityRule("spouses", "motherOf", "fatherOf", 0.0, "any", "source")
         report = run_transitivity_rule(store, rule, substream(0, "t"))
         assert report.links_created == 0
-        assert store.links("fatherOf") == []
+        assert store.edges("fatherOf").shape == (0, 2)
 
     def test_binomial_count_at_half(self):
         # ~1000 eligible dyads: one mother with 500 child pairs is unwieldy,
@@ -182,15 +193,13 @@ class TestRunTransitivityRule:
     def test_directed_closure_orientation(self):
         store = family_store()
         run_transitivity_rule(store, FATHER_RULE, substream(1, "t"))
-        for link in store.links("fatherOf"):
-            assert link.source == 0  # husband first, as emitted
+        for source, _ in store.edges("fatherOf").tolist():
+            assert source == 0  # husband first, as emitted
 
     def test_dyad_uniqueness_preserved(self):
         store = family_store()
         run_transitivity_rule(store, FATHER_RULE, substream(2, "t"))
         run_transitivity_rule(store, SIBLING_RULE, substream(3, "t"))
-        pairs = [
-            (min(l.source, l.target), max(l.source, l.target)) for l in store.links()
-        ]
+        pairs = [(min(s, t), max(s, t)) for s, t in store.edges().tolist()]
         assert len(pairs) == len(set(pairs))
-        assert {(l.source, l.target) for l in store.links("siblings")} == {(2, 3)}
+        assert store.edges("siblings").tolist() == [[2, 3]]
