@@ -35,7 +35,6 @@ from .metrics import (
     build_error_report,
     graph_statistics,
     stats_for_edges,
-    stats_report_entries,
 )
 from .plan import (
     GenerationPlan,
@@ -140,9 +139,9 @@ def run(
         learned = learn_marginals(store, attribute_bn)
         error_report = build_error_report(learned, attribute_bn, reports)
 
-    stats = [graph_statistics(store, "collapsed", seed=seed)]
+    stats = [graph_statistics(store, "collapsed")]
     for name in sorted(store.link_types):
-        stats.append(graph_statistics(store, name, seed=seed))
+        stats.append(graph_statistics(store, name))
 
     result = GenerationResult(
         plan, store, reports, error_report, stats,
@@ -211,9 +210,7 @@ def _cmd_stats(args) -> int:
     names, kind = np.unique(types, return_inverse=True)
     for k, name in enumerate(names.tolist()):
         all_stats.append(stats_for_edges(n, ends[kind == k], name))
-    for s in all_stats:
-        for key, value in stats_report_entries(s):
-            print(f"{key} = {value if not isinstance(value, bool) else str(value).lower()}")
+    print(report_text(None, all_stats, []), end="")
     return EXIT_OK
 
 

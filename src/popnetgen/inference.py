@@ -46,9 +46,6 @@ class Posterior:
     variable: str
     probabilities: tuple[float, ...]
 
-    def as_dict(self, domain: tuple[str, ...]) -> dict[str, float]:
-        return dict(zip(domain, self.probabilities))
-
 
 _Factor = tuple[tuple[str, ...], np.ndarray]
 
@@ -270,8 +267,7 @@ def joint_probability(bn: BayesianNetwork, assignment: Mapping[str, str]) -> flo
     """Product of CPT entries along topological order for a full assignment.
 
     Computed straight from the CPT rows, independently of the elimination
-    machinery, so it can serve as an oracle and as the fallback compatibility
-    check.
+    machinery, so it can serve as an oracle for it.
     """
     missing = [v.name for v in bn.variables if v.name not in assignment]
     if missing:

@@ -202,13 +202,6 @@ def vacuous(rule: HomophilyRule, engine: Engine) -> bool:
     return engine.probability_of_evidence({rule.link_variable: LINK_YES}) <= 0.0
 
 
-def _a1_evidence(rule: HomophilyRule, a1: Mapping[str, str]) -> dict[str, str]:
-    evidence = {rule.link_variable: LINK_YES}
-    for bn_var, attribute in rule.a1_map().items():
-        evidence[bn_var] = a1[attribute]
-    return evidence
-
-
 def _class_ids(store: PopulationStore, engine: Engine, copies: Mapping[str, str]) -> np.ndarray:
     """Per agent, its combination of labels of the attributes ``copies``
     reads, numbered over the copies' domains; an agent with a label outside
@@ -279,144 +272,95 @@ def class_tables(rule: HomophilyRule, engine: Engine, store: PopulationStore) ->
     )
 
 
-class _RuleRun:
-    """Mutable state for one rule execution over one store."""
+def run_homophily_rule(
+    store: PopulationStore, rule: HomophilyRule, rng: np.random.Generator
+) -> RuleReport:
+    """Execute one homophily rule against the store.
 
-    def __init__(
-        self, store: PopulationStore, rule: HomophilyRule, engine: Engine,
-        rng: np.random.Generator,
-    ):
-        self.store = store
-        self.rule = rule
-        self.rng = rng
-        self.engine = engine
-        self.sampler = PrototypeSampler(rule.bn, engine)
-        self.report = RuleReport(rule.link_type, "homophily")
-        self.demand = rule.link_type if rule.counts_a2 else None
-        self.tables = class_tables(rule, engine, store)
-        self.a2_vars = tuple(rule.a2_map())
-        # Agents sorted by a2 class, ids ascending within each class.
-        self.by_a2_class = np.argsort(self.tables.a2_class, kind="stable")
-        self.a2_starts = np.searchsorted(
-            self.tables.a2_class[self.by_a2_class], np.arange(self.tables.box.shape[1] + 1)
-        )
+    Side-1 agents take turns in random order.  An agent's turn has one slot
+    per open link when the rule counts side 1, otherwise one slot.  A slot
+    tries prototypes, then the fallback scan; when both find nobody the
+    agent is an orphan and its turn ends.  Shortfalls never raise; they
+    surface in the report.  Every created link passes the dyad-uniqueness
+    and demand checks of the store.
+    """
+    engine = Engine(rule.bn)
+    if vacuous(rule, engine):
+        return RuleReport(rule.link_type, "homophily", vacuous=True)
+    sampler = PrototypeSampler(rule.bn, engine)
+    report = RuleReport(rule.link_type, "homophily")
+    demand = rule.link_type if rule.counts_a2 else None
+    tables = class_tables(rule, engine, store)
+    a2_vars = tuple(rule.a2_map())
+    a2_dims = tuple(len(engine.domains[v]) for v in a2_vars)
+    # Agents sorted by a2 class, ids ascending within each class.
+    by_a2_class = np.argsort(tables.a2_class, kind="stable")
+    starts = np.searchsorted(tables.a2_class[by_a2_class], np.arange(tables.box.shape[1] + 1))
 
-    def prototype_bucket(self, prototype: Mapping[str, str]) -> np.ndarray:
-        """Sorted ids of the agents carrying the prototype's a2 labels."""
-        c2 = np.ravel_multi_index(
-            tuple(self.engine.value_index[v][prototype[v]] for v in self.a2_vars),
-            tuple(len(self.engine.domains[v]) for v in self.a2_vars),
-        )
-        return self.by_a2_class[self.a2_starts[c2]:self.a2_starts[c2 + 1]]
-
-    def prototype_attempts(self, a1: int) -> int | None:
-        """Draw prototypes and look them up in the store; None when the retry
-        budget runs out."""
-        evidence = _a1_evidence(self.rule, self.store.attributes(a1))
-        for _ in range(self.rule.retries):
-            prototype = self.sampler.sample(evidence, self.rng)
-            matches = query_candidates(
-                self.store, self.prototype_bucket(prototype), self.demand, a1
+    def prototype(a1: int) -> int | None:
+        """Draw up to ``retries`` prototypes given a1's labels and link = yes,
+        and pick uniformly among the candidates of the first drawn a2 class
+        that has any; None when every draw misses."""
+        labels = store.attributes(a1)
+        evidence = {rule.link_variable: LINK_YES}
+        evidence.update((v, labels[attribute]) for v, attribute in rule.a1_map().items())
+        for _ in range(rule.retries):
+            drawn = sampler.sample(evidence, rng)
+            c2 = np.ravel_multi_index(
+                tuple(engine.value_index[v][drawn[v]] for v in a2_vars), a2_dims
             )
+            matches = query_candidates(store, by_a2_class[starts[c2]:starts[c2 + 1]], demand, a1)
             if len(matches):
-                return int(matches[self.rng.integers(len(matches))])
+                return int(matches[rng.integers(len(matches))])
         return None
 
-    def fallback(self, a1: int, pool: np.ndarray) -> int | None:
+    def fallback(a1: int, pool: np.ndarray) -> int | None:
         """Uniform draw with compatibility-proportional acceptance; rejected
         candidates leave the pool, so the scan always terminates."""
-        tables = self.tables
         compat = tables.compat[tables.a1_class[a1], tables.a2_class[pool]].tolist()
         max_compat = max(compat, default=0.0)
         if max_compat <= 0.0:
             return None
         remaining = list(zip(pool.tolist(), compat))
         while remaining:
-            pick = int(self.rng.integers(len(remaining)))
-            candidate, c = remaining[pick]
-            if c > 0.0 and self.rng.random() < c / max_compat:
+            candidate, c = remaining.pop(int(rng.integers(len(remaining))))
+            if c > 0.0 and rng.random() < c / max_compat:
                 return candidate
-            self.report.fallback_rejections += 1
-            remaining.pop(pick)
+            report.fallback_rejections += 1
         return None
 
-    def link(self, a1: int, a2: int, by_prototype: bool) -> None:
-        self.store.record_link(
-            a1,
-            a2,
-            self.rule.link_type,
-            count_source=self.rule.counts_a1,
-            count_target=self.rule.counts_a2,
-            enforce_demand=True,
-        )
-        self.report.links_created += 1
-        if by_prototype:
-            self.report.prototype_links += 1
-        else:
-            self.report.fallback_links += 1
-
-
-def run_homophily_rule(
-    store: PopulationStore, rule: HomophilyRule, rng: np.random.Generator
-) -> RuleReport:
-    """Execute one homophily rule against the store.
-
-    Shortfalls never raise; they surface in the report.  Every created link
-    passes the dyad-uniqueness and demand checks of the store.
-    """
-    engine = Engine(rule.bn)
-    if vacuous(rule, engine):
-        return RuleReport(rule.link_type, "homophily", vacuous=True)
-    run = _RuleRun(store, rule, engine, rng)
-    tables = run.tables
     members = np.flatnonzero(tables.members[tables.a1_class])
     left = store.remaining(rule.link_type, members)  # refuses an unknown type
-    report = run.report
     if rule.counts_a1:
         members = members[left > 0]
         report.demand_total = int(left[left > 0].sum())
     else:
         report.demand_total = len(members)
 
-    order = members[rng.permutation(len(members))].tolist()
-    uncounted_unfulfilled = 0
-
-    for a1 in order:
-        got_link = False
-        orphaned = False
-
-        def slots_left() -> bool:
-            if rule.counts_a1:
-                return store.remaining(rule.link_type, a1) > 0
-            return not got_link
-
+    for a1 in members[rng.permutation(len(members))].tolist():
+        # Only a1's own links change its demand during its turn.
+        slots = store.remaining(rule.link_type, a1) if rule.counts_a1 else 1
         base = np.flatnonzero(tables.box[tables.a1_class[a1]][tables.a2_class])
-        while slots_left() and not orphaned:
-            pool = query_candidates(store, base, run.demand, a1)
-            if not len(pool):
-                orphaned = True
-                break
-
-            a2 = None
-            by_prototype = False
-            if len(pool) >= rule.small_set:
-                a2 = run.prototype_attempts(a1)
-                by_prototype = a2 is not None
+        for _ in range(slots):
+            pool = query_candidates(store, base, demand, a1)
+            a2 = prototype(a1) if len(pool) >= max(rule.small_set, 1) else None
+            by_prototype = a2 is not None
             if a2 is None:
-                a2 = run.fallback(a1, pool)
+                a2 = fallback(a1, pool)
             if a2 is None:
-                orphaned = True
+                report.orphan_agents += 1
                 break
-            run.link(a1, a2, by_prototype)
-            got_link = True
-
-        if orphaned:
-            report.orphan_agents += 1
-            if not rule.counts_a1 and not got_link:
-                uncounted_unfulfilled += 1
+            store.record_link(
+                a1, a2, rule.link_type,
+                count_source=rule.counts_a1, count_target=rule.counts_a2, enforce_demand=True,
+            )
+            report.links_created += 1
+            report.prototype_links += by_prototype
+            report.fallback_links += not by_prototype
 
     if rule.counts_a1:
         report.unfulfilled = int(store.remaining(rule.link_type, members).sum())
     else:
-        report.unfulfilled = uncounted_unfulfilled
+        # One slot each: an orphan is exactly an agent left without a link.
+        report.unfulfilled = report.orphan_agents
     return report

@@ -104,33 +104,19 @@ def build_error_report(
 # Graph statistics
 
 
-def graph_statistics(
-    store: PopulationStore,
-    scope: str = "collapsed",
-    *,
-    exact_path_limit: int = EXACT_PATH_LIMIT,
-    path_sample_sources: int = PATH_SAMPLE_SOURCES,
-    seed: int = 0,
-) -> NetworkStats:
+def graph_statistics(store: PopulationStore, scope: str = "collapsed") -> NetworkStats:
     """Density, degree, clustering and path length for one link layer or for
     the collapsed uniplex graph."""
-    return stats_for_edges(
-        len(store), store.edges(None if scope == "collapsed" else scope), scope,
-        exact_path_limit=exact_path_limit,
-        path_sample_sources=path_sample_sources,
-        seed=seed,
-    )
+    return stats_for_edges(len(store), store.edges(None if scope == "collapsed" else scope), scope)
 
 
 def stats_for_edges(
-    node_count: int,
-    pairs: Sequence[tuple[int, int]],
-    scope: str = "collapsed",
-    *,
-    exact_path_limit: int = EXACT_PATH_LIMIT,
-    path_sample_sources: int = PATH_SAMPLE_SOURCES,
-    seed: int = 0,
+    node_count: int, pairs: Sequence[tuple[int, int]], scope: str = "collapsed"
 ) -> NetworkStats:
+    """Statistics of the undirected graph on ``node_count`` nodes with the
+    links ``pairs``.  Path-length sources above ``EXACT_PATH_LIMIT`` come from
+    the scope's own stream of seed 0, so a generated report and ``stats`` on
+    its files agree."""
     n = node_count
     ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     adjacency = link_matrix(n, ends[ends[:, 0] != ends[:, 1]], both_ways=True)
@@ -156,11 +142,11 @@ def stats_for_edges(
     estimated = False
     s = len(nodes)
     if s >= 2:
-        if s <= exact_path_limit:
+        if s <= EXACT_PATH_LIMIT:
             sources = np.arange(s)
         else:
-            rng = substream(seed, f"stats/{scope}/path-sample")
-            sources = rng.choice(s, size=min(path_sample_sources, s), replace=False)
+            rng = substream(0, f"stats/{scope}/path-sample")
+            sources = rng.choice(s, size=min(PATH_SAMPLE_SOURCES, s), replace=False)
             estimated = True
         component = adjacency[nodes][:, nodes]
         # Distances are integers, so their float64 sum is exact in any order.

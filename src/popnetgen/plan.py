@@ -26,7 +26,7 @@ from .matching import (
     vacuous,
     validate_rule,
 )
-from .population import RC_PREFIX, LinkType
+from .population import RC_PREFIX, LinkType, PopulationError, link_counts
 from .transitivity import TransitivityRule, parse_pattern
 
 
@@ -258,13 +258,10 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
                         f"required-link-count variable {variable.name!r} names "
                         f"undeclared link type {target!r}"
                     )
-                for label in variable.domain:
-                    try:
-                        int(label)
-                    except ValueError:
-                        error(
-                            f"{variable.name!r} label {label!r} is not an integer"
-                        )
+                try:
+                    link_counts(variable.name, variable.domain)
+                except PopulationError as exc:
+                    error(str(exc))
 
     produced: set[str] = set()
     for index, rule in enumerate(plan.rules):

@@ -49,6 +49,22 @@ class DemandExceededError(PopulationError):
     pass
 
 
+def link_counts(name: str, labels: Sequence[str]) -> np.ndarray:
+    """The required link counts that the labels of the ``RC_`` variable
+    ``name`` stand for; PopulationError unless each is an integer in int64's
+    non-negative range."""
+    try:
+        counts = [int(label) for label in labels]
+    except ValueError:
+        raise PopulationError(
+            f"link-count variable {name!r} has non-integer labels {tuple(labels)}"
+        ) from None
+    bad = [label for label, count in zip(labels, counts) if not 0 <= count < 2**63]
+    if bad:
+        raise PopulationError(f"link-count variable {name!r} has label {bad[0]!r}, not a count")
+    return np.array(counts, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class LinkType:
     name: str
@@ -86,19 +102,7 @@ class PopulationStore:
             if not name.startswith(RC_PREFIX):
                 continue
             link_type = name[len(RC_PREFIX):]
-            try:
-                counts = np.array([int(label) for label in self.labels[j]], dtype=np.int64)
-            except ValueError:
-                raise PopulationError(
-                    f"link-count variable {name!r} has non-integer labels {self.labels[j]}"
-                ) from None
-            required = counts[self.codes[:, j]]
-            if (required < 0).any():
-                raise PopulationError(
-                    f"negative required link count for {link_type!r} on agent "
-                    f"{int(np.argmax(required < 0))}"
-                )
-            self.required[link_type] = required
+            self.required[link_type] = link_counts(name, self.labels[j])[self.codes[:, j]]
             self.created[link_type] = np.zeros(len(self), dtype=np.int64)
         for lt in link_types:
             self.declare_link_type(lt)

@@ -1,11 +1,13 @@
-"""Pinned digests of one full Kenya run: refactors must leave every byte."""
+"""Pinned digests of full runs: refactors must leave every byte."""
 import hashlib
+import shutil
 from pathlib import Path
 
 from popnetgen.cli import run
 from popnetgen.plan import load_plan
 
-KENYA_PLAN = Path(__file__).resolve().parent.parent / "plans" / "kenya" / "kenya.plan"
+KENYA_DIR = Path(__file__).resolve().parent.parent / "plans" / "kenya"
+KENYA_PLAN = KENYA_DIR / "kenya.plan"
 
 # plans/kenya/kenya.plan at N=2000, seed 42.
 GOLDEN_SHA256 = {
@@ -23,11 +25,44 @@ GOLDEN_SHA256 = {
     "network.dot": "dccfc47ab98fdb9f41058a742464e4f57bfb5f0cee016a33b5271bed55467aec",
 }
 
+# The Kenya rules all use counts=both and the default options; this plan
+# reaches the matcher's other branches: side-1-only and side-2-only demand,
+# no small-set cutoff, a cutoff no pool reaches (fallback only, with
+# rejections), one retry, and a repeated rule meeting partly spent demand.
+MIXED_PLAN = """\
+population N=3000 seed=1 attributes=attributes.bn
+linktype spouses undirected
+linktype motherOf directed
+linktype fatherOf directed
+linktype friendship undirected
+linktype colleagues undirected
+rule homophily spouses bn=spouses.bn counts=a1 smallset=0
+rule homophily motherOf bn=motherOf.bn counts=a2 retries=1
+rule transitive fatherOf from spouses motherOf p=1.0 pattern=any-source
+rule homophily friendship bn=friendship.bn counts=a2 smallset=0
+rule homophily colleagues bn=colleagues.bn counts=a1 smallset=100000
+rule homophily friendship bn=friendship.bn counts=both smallset=3 retries=2
+rule homophily friendship bn=friendship.bn counts=both smallset=3 retries=2
+"""
+
+MIXED_SHA256 = {
+    "edges_all.csv": "2807095b85ce7bb47d3539fd6d55a7c31b29773732442b10b6496f888a4fdab8",
+    "report.txt": "25654a4a0632d28a4715aec66dd207a68e247dbd7729234605aa162e3732fafd",
+}
+
+
+def digests(directory: Path, names) -> dict[str, str]:
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
+
 
 def test_kenya_outputs_match_pinned_digests(tmp_path):
     run(load_plan(KENYA_PLAN), seed=42, population=2000, out=tmp_path)
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in GOLDEN_SHA256
-    }
-    assert digests == GOLDEN_SHA256
+    assert digests(tmp_path, GOLDEN_SHA256) == GOLDEN_SHA256
+
+
+def test_mixed_option_outputs_match_pinned_digests(tmp_path):
+    for bn in KENYA_DIR.glob("*.bn"):
+        shutil.copy(bn, tmp_path)
+    (tmp_path / "mixed.plan").write_text(MIXED_PLAN)
+    run(load_plan(tmp_path / "mixed.plan"), out=tmp_path / "out")
+    assert digests(tmp_path / "out", MIXED_SHA256) == MIXED_SHA256

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from popnetgen import metrics
 from popnetgen.bn import parse_bn
 from popnetgen.matching import RuleReport
 from popnetgen.metrics import (
@@ -69,12 +70,14 @@ class TestStatsForEdges:
                 assert stats.average_path_length == pytest.approx(apl, abs=1e-9)
             assert not stats.path_length_estimated
 
-    def test_exact_vs_sampled_path_length(self):
+    def test_exact_vs_sampled_path_length(self, monkeypatch):
         rng = np.random.default_rng(5)
         n = 700
         edges = gnp_edges(rng, n, 0.012)
         exact = stats_for_edges(n, edges)
-        sampled = stats_for_edges(n, edges, exact_path_limit=10, path_sample_sources=400)
+        monkeypatch.setattr(metrics, "EXACT_PATH_LIMIT", 10)
+        monkeypatch.setattr(metrics, "PATH_SAMPLE_SOURCES", 400)
+        sampled = stats_for_edges(n, edges)
         assert sampled.path_length_estimated
         assert exact.average_path_length == pytest.approx(
             sampled.average_path_length, rel=0.05
@@ -113,17 +116,17 @@ class TestStatsForEdges:
         # a four-node path has mean distance 20/12, a clique 1
         assert stats.average_path_length == (20 / 12 if low_is_path else 1.0)
 
-    def test_sampled_path_length_pinned(self):
+    def test_sampled_path_length_pinned(self, monkeypatch):
         # Sources are positions into the largest component's nodes sorted by
-        # id, drawn from the scope's own substream; seeded reports depend on
-        # both, so the value is pinned exactly.
+        # id, drawn from the scope's own substream of seed 0; reports depend
+        # on both, so the value is pinned exactly.
+        monkeypatch.setattr(metrics, "EXACT_PATH_LIMIT", 10)
+        monkeypatch.setattr(metrics, "PATH_SAMPLE_SOURCES", 50)
         edges = gnp_edges(np.random.default_rng(11), 400, 0.005)
-        stats = stats_for_edges(
-            400, edges, "friendship", exact_path_limit=10, path_sample_sources=50, seed=3
-        )
+        stats = stats_for_edges(400, edges, "friendship")
         assert stats.path_length_estimated
         assert (stats.components, stats.largest_component) == (76, 311)
-        assert stats.average_path_length == 7.054451612903226
+        assert stats.average_path_length == 7.155354838709678
 
 
 class TestGraphStatistics:

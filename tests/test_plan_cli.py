@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import popnetgen
-from popnetgen import cli
+from popnetgen import cli, metrics
 from popnetgen.bn import BnSyntaxError, BnValidationError, parse_bn
 from popnetgen.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run
 from popnetgen.plan import (
@@ -302,9 +302,18 @@ class TestRun:
 
 
 class TestCli:
-    def test_generate_and_stats(self, plan_dir, capsys):
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_generate_and_stats(self, plan_dir, capsys, monkeypatch, sampled):
         out = plan_dir / "cli_out"
-        code = main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)])
+        args = ["generate", str(plan_dir / "plan.txt"), "--out", str(out)]
+        if sampled:
+            # Components above the limit sample their path-length sources; a
+            # run with a seed other than 0 must sample as stats does.
+            monkeypatch.setattr(metrics, "EXACT_PATH_LIMIT", 10)
+            monkeypatch.setattr(metrics, "PATH_SAMPLE_SOURCES", 5)
+            args = ["generate", str(KENYA_PLAN), "--out", str(out),
+                    "--population", "300", "--seed", "7"]
+        code = main(args)
         assert code == EXIT_OK
         report_echo = capsys.readouterr().out
         assert "stats.collapsed.density" in report_echo
@@ -314,6 +323,8 @@ class TestCli:
         assert code == EXIT_OK
         stats_out = capsys.readouterr().out
         assert "stats.collapsed.links" in stats_out
+        if sampled:
+            assert "stats.collapsed.path_length_estimated = true" in stats_out.splitlines()
         report = (out / "report.txt").read_text().splitlines()
         assert stats_out.splitlines() == [l for l in report if l.startswith("stats.")]
 
@@ -331,6 +342,19 @@ class TestCli:
     def test_usage_error(self):
         assert main([]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("labels", ["-1, 0, 1", "0, 1, 99999999999999999999"])
+    def test_rc_label_that_is_not_a_count_is_invalid(self, plan_dir, capsys, labels):
+        doc = ATTR_DOC.replace("RC_pair { 0, 1 }", f"RC_pair {{ {labels} }}")
+        doc = doc.replace("0.0, 1.0", "0.5, 0.0, 0.5")
+        (plan_dir / "attributes.bn").write_text(doc)
+        assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_INVALID
+        out = capsys.readouterr().out
+        assert "RC_pair" in out and "plan ok" not in out
+        out_dir = plan_dir / "o"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out_dir)]) == EXIT_INVALID
+        assert "generating population" not in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_nan_probability_is_invalid(self, plan_dir, capsys):
         doc = "variable role { seeker, target }\ncpt role { nan, 1.0 }\n"

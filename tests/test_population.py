@@ -9,6 +9,7 @@ from popnetgen.population import (
     DemandExceededError,
     DyadOccupiedError,
     LinkType,
+    PopulationError,
     SelfLinkError,
     UnknownLinkTypeError,
     agents_csv,
@@ -99,6 +100,13 @@ class TestGeneratePopulation:
     def test_non_integer_rc_label_rejected(self):
         bn = parse_bn("variable RC_x { none }\ncpt RC_x { 1.0 }")
         with pytest.raises(Exception, match="non-integer"):
+            generate_population(bn, 1, substream(0, "p"))
+
+    @pytest.mark.parametrize("label", ["-1", "9223372036854775808"])
+    def test_rc_label_outside_counts_rejected(self, label):
+        # refused even where no agent carries the label
+        bn = parse_bn(f"variable RC_x {{ 1, {label} }}\ncpt RC_x {{ 1.0, 0.0 }}")
+        with pytest.raises(PopulationError, match="not a count"):
             generate_population(bn, 1, substream(0, "p"))
 
 
