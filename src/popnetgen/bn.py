@@ -51,7 +51,12 @@ class BnValidationError(BnError):
 
 
 class BnCycleError(BnError):
-    pass
+    """The parent graph has a cycle; ``cycle`` walks it child to parent and
+    ends where it starts."""
+
+    def __init__(self, cycle: list[str]):
+        super().__init__("cycle through " + " -> ".join(cycle))
+        self.cycle = cycle
 
 
 @dataclass(frozen=True)
@@ -375,43 +380,15 @@ def validate(bn: BayesianNetwork) -> list[Violation]:
                     child, loc, f"row sums to {math.fsum(probs)!r}, expected 1",
                 ))
 
-    cycle = _find_cycle(bn)
-    if cycle:
-        out.append(Violation(cycle[0], "", "cycle through " + " -> ".join(cycle)))
+    try:
+        topological_order(bn)
+    except BnCycleError as exc:
+        out.append(Violation(exc.cycle[0], "", str(exc)))
     return out
 
 
 def _combo_str(combo: tuple[str, ...]) -> str:
     return ", ".join(combo) if combo else "prior"
-
-
-def _find_cycle(bn: BayesianNetwork) -> list[str] | None:
-    """Return variables forming a parent cycle, or None if acyclic."""
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-    stack: list[str] = []
-
-    def visit(name: str) -> list[str] | None:
-        state[name] = 0
-        stack.append(name)
-        for p in bn.parents(name):
-            if p not in bn._by_name:
-                continue
-            if state.get(p) == 0:
-                return stack[stack.index(p):] + [p]
-            if p not in state:
-                found = visit(p)
-                if found:
-                    return found
-        stack.pop()
-        state[name] = 1
-        return None
-
-    for v in bn.variables:
-        if v.name not in state:
-            found = visit(v.name)
-            if found:
-                return found
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +424,17 @@ def topological_order(bn: BayesianNetwork) -> list[str]:
         if changed:
             ready.sort(key=decl.__getitem__)
     if len(order) != len(decl):
-        stuck = sorted(n for n, d in indeg.items() if d > 0)
-        raise BnCycleError(f"cycle involving: {', '.join(stuck)}")
+        # Every variable left over has a parent left over: walking from one
+        # to the next must come back to a variable already seen.
+        walk = [next(n for n, d in indeg.items() if d)]
+        while walk[-1] not in walk[:-1]:
+            walk.append(next(p for p in bn.parents(walk[-1]) if indeg.get(p)))
+        raise BnCycleError(walk[walk.index(walk[-1]):])
     return order
 
 
 # ---------------------------------------------------------------------------
 # Serialization
-
-
-def _fmt(p: float) -> str:
-    return repr(p)
 
 
 def serialize_bn(bn: BayesianNetwork) -> str:
@@ -475,7 +452,7 @@ def serialize_bn(bn: BayesianNetwork) -> str:
         else:
             parts.append(f"cpt {v.name} {{")
         for combo in itertools.product(*(bn.variable(p).domain for p in cpt.parents)):
-            probs = ", ".join(_fmt(p) for p in cpt.rows[combo])
+            probs = ", ".join(map(repr, cpt.rows[combo]))
             if combo:
                 parts.append(f"  {', '.join(combo)}: {probs}")
             else:

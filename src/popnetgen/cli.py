@@ -214,6 +214,17 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _population_size(text: str) -> int:
+    """argparse type of --population: a non-negative integer."""
+    try:
+        size = int(text)
+    except ValueError:
+        size = -1
+    if size < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return size
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="popnetgen", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -222,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("plan", help="plan file")
     generate.add_argument("--seed", type=int, default=None, help="override the plan seed")
     generate.add_argument(
-        "--population", type=int, default=None, help="override the population size"
+        "--population", type=_population_size, default=None, help="override the population size"
     )
     generate.add_argument("--out", default=None, help="output directory")
     generate.set_defaults(handler=_cmd_generate)
@@ -255,8 +266,8 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (PopulationError, InferenceError, OSError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
+    except (PopulationError, InferenceError, OSError, MemoryError) as exc:
+        print(f"runtime failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -1,13 +1,16 @@
 """Exact posterior computation on discrete Bayesian networks under evidence.
 
-Variable elimination over dense numpy factors.  Results are exact: they match
-full joint enumeration to floating-point accuracy, which the test suite pins
-at 1e-9.  Posteriors under zero-probability evidence raise ZeroEvidenceError
-so callers can tell "no candidates exist" apart from numeric noise.
+Variable elimination over dense numpy factors: every query is a marginal
+p(variables, evidence), memoised per Engine in one dict keyed by (variables,
+evidence).  Results are exact: they match full joint enumeration to
+floating-point accuracy, which the test suite pins at 1e-9.  Posteriors
+under zero-probability evidence raise ZeroEvidenceError so callers can tell
+"no candidates exist" apart from numeric noise.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -53,12 +56,12 @@ _CACHE_MAX = 400_000
 
 
 class Engine:
-    """Per-network inference engine with memoized query results.
+    """Per-network inference engine with one memo keyed by (variables, evidence).
 
     An Engine never mutates its network, so one instance can serve concurrent
-    reads.  Construction is cheap; the win from reuse is the posterior and
-    evidence memo shared across queries, which prototype sampling leans on
-    heavily when the same agent attribute combinations recur.
+    reads.  Construction is cheap; the win from reuse is the memo, which
+    prototype sampling leans on heavily when the same agent attribute
+    combinations recur.
     """
 
     def __init__(self, bn: BayesianNetwork):
@@ -73,18 +76,11 @@ class Engine:
         self._factors: dict[str, _Factor] = {}
         for name in self.order:
             cpt = bn.cpts[name]
-            shape = [len(self.domains[p]) for p in cpt.parents]
-            shape.append(len(self.domains[name]))
-            table = np.empty(shape, dtype=np.float64)
-            if cpt.parents:
-                for combo in itertools.product(*(self.domains[p] for p in cpt.parents)):
-                    idx = tuple(self.value_index[p][v] for p, v in zip(cpt.parents, combo))
-                    table[idx] = cpt.rows[combo]
-            else:
-                table[...] = cpt.rows[()]
-            self._factors[name] = (cpt.parents + (name,), table)
-        self._posterior_cache: dict[tuple, np.ndarray] = {}
-        self._evidence_cache: dict[tuple, float] = {}
+            combos = itertools.product(*(self.domains[p] for p in cpt.parents))
+            shape = [len(self.domains[v]) for v in cpt.parents + (name,)]
+            table = np.array([cpt.rows[combo] for combo in combos], dtype=np.float64)
+            self._factors[name] = (cpt.parents + (name,), table.reshape(shape))
+        self._memo: dict[tuple, np.ndarray] = {}
 
     # -- public queries ------------------------------------------------------
 
@@ -92,62 +88,26 @@ class Engine:
         """Exact p(query | evidence) as a vector over the query's domain."""
         if query not in self.domains:
             raise UnknownVariableError(query)
-        key = (query, _ev_key(evidence))
-        cached = self._posterior_cache.get(key)
-        if cached is not None:
-            return cached
-        try:
-            check_evidence(self.bn, evidence)
-        except KeyError as exc:
-            raise UnknownVariableError(str(exc)) from None
-
-        if query in evidence:
-            if self.probability_of_evidence(evidence) <= 0.0:
-                raise ZeroEvidenceError(f"evidence has probability 0: {dict(evidence)}")
-            vec = np.zeros(len(self.domains[query]))
-            vec[self.value_index[query][evidence[query]]] = 1.0
-        else:
-            vec = self._unnormalized_marginal(evidence, query)
-            total = vec.sum()
-            if total <= 0.0:
-                raise ZeroEvidenceError(f"evidence has probability 0: {dict(evidence)}")
-            vec = vec / total
-        if len(self._posterior_cache) >= _CACHE_MAX:
-            self._posterior_cache.clear()
-        self._posterior_cache[key] = vec
-        return vec
+        keep = () if query in evidence else (query,)
+        vec = self._marginal(keep, evidence)
+        total = vec.sum()
+        if total <= 0.0:
+            raise ZeroEvidenceError(f"evidence has probability 0: {dict(evidence)}")
+        if keep:
+            return vec / total
+        one_hot = np.zeros(len(self.domains[query]))
+        one_hot[self.value_index[query][evidence[query]]] = 1.0
+        return one_hot
 
     def probability_of_evidence(self, evidence: Evidence) -> float:
         """Exact p(evidence); 1.0 for empty evidence."""
-        if not evidence:
-            return 1.0
-        key = _ev_key(evidence)
-        cached = self._evidence_cache.get(key)
-        if cached is not None:
-            return cached
-        try:
-            check_evidence(self.bn, evidence)
-        except KeyError as exc:
-            raise UnknownVariableError(str(exc)) from None
-        relevant: set[str] = set()
-        for name in evidence:
-            relevant.add(name)
-            relevant |= self.ancestors[name]
-        factors = self._restricted_factors(evidence, relevant)
-        result = _eliminate(factors, (), self.domains)
-        value = float(result[1])
-        if len(self._evidence_cache) >= _CACHE_MAX:
-            self._evidence_cache.clear()
-        self._evidence_cache[key] = value
-        return value
+        return float(self._marginal((), evidence)) if evidence else 1.0
 
     def joint(self, variables: tuple[str, ...]) -> np.ndarray:
         """Exact p(variables), one axis per variable in the given order;
-        every other variable is summed out."""
-        relevant = set(variables)
-        for name in variables:
-            relevant |= self.ancestors[name]
-        return _eliminate(self._restricted_factors({}, relevant), variables, self.domains)[1]
+        every other variable is summed out.  Not memoised: a rule's joint
+        can run to megabytes and is read once."""
+        return self._eliminated(variables, {})
 
     def cpt_table(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
         """Parents of ``name`` and its dense CPT: one axis per parent, child last."""
@@ -162,44 +122,43 @@ class Engine:
 
     # -- internals -------------------------------------------------------------
 
-    def _unnormalized_marginal(self, evidence: Evidence, query: str) -> np.ndarray:
-        """p(query, evidence) over the query domain; barren variables pruned."""
-        relevant = {query} | self.ancestors[query]
-        for name in evidence:
-            relevant.add(name)
-            relevant |= self.ancestors[name]
-        factors = self._restricted_factors(evidence, relevant)
-        varnames, arr = _eliminate(factors, (query,), self.domains)
-        return arr
+    def _marginal(self, keep: tuple[str, ...], evidence: Evidence) -> np.ndarray:
+        """p(keep, evidence), memoised; a query that raises stores nothing."""
+        key = (keep, tuple(sorted(evidence.items())))
+        value = self._memo.get(key)
+        if value is None:
+            value = self._eliminated(keep, evidence)
+            if len(self._memo) >= _CACHE_MAX:
+                self._memo.clear()
+            self._memo[key] = value
+        return value
 
-    def _restricted_factors(self, evidence: Evidence, relevant: set[str]) -> list[_Factor]:
+    def _eliminated(self, keep: tuple[str, ...], evidence: Evidence) -> np.ndarray:
+        """p(keep, evidence), one axis per variable of ``keep``: the evidence
+        sliced out of the factors of keep, the evidence and their ancestors
+        (barren variables pruned), everything else summed out."""
+        try:
+            check_evidence(self.bn, evidence)
+        except KeyError as exc:
+            raise UnknownVariableError(str(exc)) from None
+        relevant = {*keep, *evidence}
+        for name in tuple(relevant):
+            relevant |= self.ancestors[name]
         # Sorted so factor products associate identically in every process;
         # string set order varies with hash randomization.
         factors = []
         for name in sorted(relevant):
             varnames, table = self._factors[name]
-            keep_vars = []
-            index: list = []
-            for v in varnames:
-                if v in evidence:
-                    index.append(self.value_index[v][evidence[v]])
-                else:
-                    keep_vars.append(v)
-                    index.append(slice(None))
-            factors.append((tuple(keep_vars), table[tuple(index)]))
-        return factors
+            index = tuple(
+                self.value_index[v][evidence[v]] if v in evidence else slice(None)
+                for v in varnames
+            )
+            factors.append((tuple(v for v in varnames if v not in evidence), table[index]))
+        return _eliminate(factors, keep, self.domains)
 
 
-def _ev_key(evidence: Evidence) -> tuple:
-    return tuple(sorted(evidence.items()))
-
-
-def _product(factors: list[_Factor], domains) -> _Factor:
-    union: list[str] = []
-    for varnames, _ in factors:
-        for v in varnames:
-            if v not in union:
-                union.append(v)
+def _product(factors: list[_Factor]) -> _Factor:
+    union = tuple(dict.fromkeys(v for varnames, _ in factors for v in varnames))
     pos = {v: i for i, v in enumerate(union)}
     out = None
     for varnames, table in factors:
@@ -213,40 +172,32 @@ def _product(factors: list[_Factor], domains) -> _Factor:
         else:
             t = table.reshape((1,) * len(union)) if union else table
         out = t if out is None else out * t
-    return tuple(union), out
+    return union, out
 
 
-def _eliminate(factors: list[_Factor], keep: tuple[str, ...], domains) -> _Factor:
-    """Sum out every variable not in ``keep``; returns a factor over ``keep``."""
+def _eliminate(factors: list[_Factor], keep: tuple[str, ...], domains) -> np.ndarray:
+    """Sum out every variable not in ``keep``; one axis per variable of ``keep``."""
     to_go = {v for varnames, _ in factors for v in varnames} - set(keep)
+
+    def cost(v: str) -> int:
+        touched = {u for varnames, _ in factors if v in varnames for u in varnames}
+        return math.prod(len(domains[u]) for u in touched)
+
     while to_go:
-        # Greedy smallest-intermediate-table choice; the graphs here are tiny.
-        best = None
-        best_cost = None
-        for v in sorted(to_go):
-            cost = 1
-            seen: set[str] = set()
-            for varnames, _ in factors:
-                if v in varnames:
-                    for u in varnames:
-                        if u not in seen:
-                            seen.add(u)
-                            cost *= len(domains[u])
-            if best_cost is None or cost < best_cost:
-                best, best_cost = v, cost
+        # Greedy smallest-intermediate-table choice, ties to the first name;
+        # the graphs here are tiny.
+        best = min(sorted(to_go), key=cost)
         to_go.discard(best)
         touching = [f for f in factors if best in f[0]]
         factors = [f for f in factors if best not in f[0]]
-        union, arr = _product(touching, domains)
+        union, arr = _product(touching)
         axis = union.index(best)
-        arr = arr.sum(axis=axis)
-        rest = union[:axis] + union[axis + 1:]
-        factors.append((rest, arr))
-    union, arr = _product(factors, domains)
-    if tuple(union) != keep:
-        order = [union.index(v) for v in keep]
-        arr = np.transpose(arr, order)
-    return keep, arr
+        arr = arr.sum(axis=axis)  # rebound so the product is freed now
+        factors.append((union[:axis] + union[axis + 1:], arr))
+    union, arr = _product(factors)
+    if union != keep:
+        arr = np.transpose(arr, [union.index(v) for v in keep])
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -293,14 +293,11 @@ def run_homophily_rule(
     tables = class_tables(rule, engine, store)
     a2_vars = tuple(rule.a2_map())
     a2_dims = tuple(len(engine.domains[v]) for v in a2_vars)
-    # Agents sorted by a2 class, ids ascending within each class.
-    by_a2_class = np.argsort(tables.a2_class, kind="stable")
-    starts = np.searchsorted(tables.a2_class[by_a2_class], np.arange(tables.box.shape[1] + 1))
 
-    def prototype(a1: int) -> int | None:
+    def prototype(a1: int, pool: np.ndarray) -> int | None:
         """Draw up to ``retries`` prototypes given a1's labels and link = yes,
-        and pick uniformly among the candidates of the first drawn a2 class
-        that has any; None when every draw misses."""
+        and pick uniformly among the agents of ``pool`` in the first drawn a2
+        class that has any; None when every draw misses."""
         labels = store.attributes(a1)
         evidence = {rule.link_variable: LINK_YES}
         evidence.update((v, labels[attribute]) for v, attribute in rule.a1_map().items())
@@ -309,7 +306,7 @@ def run_homophily_rule(
             c2 = np.ravel_multi_index(
                 tuple(engine.value_index[v][drawn[v]] for v in a2_vars), a2_dims
             )
-            matches = query_candidates(store, by_a2_class[starts[c2]:starts[c2 + 1]], demand, a1)
+            matches = pool[tables.a2_class[pool] == c2]
             if len(matches):
                 return int(matches[rng.integers(len(matches))])
         return None
@@ -343,7 +340,7 @@ def run_homophily_rule(
         base = np.flatnonzero(tables.box[tables.a1_class[a1]][tables.a2_class])
         for _ in range(slots):
             pool = query_candidates(store, base, demand, a1)
-            a2 = prototype(a1) if len(pool) >= max(rule.small_set, 1) else None
+            a2 = prototype(a1, pool) if len(pool) >= max(rule.small_set, 1) else None
             by_prototype = a2 is not None
             if a2 is None:
                 a2 = fallback(a1, pool)

@@ -241,7 +241,10 @@ def generate_population(
     """
     engine = Engine(attribute_bn)
     column = {name: j for j, name in enumerate(attribute_bn.names)}
-    codes = np.empty((size, len(column)), dtype=np.intp)
+    try:
+        codes = np.empty((size, len(column)), dtype=np.intp)
+    except ValueError as exc:  # negative, or past what an array can index
+        raise PopulationError(f"cannot hold {size} agents: {exc}") from None
     uniforms = rng.random((size, len(column)))
     for step, name in enumerate(engine.order):
         parents, table = engine.cpt_table(name)

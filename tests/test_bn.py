@@ -150,6 +150,21 @@ class TestValidate:
         with pytest.raises(BnCycleError):
             topological_order(bn)
 
+    def test_cycle_named_once_without_its_descendants(self):
+        row = {("x",): (0.5, 0.5), ("y",): (0.5, 0.5)}
+        bn = BayesianNetwork(
+            tuple(Variable(n, ("x", "y")) for n in "cab"),
+            {
+                "c": Cpt("c", ("a",), dict(row)),
+                "a": Cpt("a", ("b",), dict(row)),
+                "b": Cpt("b", ("a",), dict(row)),
+            },
+        )
+        assert [str(v) for v in validate(bn)] == ["a: cycle through a -> b -> a"]
+        with pytest.raises(BnCycleError, match="^cycle through a -> b -> a$") as info:
+            topological_order(bn)
+        assert info.value.cycle == ["a", "b", "a"]
+
     def test_missing_cpt(self):
         bn = BayesianNetwork((Variable("a", ("x",)),), {})
         assert any("no cpt" in v.problem for v in validate(bn))

@@ -159,6 +159,74 @@ class TestEngineJoint:
             assert float(np.max(np.abs(got - expected))) <= TOL
 
 
+def _ask(engine: Engine, query: str, args: tuple):
+    """The engine's answer, or the class of the ZeroEvidenceError it raised."""
+    try:
+        return getattr(engine, query)(*args)
+    except ZeroEvidenceError as exc:
+        return type(exc)
+
+
+class TestEngineMemo:
+    def test_repeated_queries_answer_like_a_fresh_engine(self):
+        rng = np.random.default_rng(919)
+        for _ in range(25):
+            bn = make_random_bn(rng, max_vars=6, max_domain=3)
+            names = list(bn.names)
+            queries = []
+            for _ in range(5):
+                ev = random_evidence(rng, bn)
+                size = int(rng.integers(1, len(names) + 1))
+                keep = tuple(names[int(i)] for i in rng.permutation(len(names))[:size])
+                queries += [
+                    ("posterior", (ev, names[int(rng.integers(len(names)))])),
+                    ("probability_of_evidence", (ev,)),
+                    ("joint", (keep,)),
+                ]
+            engine = Engine(bn)
+            for step in rng.integers(len(queries), size=4 * len(queries)).tolist():
+                query, args = queries[step]
+                if args and isinstance(args[0], dict) and rng.random() < 0.5:
+                    # the same evidence, inserted in another order
+                    args = (dict(reversed(list(args[0].items()))), *args[1:])
+                got = _ask(engine, query, args)
+                expected = _ask(Engine(bn), query, args)
+                if isinstance(expected, type):
+                    assert got is expected
+                else:
+                    assert np.asarray(got).dtype == np.asarray(expected).dtype
+                    np.testing.assert_array_equal(got, expected)
+
+    def test_evidenced_query_is_one_hot(self):
+        rng = np.random.default_rng(414)
+        checked = 0
+        for _ in range(30):
+            bn = make_random_bn(rng, max_vars=6, max_domain=3)
+            ev = random_evidence(rng, bn)
+            engine = Engine(bn)
+            for query, value in ev.items():
+                if engine.probability_of_evidence(ev) == 0.0:
+                    with pytest.raises(ZeroEvidenceError):
+                        engine.posterior(ev, query)
+                    continue
+                expected = np.zeros(len(bn.domain(query)))
+                expected[bn.domain(query).index(value)] = 1.0
+                np.testing.assert_array_equal(engine.posterior(ev, query), expected)
+                checked += 1
+        assert checked > 0
+
+    def test_out_of_domain_label_raises_on_every_repeat(self, marital_bn):
+        engine = Engine(marital_bn)
+        bad = {"gender": "ghost"}
+        for _ in range(3):
+            with pytest.raises(UnknownVariableError):
+                engine.posterior(bad, "maritalStatus")
+            with pytest.raises(UnknownVariableError):
+                engine.posterior(bad, "gender")
+            with pytest.raises(UnknownVariableError):
+                engine.probability_of_evidence(bad)
+
+
 class TestJointProbability:
     def test_deterministic_chain(self):
         doc = """

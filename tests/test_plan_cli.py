@@ -8,7 +8,7 @@ import pytest
 
 import popnetgen
 from popnetgen import cli, metrics
-from popnetgen.bn import BnSyntaxError, BnValidationError, parse_bn
+from popnetgen.bn import BnCycleError, BnSyntaxError, BnValidationError, parse_bn
 from popnetgen.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run
 from popnetgen.plan import (
     HomophilyPlanRule,
@@ -74,6 +74,7 @@ def package_exceptions() -> list[type]:
 # Constructor arguments of the classes that take more than a message.
 EXCEPTION_ARGS = {
     BnSyntaxError: ("injected", 1),
+    BnCycleError: (["a", "a"],),
     BnValidationError: ([],),
     PlanSyntaxError: ("injected", 1),
 }
@@ -342,6 +343,38 @@ class TestCli:
     def test_usage_error(self):
         assert main([]) == EXIT_USAGE
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("size", ["-5", "x"])
+    def test_population_flag_must_be_a_count(self, plan_dir, capsys, size):
+        out = plan_dir / "o"
+        code = main(["generate", str(plan_dir / "plan.txt"), "--population", size, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "--population" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("in_plan", [False, True], ids=["flag", "plan"])
+    def test_unshapeable_population_is_runtime_exit(self, plan_dir, capsys, in_plan):
+        size = str(10**20)
+        args = ["generate", str(plan_dir / "plan.txt"), "--out", str(plan_dir / "o")]
+        if in_plan:
+            (plan_dir / "plan.txt").write_text(MINIMAL_PLAN.replace("N=10", f"N={size}"))
+            assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_OK
+        else:
+            args += ["--population", size]
+        assert main(args) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"runtime failure: cannot hold {size} agents" in err
+        assert "Traceback" not in err
+        assert not (plan_dir / "o").exists()
+
+    def test_out_of_memory_is_runtime_exit(self, plan_dir, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "generate_population", exhausted)
+        code = main(["generate", str(plan_dir / "plan.txt"), "--out", str(plan_dir / "o")])
+        assert code == EXIT_RUNTIME
+        assert "runtime failure: MemoryError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("labels", ["-1, 0, 1", "0, 1, 99999999999999999999"])
     def test_rc_label_that_is_not_a_count_is_invalid(self, plan_dir, capsys, labels):
