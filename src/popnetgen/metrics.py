@@ -3,7 +3,10 @@
 Statistics treat every link as undirected, per type or with all types
 collapsed onto one uniplex graph.  Average path length is computed on the
 largest connected component only: exactly up to a size cap, above it from a
-fixed number of seeded random-source traversals (flagged as estimated).
+fixed number of seeded random sources (flagged as estimated).  The distance
+sum is an exact integer, taken by a bit-parallel breadth-first search from
+up to 4,096 sources at once, or by one traversal per source when the
+component is too deep for that to pay.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .bn import BayesianNetwork
@@ -20,6 +24,12 @@ from .sampling import substream
 
 EXACT_PATH_LIMIT = 20_000
 PATH_SAMPLE_SOURCES = 1_000
+BITSET_BLOCK_SOURCES = 4_096  # sources per bitset traversal: 64 uint64 words a row
+# Deepest bitset traversal allowed.  On caterpillar trees centred on node 0,
+# whose end sources really take 2e levels, the bitset search at 2e = 384 ran
+# in 0.59 (5,000 nodes) and 0.95 (20,000 nodes) of the per-source time; at
+# 512 in 0.93 and 1.34.
+BITSET_MAX_LEVELS = 384
 
 
 @dataclass
@@ -149,15 +159,7 @@ def stats_for_edges(
             sources = rng.choice(s, size=min(PATH_SAMPLE_SOURCES, s), replace=False)
             estimated = True
         component = adjacency[nodes][:, nodes]
-        # Distances are integers, so their float64 sum is exact in any order.
-        total = 0.0
-        for start in range(0, len(sources), 512):
-            dist = shortest_path(
-                component, method="D", unweighted=True,
-                indices=sources[start:start + 512],
-            )
-            total += float(dist.sum())
-        apl = total / (len(sources) * (s - 1))
+        apl = _distance_sum(component, sources) / (len(sources) * (s - 1))
 
     return NetworkStats(
         scope=scope,
@@ -171,6 +173,69 @@ def stats_for_edges(
         components=int(component_count),
         largest_component=s,
     )
+
+
+def _distance_sum(component: csr_matrix, sources: np.ndarray) -> int:
+    """Sum of the hop distances from each of ``sources`` to every node of the
+    connected undirected graph ``component``.
+
+    Any two nodes lie within 2e of each other, e the eccentricity of node 0,
+    so the bitset traversal takes at most 2e levels.  Its cost grows with
+    the level count, and past ``BITSET_MAX_LEVELS`` (long chains and thin
+    grids) one traversal per source is the faster."""
+    eccentricity = int(shortest_path(component, unweighted=True, indices=0).max())
+    if 2 * eccentricity <= BITSET_MAX_LEVELS:
+        return _bitset_distance_sum(component, sources)
+    return _dijkstra_distance_sum(component, sources)
+
+
+def _bitset_distance_sum(component: csr_matrix, sources: np.ndarray) -> int:
+    """Multi-source BFS on bitsets (Then et al., PVLDB 8(4), 2014): row r of
+    ``reach`` holds one bit per source of the block, set once that source
+    lies within the current level of node ``order[r]``.  A level ORs each
+    node's neighbours' rows into its own, and the bits it sets are the
+    (source, node) pairs at that distance.  Rows go by falling degree, so
+    the nodes with a k-th neighbour are a prefix and a level is one
+    gather-OR per neighbour slot k."""
+    indptr, indices = component.indptr, component.indices
+    degree = np.diff(indptr)
+    order = np.argsort(-degree, kind="stable")
+    rank = np.argsort(order)
+    with_slot = np.cumsum(np.bincount(degree)[::-1])[::-1]  # nodes of degree >= k
+    slots = [
+        rank[indices[indptr[order[:with_slot[k]]] + k - 1]] for k in range(1, len(with_slot))
+    ]
+    s = component.shape[0]
+    total = 0
+    for start in range(0, len(sources), BITSET_BLOCK_SOURCES):
+        block = rank[sources[start:start + BITSET_BLOCK_SOURCES]]
+        cols = np.arange(len(block))
+        reach = np.zeros((s, -(-len(block) // 64)), dtype=np.uint64)
+        reach[block, cols // 64] = np.uint64(1) << (cols % 64).astype(np.uint64)
+        reached, full = len(block), len(block) * s
+        level = 0
+        while reached < full:
+            level += 1
+            grown = reach.copy()
+            for neighbours in slots:
+                grown[:len(neighbours)] |= reach[neighbours]
+            reach = grown
+            now = int(np.bitwise_count(reach).sum())
+            assert now > reached, "component is not connected"
+            total += level * (now - reached)
+            reached = now
+    return total
+
+
+def _dijkstra_distance_sum(component: csr_matrix, sources: np.ndarray) -> int:
+    """One traversal per source, 512 sources per call."""
+    total = 0
+    for start in range(0, len(sources), 512):
+        dist = shortest_path(
+            component, method="D", unweighted=True, indices=sources[start:start + 512]
+        )
+        total += int(dist.sum())  # integers below 2**53, so the float sum is exact
+    return total
 
 
 def stats_report_entries(stats: NetworkStats) -> list[tuple[str, object]]:

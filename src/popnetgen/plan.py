@@ -26,7 +26,7 @@ from .matching import (
     vacuous,
     validate_rule,
 )
-from .population import RC_PREFIX, LinkType, PopulationError, link_counts
+from .population import RC_PREFIX, LinkType, PopulationError, check_population_size, link_counts
 from .transitivity import TransitivityRule, parse_pattern
 
 
@@ -250,6 +250,10 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
         error(f"attribute network invalid: {exc}")
 
     if attribute_bn is not None:
+        try:
+            check_population_size(plan.population_size, len(attribute_bn.variables))
+        except PopulationError as exc:
+            error(str(exc))
         for variable in attribute_bn.variables:
             if variable.name.startswith(RC_PREFIX):
                 target = variable.name[len(RC_PREFIX):]

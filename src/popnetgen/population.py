@@ -65,6 +65,17 @@ def link_counts(name: str, labels: Sequence[str]) -> np.ndarray:
     return np.array(counts, dtype=np.int64)
 
 
+def check_population_size(size: int, variables: int) -> None:
+    """PopulationError unless numpy can shape the (size, variables) arrays of
+    8-byte codes and uniforms that generate_population allocates.  Allocates
+    nothing, so validate runs it too."""
+    # numpy counts a zero-length axis as one when it checks an array's size
+    if not 0 <= size * max(variables, 1) * 8 <= np.iinfo(np.intp).max:
+        raise PopulationError(
+            f"cannot hold {size} agents of {variables} variables: too many for one array"
+        )
+
+
 @dataclass(frozen=True)
 class LinkType:
     name: str
@@ -241,10 +252,8 @@ def generate_population(
     """
     engine = Engine(attribute_bn)
     column = {name: j for j, name in enumerate(attribute_bn.names)}
-    try:
-        codes = np.empty((size, len(column)), dtype=np.intp)
-    except ValueError as exc:  # negative, or past what an array can index
-        raise PopulationError(f"cannot hold {size} agents: {exc}") from None
+    check_population_size(size, len(column))
+    codes = np.empty((size, len(column)), dtype=np.intp)
     uniforms = rng.random((size, len(column)))
     for step, name in enumerate(engine.order):
         parents, table = engine.cpt_table(name)

@@ -1,6 +1,10 @@
 """File exports: canonical ordering, round-trips, interaction weights."""
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from popnetgen import export
 from popnetgen.bn import parse_bn, serialize_bn
 from popnetgen.export import (
     ExportError,
@@ -92,6 +96,51 @@ class TestExportNetwork:
         lines = (tmp_path / "agents.csv").read_text().splitlines()
         assert lines[:2] == ["id,color,RC_friendship", "0,red,1"]
         assert read_agents(tmp_path / "agents.csv") == len(demo_store())
+
+
+ID_TOKENS = st.one_of(
+    st.integers(-2**64, 2**64).map(str),
+    st.sampled_from([
+        "+5", " 5", "5 ", "1_0", "_1", "1__0", "0x10", "1.0", "", "x", "\u0663",
+        str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 - 1),
+    ]),
+)
+TYPE_TOKENS = st.sampled_from(["pair", "friendship", "", "a b", "\u00e9"])
+EDGE_LINES = st.one_of(
+    st.tuples(ID_TOKENS, ID_TOKENS, TYPE_TOKENS).map(",".join),
+    st.just(""),
+    st.tuples(ID_TOKENS, ID_TOKENS, TYPE_TOKENS, TYPE_TOKENS).map(",".join),  # extra field
+    st.tuples(ID_TOKENS, ID_TOKENS).map(",".join),  # missing field
+    st.text(alphabet="0123456789,_+- x\r\x1c", max_size=12),
+)
+
+
+class TestReadEdgesAll:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(EDGE_LINES, max_size=12),
+        well_formed=st.booleans(),
+        header=st.sampled_from(["source,target,type", "source,target"]),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_bulk_parse_agrees_with_line_by_line(
+        self, tmp_path_factory, lines, well_formed, header, newline
+    ):
+        if well_formed:  # most drawn files hold a bad line; keep half clean
+            lines = [f"{len(line)},{len(line) % 5},t{len(line) % 3}" for line in lines]
+        path = tmp_path_factory.mktemp("edges") / "edges_all.csv"
+        path.write_text(newline.join([header, *lines]) + newline, encoding="utf-8")
+        try:
+            expected = export._read_edges_all_by_line(path)
+        except ExportError as exc:
+            with pytest.raises(ExportError) as got:
+                read_edges_all(path)
+            assert str(got.value) == str(exc)
+            return
+        ends, types = read_edges_all(path)
+        assert ends.dtype == expected[0].dtype and ends.shape == expected[0].shape
+        assert np.array_equal(ends, expected[0])
+        assert types.dtype == expected[1].dtype and types.tolist() == expected[1].tolist()
 
 
 class TestInteractionNetwork:

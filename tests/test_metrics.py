@@ -1,6 +1,8 @@
 """Graph statistics against brute force; generation error measures."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popnetgen import metrics
 from popnetgen.bn import parse_bn
@@ -127,6 +129,95 @@ class TestStatsForEdges:
         assert stats.path_length_estimated
         assert (stats.components, stats.largest_component) == (76, 311)
         assert stats.average_path_length == 7.155354838709678
+
+
+def small_world_edges(n, seed):
+    """Ring lattice of degree 4 with one link end in ten rewired uniformly."""
+    rng = np.random.default_rng(seed)
+    ring = np.arange(n)
+    ends = np.concatenate([np.stack([ring, (ring + k) % n], 1) for k in (1, 2)])
+    rewired = rng.random(len(ends)) < 0.1
+    ends[rewired, 1] = rng.integers(0, n, size=int(rewired.sum()))
+    return ends
+
+
+@st.composite
+def component_graphs(draw):
+    """(node count, links) of up to 300 nodes: a few connected components
+    (random trees or paths, plus extra links) and isolated nodes, labels
+    shuffled so that components interleave."""
+    sizes = draw(st.lists(st.integers(1, 200), max_size=4))
+    isolated = draw(st.integers(0, 20))
+    while sum(sizes) + isolated > 300:
+        sizes.pop()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    path = draw(st.booleans())
+    extra = draw(st.sampled_from([0.0, 0.3, 2.0]))
+    n = sum(sizes) + isolated
+    label = rng.permutation(n)
+    edges, first = [], 0
+    for size in sizes:
+        for v in range(1, size):
+            u = v - 1 if path else int(rng.integers(v))
+            edges.append((first + u, first + v))
+        for _ in range(int(extra * size)):
+            edges.append(tuple(first + rng.integers(size, size=2)))
+        first += size
+    return n, [(int(label[a]), int(label[b])) for a, b in edges]
+
+
+def record_calls(monkeypatch, names):
+    """Wrap the named functions of metrics; returns the names called, in order."""
+    calls = []
+    for name in names:
+        def wrapper(*args, name=name, wrapped=getattr(metrics, name)):
+            calls.append(name)
+            return wrapped(*args)
+        monkeypatch.setattr(metrics, name, wrapper)
+    return calls
+
+
+class TestPathLengthKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(graph=component_graphs(), block=st.sampled_from([64, 100]), sampled=st.booleans())
+    def test_bitset_matches_bruteforce_and_per_source(self, graph, block, sampled):
+        n, edges = graph
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "BITSET_BLOCK_SOURCES", block)
+            if sampled:
+                patch.setattr(metrics, "EXACT_PATH_LIMIT", 10)
+                patch.setattr(metrics, "PATH_SAMPLE_SOURCES", 150)
+            patch.setattr(metrics, "BITSET_MAX_LEVELS", 10**9)
+            bitset = stats_for_edges(n, edges, "friendship")
+            patch.setattr(metrics, "BITSET_MAX_LEVELS", 0)
+            per_source = stats_for_edges(n, edges, "friendship")
+        assert bitset == per_source
+        if sampled:
+            return
+        density, degree, clustering, apl = brute_graph_stats(n, edges)
+        assert (bitset.density, bitset.average_degree) == (density, degree)
+        assert bitset.clustering == pytest.approx(clustering, abs=1e-12)
+        assert bitset.average_path_length == apl
+
+    def test_two_full_blocks_pinned(self, monkeypatch):
+        # 6,000 sources take one block of 4,096 and one of 1,904; the sum is
+        # the one the per-source traversal gives for this graph.
+        ran = record_calls(monkeypatch, ["_bitset_distance_sum"])
+        stats = stats_for_edges(6000, small_world_edges(6000, 8))
+        assert ran == ["_bitset_distance_sum"] and stats.largest_component == 6000
+        assert stats.average_path_length == 430_412_530 / (6000 * 5999)
+
+    @pytest.mark.parametrize("deep", [True, False])
+    def test_deep_component_goes_per_source(self, monkeypatch, deep):
+        ran = record_calls(monkeypatch, ["_bitset_distance_sum", "_dijkstra_distance_sum"])
+        if deep:
+            n, edges = 3000, [(v, v + 1) for v in range(2999)]
+        else:
+            n, edges = 3000, small_world_edges(3000, 2)
+        stats = stats_for_edges(n, edges)
+        assert ran == ["_dijkstra_distance_sum" if deep else "_bitset_distance_sum"]
+        if deep:
+            assert stats.average_path_length == (3000 + 1) / 3
 
 
 class TestGraphStatistics:

@@ -354,16 +354,24 @@ class TestCli:
 
     @pytest.mark.parametrize("in_plan", [False, True], ids=["flag", "plan"])
     def test_unshapeable_population_is_runtime_exit(self, plan_dir, capsys, in_plan):
+        # validate refuses a plan whose population cannot be shaped, so
+        # generate stops before it starts; a --population value is checked
+        # only when generate shapes the population.
         size = str(10**20)
         args = ["generate", str(plan_dir / "plan.txt"), "--out", str(plan_dir / "o")]
         if in_plan:
             (plan_dir / "plan.txt").write_text(MINIMAL_PLAN.replace("N=10", f"N={size}"))
-            assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_OK
+            assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_INVALID
+            assert f"cannot hold {size} agents" in capsys.readouterr().out
+            assert main(args) == EXIT_INVALID
+            err = capsys.readouterr().err
+            assert f"cannot hold {size} agents" in err
+            assert "generating population" not in err
         else:
             args += ["--population", size]
-        assert main(args) == EXIT_RUNTIME
-        err = capsys.readouterr().err
-        assert f"runtime failure: cannot hold {size} agents" in err
+            assert main(args) == EXIT_RUNTIME
+            err = capsys.readouterr().err
+            assert f"runtime failure: cannot hold {size} agents" in err
         assert "Traceback" not in err
         assert not (plan_dir / "o").exists()
 

@@ -13,6 +13,7 @@ from popnetgen.population import (
     SelfLinkError,
     UnknownLinkTypeError,
     agents_csv,
+    check_population_size,
     generate_population,
     learn_marginals,
     query_candidates,
@@ -108,6 +109,33 @@ class TestGeneratePopulation:
         bn = parse_bn(f"variable RC_x {{ 1, {label} }}\ncpt RC_x {{ 1.0, 0.0 }}")
         with pytest.raises(PopulationError, match="not a count"):
             generate_population(bn, 1, substream(0, "p"))
+
+
+@pytest.mark.parametrize(
+    "size, variables",
+    [
+        (0, 3),
+        (2**63 // 24, 3),  # 24 bytes an agent: the largest that fits
+        (2**63 // 24 + 1, 3),
+        (2**60 - 1, 0),  # numpy counts a zero-length axis as one
+        (2**60, 0),
+        (10**20, 3),
+        (-1, 3),
+    ],
+)
+def test_population_size_check_matches_numpy(size, variables):
+    # A broadcast view asks numpy whether it can shape the int64 codes
+    # without allocating them.
+    try:
+        np.broadcast_to(np.zeros((1, 1), dtype=np.int64), (size, variables))
+        shapeable = True
+    except ValueError:
+        shapeable = False
+    if shapeable:
+        check_population_size(size, variables)
+    else:
+        with pytest.raises(PopulationError, match=f"cannot hold {size} agents"):
+            check_population_size(size, variables)
 
 
 class TestQueryCandidates:
