@@ -24,7 +24,6 @@ from .inference import (
     Engine,
     Posterior,
     ZeroEvidenceError,
-    joint_probability,
     posterior,
     probability_of_evidence,
 )

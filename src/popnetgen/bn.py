@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 # Rows whose probabilities sum to within this of 1 are accepted; anything
 # further off is a validation failure.
@@ -65,12 +65,6 @@ class Variable:
 
     name: str
     domain: tuple[str, ...]
-
-    def index_of(self, value: str) -> int:
-        try:
-            return self.domain.index(value)
-        except ValueError:
-            raise KeyError(f"{value!r} not in domain of {self.name}") from None
 
 
 @dataclass(frozen=True)
@@ -461,33 +455,6 @@ def serialize_bn(bn: BayesianNetwork) -> str:
     return "\n".join(parts) + "\n"
 
 
-def descendants_map(bn: BayesianNetwork) -> dict[str, frozenset[str]]:
-    """For each variable, the set of variables reachable through children."""
-    children: dict[str, list[str]] = {v.name: [] for v in bn.variables}
-    for v in bn.variables:
-        for p in bn.parents(v.name):
-            children[p].append(v.name)
-    out: dict[str, frozenset[str]] = {}
-    for name in reversed(topological_order(bn)):
-        acc: set[str] = set()
-        for c in children[name]:
-            acc.add(c)
-            acc |= out[c]
-        out[name] = frozenset(acc)
-    return out
-
-
-def ancestors_map(bn: BayesianNetwork) -> dict[str, frozenset[str]]:
-    out: dict[str, frozenset[str]] = {}
-    for name in topological_order(bn):
-        acc: set[str] = set()
-        for p in bn.parents(name):
-            acc.add(p)
-            acc |= out[p]
-        out[name] = frozenset(acc)
-    return out
-
-
 def check_evidence(bn: BayesianNetwork, evidence: Evidence) -> None:
     """Raise KeyError for unknown variables or out-of-domain values."""
     for name, value in evidence.items():
@@ -495,9 +462,3 @@ def check_evidence(bn: BayesianNetwork, evidence: Evidence) -> None:
         if value not in var.domain:
             raise KeyError(f"{value!r} not in domain of {name}")
 
-
-def iter_assignments(bn: BayesianNetwork) -> Iterable[dict[str, str]]:
-    """Every full assignment, in cross-product order of declared domains."""
-    names = bn.names
-    for values in itertools.product(*(bn.domain(n) for n in names)):
-        yield dict(zip(names, values))

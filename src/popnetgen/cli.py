@@ -22,9 +22,10 @@ from .export import (
     export_manifest,
     export_network,
     export_reports,
-    manifest_names,
+    manifest_link_types,
     read_agents,
     read_edges_all,
+    read_manifest,
     report_text,
 )
 from .inference import InferenceError
@@ -148,7 +149,7 @@ def run(
         learned, out_dir,
     )
     if write:
-        earlier = manifest_names(out_dir)
+        earlier = read_manifest(out_dir) or {}
         result.files += export_network(store, out_dir)
         if plan.interaction_weights:
             result.files.append(
@@ -197,6 +198,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     directory = Path(args.dir)
+    declared = manifest_link_types(directory)
     n = read_agents(directory / "agents.csv")
     ends, types = read_edges_all(directory / "edges_all.csv")
     outside = ((ends < 0) | (ends >= n)).any(axis=1)
@@ -207,9 +209,8 @@ def _cmd_stats(args) -> int:
             f"names an agent outside [0, {n})"
         )
     all_stats = [stats_for_edges(n, ends, "collapsed")]
-    names, kind = np.unique(types, return_inverse=True)
-    for k, name in enumerate(names.tolist()):
-        all_stats.append(stats_for_edges(n, ends[kind == k], name))
+    for name in sorted(declared.union(np.unique(types).tolist())):
+        all_stats.append(stats_for_edges(n, ends[types == name], name))
     print(report_text(None, all_stats, []), end="")
     return EXIT_OK
 

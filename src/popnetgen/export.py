@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 from itertools import repeat
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -135,35 +135,6 @@ def report_text(
     return "".join(f"{k} = {_format_value(v)}\n" for k, v in entries)
 
 
-def parse_report(text: str) -> dict[str, object]:
-    """Inverse of report_text for the value types it emits."""
-    out: dict[str, object] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" = ")
-        if not _:
-            raise ExportError(f"bad report line: {raw!r}")
-        out[key] = _parse_value(value)
-    return out
-
-
-def _parse_value(token: str) -> object:
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        return token
-
-
 def export_reports(
     error_report: ErrorReport | None,
     stats: Sequence[NetworkStats],
@@ -180,15 +151,22 @@ def export_reports(
     return written
 
 
-def manifest_names(out_dir) -> list[str]:
-    """Bare file names listed in the directory's manifest; none without one.
-    Entries with a directory part are left out."""
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def read_manifest(out_dir) -> dict[str, str] | None:
+    """Digest by bare file name from the directory's manifest; None without
+    one.  Entries with a directory part are left out."""
     try:
         text = (Path(out_dir) / MANIFEST).read_text(encoding="utf-8")
     except FileNotFoundError:
-        return []
-    names = [line.partition("  ")[2] for line in text.splitlines()]
-    return [name for name in names if name == Path(name).name and name not in ("", "..")]
+        return None
+    entries = (line.partition("  ") for line in text.splitlines())
+    return {
+        name: digest for digest, _, name in entries
+        if name == Path(name).name and name not in ("", "..")
+    }
 
 
 def export_manifest(files: Sequence[Path], out_dir) -> Path:
@@ -196,8 +174,24 @@ def export_manifest(files: Sequence[Path], out_dir) -> Path:
     format ``sha256sum -c manifest.txt`` checks."""
     out = Path(out_dir)
     names = sorted(path.relative_to(out).as_posix() for path in files)
-    lines = [f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}" for name in names]
+    lines = [f"{_digest(out / name)}  {name}" for name in names]
     return _write(out / MANIFEST, "".join(line + "\n" for line in lines))
+
+
+def manifest_link_types(directory) -> set[str]:
+    """Link types that the directory's manifest declares by its
+    ``edges_<type>.csv`` entries, once ``agents.csv`` and ``edges_all.csv``
+    match their digests there; none without a manifest."""
+    manifest = read_manifest(directory)
+    if manifest is None:
+        return set()
+    for name in ("agents.csv", "edges_all.csv"):
+        if manifest.get(name) != _digest(Path(directory) / name):
+            raise ExportError(f"{Path(directory) / name}: does not match its digest in {MANIFEST}")
+    return {
+        name[len("edges_"):-len(".csv")] for name in manifest
+        if name.startswith("edges_") and name.endswith(".csv") and name != "edges_all.csv"
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +223,6 @@ def _body(path, header: str) -> list[str]:
     return lines[1:]
 
 
-def _rows(path, header: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each non-empty line below the header."""
-    count = header.count(",") + 1
-    for lineno, raw in enumerate(_body(path, header), start=2):
-        if raw:
-            yield lineno, _fields(path, lineno, raw, count)
-
-
 def read_edges_all(path) -> tuple[np.ndarray, np.ndarray]:
     """Links of a collapsed edge list: an int64 (m, 2) array of (source,
     target) rows and the type of each row.
@@ -266,19 +252,12 @@ def read_edges_all(path) -> tuple[np.ndarray, np.ndarray]:
 def _read_edges_all_by_line(path) -> tuple[np.ndarray, np.ndarray]:
     """read_edges_all one line at a time, raising on the first bad line."""
     ends, types = [], []
-    for lineno, (source, target, name) in _rows(path, "source,target,type"):
-        ends.append((_agent_id(path, lineno, source), _agent_id(path, lineno, target)))
-        types.append(name)
+    for lineno, raw in enumerate(_body(path, "source,target,type"), start=2):
+        if raw:
+            source, target, name = _fields(path, lineno, raw, 3)
+            ends.append((_agent_id(path, lineno, source), _agent_id(path, lineno, target)))
+            types.append(name)
     return np.array(ends, dtype=np.int64).reshape(-1, 2), np.array(types, dtype=str)
-
-
-def read_edge_file(path) -> np.ndarray:
-    """(source, target) rows of one type's edge list, int64, shape (m, 2)."""
-    ends = [
-        (_agent_id(path, lineno, source), _agent_id(path, lineno, target))
-        for lineno, (source, target) in _rows(path, "source,target")
-    ]
-    return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
 def read_agents(path) -> int:

@@ -16,14 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bn import (
-    BayesianNetwork,
-    Evidence,
-    ancestors_map,
-    check_evidence,
-    descendants_map,
-    topological_order,
-)
+from .bn import BayesianNetwork, Evidence, check_evidence, topological_order
 
 
 class InferenceError(Exception):
@@ -35,10 +28,6 @@ class ZeroEvidenceError(InferenceError):
 
 
 class UnknownVariableError(InferenceError, KeyError):
-    pass
-
-
-class IncompleteAssignmentError(InferenceError):
     pass
 
 
@@ -71,15 +60,21 @@ class Engine:
         self.value_index = {
             v.name: {val: i for i, val in enumerate(v.domain)} for v in bn.variables
         }
-        self.descendants = descendants_map(bn)
-        self.ancestors = ancestors_map(bn)
+        self.ancestors: dict[str, frozenset[str]] = {}
         self._factors: dict[str, _Factor] = {}
         for name in self.order:
             cpt = bn.cpts[name]
+            self.ancestors[name] = frozenset(cpt.parents).union(
+                *(self.ancestors[p] for p in cpt.parents)
+            )
             combos = itertools.product(*(self.domains[p] for p in cpt.parents))
             shape = [len(self.domains[v]) for v in cpt.parents + (name,)]
             table = np.array([cpt.rows[combo] for combo in combos], dtype=np.float64)
             self._factors[name] = (cpt.parents + (name,), table.reshape(shape))
+        self.descendants = {
+            name: frozenset(d for d in self.order if name in self.ancestors[d])
+            for name in self.order
+        }
         self._memo: dict[tuple, np.ndarray] = {}
 
     # -- public queries ------------------------------------------------------
@@ -213,23 +208,3 @@ def posterior(bn: BayesianNetwork, evidence: Evidence, query: str) -> Posterior:
 def probability_of_evidence(bn: BayesianNetwork, evidence: Evidence) -> float:
     return Engine(bn).probability_of_evidence(evidence)
 
-
-def joint_probability(bn: BayesianNetwork, assignment: Mapping[str, str]) -> float:
-    """Product of CPT entries along topological order for a full assignment.
-
-    Computed straight from the CPT rows, independently of the elimination
-    machinery, so it can serve as an oracle for it.
-    """
-    missing = [v.name for v in bn.variables if v.name not in assignment]
-    if missing:
-        raise IncompleteAssignmentError(f"assignment misses: {', '.join(missing)}")
-    check_evidence(bn, assignment)
-    result = 1.0
-    for name in topological_order(bn):
-        cpt = bn.cpts[name]
-        combo = tuple(assignment[p] for p in cpt.parents)
-        row = cpt.rows[combo]
-        result *= row[bn.variable(name).index_of(assignment[name])]
-        if result == 0.0:
-            return 0.0
-    return result

@@ -14,6 +14,7 @@ occupied dyads.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -28,6 +29,13 @@ from .matching import (
 )
 from .population import RC_PREFIX, LinkType, PopulationError, check_population_size, link_counts
 from .transitivity import TransitivityRule, parse_pattern
+
+
+# Link-type names become file names (edges_<name>.csv) and report keys
+# (stats.<name>.*), which these would break or shadow.  Names are compared
+# without case, as a case-blind file system compares the file names.
+LINK_TYPE_NAME = re.compile(r"[A-Za-z0-9_-]+")
+RESERVED_LINK_TYPES = ("all", "collapsed")
 
 
 class PlanError(Exception):
@@ -47,7 +55,6 @@ class HomophilyPlanRule:
     counts: str | None = None
     retries: int | None = None
     small_set: int | None = None
-    line: int = 0
 
 
 @dataclass
@@ -57,7 +64,6 @@ class TransitivePlanRule:
     t2: str
     probability: float
     pattern: str = "any-any"
-    line: int = 0
 
 
 @dataclass
@@ -136,6 +142,11 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
                 raise PlanSyntaxError(
                     "expected 'linktype <name> <directed|undirected>'", lineno
                 )
+            if not LINK_TYPE_NAME.fullmatch(tokens[1]) or tokens[1].lower() in RESERVED_LINK_TYPES:
+                raise PlanSyntaxError(
+                    f"link type name {tokens[1]!r} is reserved or not made of "
+                    "letters, digits, '_' and '-'", lineno,
+                )
             link_types.append(LinkType(tokens[1], tokens[2] == "directed"))
 
         elif head == "rule":
@@ -152,7 +163,6 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
                     counts=opts.get("counts"),
                     retries=_to_int(opts["retries"], "retries", lineno) if "retries" in opts else None,
                     small_set=_to_int(opts["smallset"], "smallset", lineno) if "smallset" in opts else None,
-                    line=lineno,
                 ))
             elif kind == "transitive":
                 if len(tokens) < 6 or tokens[3] != "from":
@@ -169,7 +179,6 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
                     t2=tokens[5],
                     probability=_to_float(opts["p"], "p", lineno),
                     pattern=opts.get("pattern", "any-any"),
-                    line=lineno,
                 ))
             else:
                 raise PlanSyntaxError(f"unknown rule kind {kind!r}", lineno)
@@ -237,8 +246,9 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
         issues.append(PlanIssue("warning", msg))
 
     names = [lt.name for lt in plan.link_types]
-    for name in sorted({n for n in names if names.count(n) > 1}):
-        error(f"link type {name!r} declared more than once")
+    folded = [n.lower() for n in names]
+    for name in sorted({n for k, n in enumerate(names) if n.lower() in folded[:k]}):
+        error(f"link type {name!r} declared more than once (case ignored)")
     declared = set(names)
 
     attribute_bn: BayesianNetwork | None = None

@@ -46,33 +46,21 @@ class PrototypeSampler:
 
     When no evidence sits on a variable's descendants, its conditional given
     everything sampled so far reduces to its own CPT row, so the chain skips
-    inference for that step.  The step plan depends only on which variables
-    carry initial evidence and is cached per evidence key set.
+    inference for that step.
     """
 
     def __init__(self, bn: BayesianNetwork, engine: Engine | None = None):
         self.bn = bn
         self.engine = engine if engine is not None else Engine(bn)
-        self._plans: dict[frozenset[str], list[tuple[str, bool]]] = {}
-
-    def _plan(self, ev_names: frozenset[str]) -> list[tuple[str, bool]]:
-        plan = self._plans.get(ev_names)
-        if plan is None:
-            plan = []
-            for name in self.engine.order:
-                if name in ev_names:
-                    continue
-                shortcut = not (self.engine.descendants[name] & ev_names)
-                plan.append((name, shortcut))
-            self._plans[ev_names] = plan
-        return plan
 
     def sample(self, evidence: Evidence, rng: np.random.Generator) -> dict[str, str]:
         if evidence and self.engine.probability_of_evidence(evidence) <= 0.0:
             raise ZeroEvidenceError(f"evidence has probability 0: {dict(evidence)}")
         assignment = dict(evidence)
-        for name, shortcut in self._plan(frozenset(evidence)):
-            if shortcut:
+        for name in self.engine.order:
+            if name in evidence:
+                continue
+            if self.engine.descendants[name].isdisjoint(evidence):
                 probs = self.engine.cpt_row(name, assignment)
             else:
                 probs = self.engine.posterior(assignment, name)

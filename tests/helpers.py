@@ -7,6 +7,7 @@ statistics from cubic triangle scans and plain BFS.
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 
@@ -190,6 +191,46 @@ def tensor_probability(bn: BayesianNetwork, evidence: dict[str, str]) -> float:
         bn.domain(n).index(evidence[n]) if n in evidence else slice(None) for n in names
     )
     return float(joint[slicer].sum())
+
+
+# -- readers of exported files ------------------------------------------------
+
+
+def parse_report(text: str) -> dict[str, object]:
+    """Inverse of export.report_text for the value types it emits."""
+    out: dict[str, object] = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition(" = ")
+        if not sep:
+            raise ValueError(f"bad report line: {raw!r}")
+        out[key] = _parse_value(value)
+    return out
+
+
+def _parse_value(token: str) -> object:
+    if token == "true":
+        return True
+    if token == "false":
+        return False
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
+def read_edge_file(path) -> np.ndarray:
+    """(source, target) rows of one type's edge list, int64, shape (m, 2)."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "source,target"
+    ends = [tuple(map(int, raw.split(","))) for raw in lines[1:] if raw]
+    return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
 # -- graph oracles ------------------------------------------------------------

@@ -12,9 +12,7 @@ from popnetgen.export import (
     export_interaction_network,
     export_network,
     export_reports,
-    parse_report,
     read_agents,
-    read_edge_file,
     read_edges_all,
     report_text,
 )
@@ -28,7 +26,7 @@ from popnetgen.population import (
 )
 from popnetgen.sampling import substream
 
-from helpers import build_store
+from helpers import build_store, parse_report, read_edge_file
 
 
 def demo_store():

@@ -1,19 +1,18 @@
-"""Exactness of posterior, evidence probability, and joint probability."""
+"""Exactness of posterior and evidence probability; the engine's graph closures."""
 import numpy as np
 import pytest
 
-from popnetgen.bn import iter_assignments, parse_bn
+from popnetgen.bn import parse_bn
 from popnetgen.inference import (
     Engine,
-    IncompleteAssignmentError,
     UnknownVariableError,
     ZeroEvidenceError,
-    joint_probability,
     posterior,
     probability_of_evidence,
 )
 
 from helpers import (
+    enum_joint_items,
     enum_posterior,
     enum_probability,
     make_random_bn,
@@ -23,7 +22,7 @@ from helpers import (
     tensor_probability,
 )
 
-from test_bn import CHAIN_DOC, MARITAL_DOC
+from test_bn import MARITAL_DOC
 
 TOL = 1e-9
 
@@ -227,37 +226,38 @@ class TestEngineMemo:
                 engine.probability_of_evidence(bad)
 
 
-class TestJointProbability:
-    def test_deterministic_chain(self):
-        doc = """
-        variable a { x }
-        variable b { x }
-        cpt a { 1.0 }
-        cpt b | a { x: 1.0 }
-        """
-        bn = parse_bn(doc)
-        assert joint_probability(bn, {"a": "x", "b": "x"}) == 1.0
+class TestEngineClosures:
+    def test_match_brute_force_reachability(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            bn = make_random_bn(rng, max_vars=8)
+            engine = Engine(bn)
+            children = {name: [c for c in bn.names if name in bn.parents(c)] for name in bn.names}
 
-    def test_zero_entry_gives_zero(self):
-        bn = parse_bn(CHAIN_DOC)
-        assert joint_probability(bn, {"a": "x", "b": "y", "c": "x"}) == 0.0
+            def reach(name, step):
+                seen, frontier = set(), [name]
+                while frontier:
+                    for other in step(frontier.pop()):
+                        if other not in seen:
+                            seen.add(other)
+                            frontier.append(other)
+                return seen
 
-    def test_sums_to_one_over_all_assignments(self):
-        rng = np.random.default_rng(77)
-        for _ in range(10):
-            bn = make_random_bn(rng, max_vars=5)
-            total = sum(joint_probability(bn, a) for a in iter_assignments(bn))
-            assert total == pytest.approx(1.0, abs=TOL)
-
-    def test_incomplete_assignment(self):
-        bn = parse_bn(CHAIN_DOC)
-        with pytest.raises(IncompleteAssignmentError):
-            joint_probability(bn, {"a": "x"})
+            for name in bn.names:
+                assert engine.ancestors[name] == reach(name, bn.parents)
+                assert engine.descendants[name] == reach(name, children.__getitem__)
 
 
 class TestTensorOracleAgreesWithEnumeration:
     """The vectorized oracle used by the acceptance battery must itself match
     plain per-assignment enumeration."""
+
+    def test_enumeration_sums_to_one(self):
+        rng = np.random.default_rng(77)
+        for _ in range(10):
+            bn = make_random_bn(rng, max_vars=5)
+            total = sum(weight for _, weight in enum_joint_items(bn))
+            assert total == pytest.approx(1.0, abs=TOL)
 
     def test_cross_check(self):
         rng = np.random.default_rng(13)

@@ -471,9 +471,63 @@ class TestCli:
         out = plan_dir / "cli_out"
         assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
+        (out / "manifest.txt").unlink()  # else the digest check refuses first
         (out / name).write_text(text)
         assert main(["stats", str(out)]) == EXIT_INVALID
         assert "invalid network files" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["agents.csv", "edges_all.csv"])
+    def test_stats_refuses_files_that_do_not_match_the_manifest(self, plan_dir, capsys, name):
+        out = plan_dir / "cli_out"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        with open(out / name, "a") as fh:
+            fh.write("\n")  # still well formed, no longer the run's file
+        assert main(["stats", str(out)]) == EXIT_INVALID
+        assert f"{name}: does not match its digest" in capsys.readouterr().err
+
+    def test_stats_keeps_declared_types_without_links(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["generate", str(KENYA_PLAN), "--out", str(out), "--population", "0"]
+        assert main(args) == EXIT_OK
+        capsys.readouterr()
+        report = (out / "report.txt").read_text().splitlines()
+        assert main(["stats", str(out)]) == EXIT_OK
+        stats_out = capsys.readouterr().out.splitlines()
+        assert stats_out == [line for line in report if line.startswith("stats.")]
+        assert len({line.split(".")[1] for line in stats_out}) == 7
+        # Without a manifest only the types present in edges_all.csv count.
+        (out / "manifest.txt").unlink()
+        assert main(["stats", str(out)]) == EXIT_OK
+        assert {line.split(".")[1] for line in capsys.readouterr().out.splitlines()} == {
+            "collapsed"
+        }
+
+    @pytest.mark.parametrize("name", ["all", "All", "collapsed", "COLLAPSED", "sib,x"])
+    def test_link_type_name_refused(self, plan_dir, capsys, name):
+        text = MINIMAL_PLAN.replace(
+            "linktype pair undirected", f"linktype pair undirected\nlinktype {name} directed"
+        )
+        (plan_dir / "plan.txt").write_text(text)
+        assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_INVALID
+        assert f"link type name {name!r}" in capsys.readouterr().err
+        out = plan_dir / "o"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_INVALID
+        assert "generating population" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_link_types_differing_only_in_case_refused(self, plan_dir, capsys):
+        # edges_pair.csv and edges_Pair.csv are one file where case is ignored
+        text = MINIMAL_PLAN.replace(
+            "linktype pair undirected", "linktype pair undirected\nlinktype Pair directed"
+        )
+        (plan_dir / "plan.txt").write_text(text)
+        assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_INVALID
+        assert "link type 'Pair' declared more than once" in capsys.readouterr().out
+        out = plan_dir / "o"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_INVALID
+        assert "generating population" not in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("error", package_exceptions(), ids=lambda cls: cls.__name__)
     def test_every_package_error_has_an_exit_code(self, plan_dir, capsys, monkeypatch, error):

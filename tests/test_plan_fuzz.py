@@ -1,0 +1,128 @@
+"""Whole-plan fuzzing: what validate accepts, generate runs, and stats on the
+run's files prints the report's statistics."""
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from popnetgen.bn import serialize_bn
+from popnetgen.cli import EXIT_INVALID, EXIT_OK, main
+
+from helpers import make_random_bn
+from test_matching import make_random_matching_rule
+
+# Each choice is mostly valid, so that about half the plans pass validate.
+LINK_TYPES = ["pair", "kin", "x-y_1"]
+# reserved in any case, breaks the CSV files, or clashes with "pair" where
+# case is ignored
+BAD_LINK_TYPES = ["all", "All", "collapsed", "a,b", "Pair"]
+COUNT_LABELS = [("0", "1", "2"), ("1",), ("0", "3")]
+BAD_COUNT_LABELS = [("0", "-1"), ("0", "two")]
+HOMOPHILY_OPTIONS = [
+    "counts=both", "counts=a1", "counts=a2", "retries=1", "retries=3",
+    "smallset=0", "smallset=5", "smallset=100000",
+    "counts=none", "retries=0", "smallset=-1",
+]
+PATTERNS = ["any-any", "source-target", "target-source", "any-source"] * 2 + ["source-side"]
+
+
+def sometimes(rng, valid: list, invalid: list, rate: float = 1 / 16):
+    """One of ``invalid`` at the given rate, else one of ``valid``.  The
+    numpy stream decides: hypothesis draws small integers far more often
+    than uniformly."""
+    choices = invalid if rng.random() < rate else valid
+    return choices[int(rng.integers(len(choices)))]
+
+
+@st.composite
+def plan_directories(draw) -> dict[str, str]:
+    """Files of one plan directory by name, ``plan.txt`` among them.
+
+    The attribute network has attributes p0, p1, ... with labels x0, x1, ...
+    and ``RC_`` variables for most link types; matching files copy p0 (and
+    p1) with domains of their own, so some rules read labels the attribute
+    network lacks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    types = draw(st.lists(st.sampled_from(LINK_TYPES), min_size=1, max_size=3, unique=True))
+    if rng.random() < 1 / 3:
+        types.append(draw(st.sampled_from(BAD_LINK_TYPES)))
+
+    def link_type():
+        return sometimes(rng, types, ["ghost"], 1 / 24)  # ghost is never declared
+
+    attributes = make_random_bn(rng, max_vars=3, max_domain=4)
+    text = re.sub(r"\bv(\d+)\b", r"p\1", serialize_bn(attributes))
+    counted = [name for name in types if rng.random() < 7 / 8] + ["ghost"] * (rng.random() < 1 / 8)
+    for name in counted:
+        labels = sometimes(rng, COUNT_LABELS, BAD_COUNT_LABELS)
+        probs = ", ".join(map(repr, rng.dirichlet(np.ones(len(labels))).tolist()))
+        text += f"variable RC_{name} {{ {', '.join(labels)} }}\ncpt RC_{name} {{ {probs} }}\n"
+    files = {"attributes.bn": text}
+
+    lines = [
+        f"population N={sometimes(rng, [rng.integers(2, 201)], [0, 1], 1 / 8)} "
+        f"seed={rng.integers(0, 10)} attributes=attributes.bn",
+        *(f"linktype {name} {draw(st.sampled_from(['directed', 'undirected']))}" for name in types),
+    ]
+    for k in range(rng.integers(0, 5)):
+        name = link_type()
+        if rng.random() < 2 / 3:
+            counts = draw(st.sampled_from(["both", "a1", "a2"]))
+            files[f"m{k}.bn"] = (
+                f"matching {name} link=link a1=a1_ a2=a2_ counts={counts}\n"
+                + serialize_bn(make_random_matching_rule(rng).bn)
+            )
+            options = [
+                sometimes(rng, HOMOPHILY_OPTIONS[:8], HOMOPHILY_OPTIONS[8:])
+                for _ in range(rng.integers(0, 3))
+            ]
+            options = list({option.partition("=")[0]: option for option in options}.values())
+            lines.append(" ".join([f"rule homophily {name} bn=m{k}.bn", *options]))
+        else:
+            p = sometimes(rng, ["0", "0.5", "1"], ["1.5"])
+            pattern = sometimes(rng, PATTERNS[:4], PATTERNS[4:])
+            lines.append(
+                f"rule transitive {name} from {link_type()} {link_type()} p={p} pattern={pattern}"
+            )
+    if draw(st.booleans()):
+        for name in {link_type() for _ in range(len(types) + 1)}:
+            lines.append(f"interact {name} p={sometimes(rng, ['0.25', '1'], ['2'])}")
+    files["plan.txt"] = "\n".join(lines) + "\n"
+    return files
+
+
+def run_cli(*args) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command run in-process; an
+    exception that escapes ``main`` fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in args])
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan_directories())
+def test_validate_agrees_with_generate_and_stats_with_report(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        for name, text in files.items():
+            (base / name).write_text(text, encoding="utf-8")
+        plan, out = base / "plan.txt", base / "out"
+        verdict, _, _ = run_cli("validate", plan)
+        assert verdict in (EXIT_OK, EXIT_INVALID)
+        code, _, err = run_cli("generate", plan, "--out", out)
+        if verdict == EXIT_INVALID:
+            assert code == EXIT_INVALID
+            assert "generating population" not in err
+            return
+        assert code == EXIT_OK, err
+        code, stats_out, err = run_cli("stats", out)
+        assert code == EXIT_OK, err
+        report = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+        assert stats_out.splitlines() == [line for line in report if line.startswith("stats.")]
