@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping
 
 # Rows whose probabilities sum to within this of 1 are accepted; anything
@@ -307,9 +308,16 @@ def parse_bn(text: str) -> BayesianNetwork:
     return bn
 
 
+def read_text(path, error: type[Exception] = BnError) -> str:
+    """A UTF-8 file's text; bytes that do not decode raise ``error`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
 def load_bn(path) -> BayesianNetwork:
-    with open(path, encoding="utf-8") as fh:
-        return parse_bn(fh.read())
+    return parse_bn(read_text(path))
 
 
 # ---------------------------------------------------------------------------

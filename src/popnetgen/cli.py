@@ -42,7 +42,6 @@ from .plan import (
     HomophilyPlanRule,
     PlanError,
     build_homophily_rule,
-    build_transitivity_rule,
     load_plan,
     validate_plan,
 )
@@ -124,10 +123,9 @@ def run(
     for index, plan_rule in enumerate(plan.rules):
         rng = substream(seed, _rule_label(plan, index))
         if isinstance(plan_rule, HomophilyPlanRule):
-            rule = build_homophily_rule(plan_rule)
-            report = run_homophily_rule(store, rule, rng)
+            report = run_homophily_rule(store, build_homophily_rule(plan_rule), rng)
         else:
-            report = run_transitivity_rule(store, build_transitivity_rule(plan_rule), rng)
+            report = run_transitivity_rule(store, plan_rule, rng)
         reports.append(report)
         note = "vacuous rule" if report.vacuous else (
             f"{report.links_created} links, {report.unfulfilled} unfulfilled demand"

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bn import BayesianNetwork, serialize_bn
+from .bn import BayesianNetwork, read_text, serialize_bn
 from .matching import RuleReport
 from .metrics import ErrorReport, NetworkStats, stats_report_entries
 from .population import PopulationStore, agents_csv
@@ -159,7 +159,7 @@ def read_manifest(out_dir) -> dict[str, str] | None:
     """Digest by bare file name from the directory's manifest; None without
     one.  Entries with a directory part are left out."""
     try:
-        text = (Path(out_dir) / MANIFEST).read_text(encoding="utf-8")
+        text = read_text(Path(out_dir) / MANIFEST, ExportError)
     except FileNotFoundError:
         return None
     entries = (line.partition("  ") for line in text.splitlines())
@@ -217,7 +217,7 @@ def _agent_id(path, lineno: int, token: str) -> int:
 
 def _body(path, header: str) -> list[str]:
     """Lines below the header, the header checked."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path, ExportError).splitlines()
     if not lines or lines[0] != header:
         raise ExportError(f"{path}: expected {header!r} header")
     return lines[1:]
@@ -263,7 +263,7 @@ def _read_edges_all_by_line(path) -> tuple[np.ndarray, np.ndarray]:
 def read_agents(path) -> int:
     """Number of agents in an agent table; every row has one field per
     column and row k carries id k."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path, ExportError).splitlines()
     if not lines:
         raise ExportError(f"{path}: empty agent table")
     columns = lines[0].split(",")

@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .bn import BayesianNetwork, parse_bn
+from .bn import BayesianNetwork, parse_bn, read_text
 from .inference import Engine
 from .population import PopulationStore, query_candidates
 from .sampling import PrototypeSampler
@@ -141,12 +141,16 @@ def load_matching_bn(text: str, *, defaults: Mapping[str, object] | None = None)
         raise MatchingError("matching header misses the link type")
     link_type = tokens[1]
     options = {"link": None, "a1": "a1_", "a2": "a2_", "counts": "both"}
+    given: set[str] = set()
     for token in tokens[2:]:
         if "=" not in token:
             raise MatchingError(f"bad matching header token {token!r}")
         key, _, value = token.partition("=")
         if key not in options:
             raise MatchingError(f"unknown matching header option {key!r}")
+        if key in given:
+            raise MatchingError(f"duplicate matching header option {key!r}")
+        given.add(key)
         options[key] = value
     if not options["link"]:
         raise MatchingError("matching header misses link=<variable>")
@@ -172,8 +176,7 @@ def load_matching_bn(text: str, *, defaults: Mapping[str, object] | None = None)
 
 
 def load_matching_bn_file(path, *, defaults: Mapping[str, object] | None = None) -> HomophilyRule:
-    with open(path, encoding="utf-8") as fh:
-        return load_matching_bn(fh.read(), defaults=defaults)
+    return load_matching_bn(read_text(path, MatchingError), defaults=defaults)
 
 
 @dataclass

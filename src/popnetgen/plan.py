@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .bn import BayesianNetwork, BnError, load_bn
+from .bn import BayesianNetwork, BnError, load_bn, read_text
 from .inference import Engine
 from .matching import (
     HomophilyRule,
@@ -50,20 +50,13 @@ class PlanSyntaxError(PlanError):
 
 @dataclass
 class HomophilyPlanRule:
+    """A homophily line; its matching file is read when the rule runs.
+    ``options`` holds the counts, retries and small_set the line sets, the
+    matching file loader's defaults."""
+
     link_type: str
     bn_path: Path
-    counts: str | None = None
-    retries: int | None = None
-    small_set: int | None = None
-
-
-@dataclass
-class TransitivePlanRule:
-    link_type: str
-    t1: str
-    t2: str
-    probability: float
-    pattern: str = "any-any"
+    options: dict[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -72,7 +65,7 @@ class GenerationPlan:
     seed: int
     attribute_bn_path: Path
     link_types: list[LinkType] = field(default_factory=list)
-    rules: list[HomophilyPlanRule | TransitivePlanRule] = field(default_factory=list)
+    rules: list[HomophilyPlanRule | TransitivityRule] = field(default_factory=list)
     interaction_weights: dict[str, float] = field(default_factory=dict)
     output_dir: Path | None = None
     base_dir: Path = Path(".")
@@ -110,7 +103,7 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
     base = Path(base_dir)
     population = None
     link_types: list[LinkType] = []
-    rules: list[HomophilyPlanRule | TransitivePlanRule] = []
+    rules: list[HomophilyPlanRule | TransitivityRule] = []
     weights: dict[str, float] = {}
     output_dir: Path | None = None
 
@@ -157,13 +150,11 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
                 opts = _options(tokens[3:], lineno, {"bn", "counts", "retries", "smallset"})
                 if "bn" not in opts:
                     raise PlanSyntaxError("homophily rule misses bn=<file>", lineno)
-                rules.append(HomophilyPlanRule(
-                    link_type=tokens[2],
-                    bn_path=base / opts["bn"],
-                    counts=opts.get("counts"),
-                    retries=_to_int(opts["retries"], "retries", lineno) if "retries" in opts else None,
-                    small_set=_to_int(opts["smallset"], "smallset", lineno) if "smallset" in opts else None,
-                ))
+                loader_key = {"counts": "counts", "retries": "retries", "smallset": "small_set"}
+                rules.append(HomophilyPlanRule(tokens[2], base / opts.pop("bn"), {
+                    loader_key[key]: value if key == "counts" else _to_int(value, key, lineno)
+                    for key, value in opts.items()
+                }))
             elif kind == "transitive":
                 if len(tokens) < 6 or tokens[3] != "from":
                     raise PlanSyntaxError(
@@ -173,13 +164,13 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
                 opts = _options(tokens[6:], lineno, {"p", "pattern"})
                 if "p" not in opts:
                     raise PlanSyntaxError("transitive rule misses p=<prob>", lineno)
-                rules.append(TransitivePlanRule(
-                    link_type=tokens[2],
-                    t1=tokens[4],
-                    t2=tokens[5],
-                    probability=_to_float(opts["p"], "p", lineno),
-                    pattern=opts.get("pattern", "any-any"),
-                ))
+                try:
+                    rules.append(TransitivityRule(
+                        tokens[4], tokens[5], tokens[2], _to_float(opts["p"], "p", lineno),
+                        *parse_pattern(opts.get("pattern", "any-any")),
+                    ))
+                except ValueError as exc:
+                    raise PlanSyntaxError(str(exc), lineno) from None
             else:
                 raise PlanSyntaxError(f"unknown rule kind {kind!r}", lineno)
 
@@ -217,7 +208,7 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
 
 def load_plan(path) -> GenerationPlan:
     path = Path(path)
-    return parse_plan(path.read_text(encoding="utf-8"), path.parent)
+    return parse_plan(read_text(path, PlanError), path.parent)
 
 
 @dataclass(frozen=True)
@@ -227,12 +218,6 @@ class PlanIssue:
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.message}"
-
-
-def _overrides(rule: HomophilyPlanRule) -> dict[str, object]:
-    """The options a plan rule sets, as matching-file loader overrides."""
-    options = {"counts": rule.counts, "retries": rule.retries, "small_set": rule.small_set}
-    return {key: value for key, value in options.items() if value is not None}
 
 
 def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
@@ -285,7 +270,7 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
         if isinstance(rule, HomophilyPlanRule):
             loaded = None
             try:
-                loaded = load_matching_bn_file(rule.bn_path, defaults=_overrides(rule))
+                loaded = load_matching_bn_file(rule.bn_path, defaults=rule.options)
             except FileNotFoundError:
                 error(f"{where}: matching network file not found: {rule.bn_path}")
             except (BnError, MatchingError) as exc:
@@ -300,14 +285,7 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
                         error(f"{where}: {problem}")
                 if vacuous(loaded, Engine(loaded.bn)):
                     warning(f"{where}: link variable can never be yes (vacuous rule)")
-            produced.add(rule.link_type)
         else:
-            if not 0.0 <= rule.probability <= 1.0:
-                error(f"{where}: p outside [0, 1]")
-            try:
-                parse_pattern(rule.pattern)
-            except ValueError as exc:
-                error(f"{where}: {exc}")
             for needed in (rule.t1, rule.t2):
                 if needed not in declared:
                     error(f"{where}: source link type {needed!r} not declared")
@@ -315,7 +293,7 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
                     warning(
                         f"{where}: {needed!r} has no earlier rule creating it"
                     )
-            produced.add(rule.link_type)
+        produced.add(rule.link_type)
 
     for name in sorted(plan.interaction_weights):
         if name not in declared:
@@ -332,18 +310,6 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
     return issues
 
 
-def build_transitivity_rule(rule: TransitivePlanRule) -> TransitivityRule:
-    role1, role2 = parse_pattern(rule.pattern)
-    return TransitivityRule(
-        t1=rule.t1,
-        t2=rule.t2,
-        t3=rule.link_type,
-        probability=rule.probability,
-        pivot_role_1=role1,
-        pivot_role_2=role2,
-    )
-
-
 def build_homophily_rule(rule: HomophilyPlanRule) -> HomophilyRule:
-    loaded = load_matching_bn_file(rule.bn_path, defaults=_overrides(rule))
+    loaded = load_matching_bn_file(rule.bn_path, defaults=rule.options)
     return replace(loaded, link_type=rule.link_type)

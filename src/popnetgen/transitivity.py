@@ -41,6 +41,11 @@ class TransitivityRule:
             if role not in PIVOT_ROLES:
                 raise ValueError(f"pivot role must be one of {PIVOT_ROLES}, got {role!r}")
 
+    @property
+    def link_type(self) -> str:
+        """The type the rule creates, read as a homophily rule's is."""
+        return self.t3
+
 
 def parse_pattern(spec: str) -> tuple[str, str]:
     """Parse the plan-file pattern form '<role1>-<role2>'."""

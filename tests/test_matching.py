@@ -167,9 +167,15 @@ class TestLoadMatchingBn:
         with pytest.raises(MatchingError):
             load_matching_bn("variable x { a }\ncpt x { 1.0 }")
 
-    def test_bad_counts(self):
-        bad = SPOUSES_MATCHING.replace("counts=both", "counts=everyone")
-        with pytest.raises(MatchingError):
+    @pytest.mark.parametrize("option, header, message", [
+        ("counts=both", "counts=everyone", "counts must be one of"),
+        # a repeated option is refused, not settled by its last value
+        ("counts=both", "counts=a1 counts=both", "duplicate matching header option 'counts'"),
+        ("link=linkSpouses", "link=a1_gender link=linkSpouses", "duplicate matching header option 'link'"),
+    ])
+    def test_bad_counts(self, option, header, message):
+        bad = SPOUSES_MATCHING.replace(option, header)
+        with pytest.raises(MatchingError, match=message):
             load_matching_bn(bad)
 
     def test_defaults_override(self):

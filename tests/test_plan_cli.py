@@ -13,12 +13,12 @@ from popnetgen.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main,
 from popnetgen.plan import (
     HomophilyPlanRule,
     PlanSyntaxError,
-    TransitivePlanRule,
     load_plan,
     parse_plan,
     validate_plan,
 )
 from popnetgen.population import LinkType
+from popnetgen.transitivity import TransitivityRule
 
 REPO = Path(__file__).resolve().parent.parent
 KENYA_PLAN = REPO / "plans" / "kenya" / "kenya.plan"
@@ -105,11 +105,11 @@ class TestParsePlan:
         kinds = [type(r).__name__ for r in plan.rules]
         assert kinds == [
             "HomophilyPlanRule", "HomophilyPlanRule",
-            "TransitivePlanRule", "TransitivePlanRule",
+            "TransitivityRule", "TransitivityRule",
             "HomophilyPlanRule", "HomophilyPlanRule",
         ]
         transitive = plan.rules[2]
-        assert isinstance(transitive, TransitivePlanRule)
+        assert isinstance(transitive, TransitivityRule)
         assert (transitive.t1, transitive.t2) == ("spouses", "motherOf")
         assert transitive.probability == 1.0
 
@@ -121,6 +121,20 @@ class TestParsePlan:
         with pytest.raises(PlanSyntaxError) as err:
             parse_plan("population N=1 seed=0 attributes=x.bn\nbogus line\n", ".")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("option", ["p=1.5", "p=nan", "p=1 pattern=sideways"])
+    def test_bad_transitive_line_refused_at_its_line(self, plan_dir, capsys, option):
+        text = MINIMAL_PLAN.replace(
+            "interact pair p=1.0", f"rule transitive pair from pair pair {option}"
+        )
+        with pytest.raises(PlanSyntaxError) as raised:
+            parse_plan(text, plan_dir)
+        assert raised.value.line == 6
+        (plan_dir / "plan.txt").write_text(text)
+        for command in ("validate", "generate"):
+            assert main([command, str(plan_dir / "plan.txt")]) == EXIT_INVALID
+            err = capsys.readouterr().err
+            assert "line 6:" in err and "generating population" not in err
 
     def test_rule_order_preserved(self):
         text = (
@@ -465,6 +479,10 @@ class TestCli:
             # no id column, then ids shifted by 7: both with ten rows
             ("agents.csv", "role,RC_pair\n" + "seeker,1\n" * 10),
             ("agents.csv", "id,role,RC_pair\n" + "".join(f"{k + 7},seeker,1\n" for k in range(10))),
+            # not UTF-8: written as Latin-1, "\xff" is the byte 0xff
+            ("agents.csv", "id,role,RC_pair\n0,seeker\xff,1\n"),
+            ("edges_all.csv", "source,target,type\n0,1,pair\xff\n"),
+            ("manifest.txt", "\xff  agents.csv\n"),
         ],
     )
     def test_malformed_stats_input_is_invalid_exit(self, plan_dir, capsys, name, text):
@@ -472,9 +490,10 @@ class TestCli:
         assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
         (out / "manifest.txt").unlink()  # else the digest check refuses first
-        (out / name).write_text(text)
+        (out / name).write_text(text, encoding="latin-1")
         assert main(["stats", str(out)]) == EXIT_INVALID
-        assert "invalid network files" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid network files" in err and name in err
 
     @pytest.mark.parametrize("name", ["agents.csv", "edges_all.csv"])
     def test_stats_refuses_files_that_do_not_match_the_manifest(self, plan_dir, capsys, name):

@@ -41,7 +41,8 @@ def sometimes(rng, valid: list, invalid: list, rate: float = 1 / 16):
 
 @st.composite
 def plan_directories(draw) -> dict[str, str]:
-    """Files of one plan directory by name, ``plan.txt`` among them.
+    """Files of one plan directory by name, ``plan.txt`` among them.  Text
+    is written with ``surrogateescape``, so "\\udcff" stands for the byte 0xff.
 
     The attribute network has attributes p0, p1, ... with labels x0, x1, ...
     and ``RC_`` variables for most link types; matching files copy p0 (and
@@ -93,6 +94,9 @@ def plan_directories(draw) -> dict[str, str]:
         for name in {link_type() for _ in range(len(types) + 1)}:
             lines.append(f"interact {name} p={sometimes(rng, ['0.25', '1'], ['2'])}")
     files["plan.txt"] = "\n".join(lines) + "\n"
+    if rng.random() < 1 / 10:  # one file that is not UTF-8
+        name = sorted(files)[int(rng.integers(len(files)))]
+        files[name] = "# \udcff\n" + files[name]
     return files
 
 
@@ -112,10 +116,12 @@ def test_validate_agrees_with_generate_and_stats_with_report(files):
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         for name, text in files.items():
-            (base / name).write_text(text, encoding="utf-8")
+            (base / name).write_text(text, encoding="utf-8", errors="surrogateescape")
         plan, out = base / "plan.txt", base / "out"
         verdict, _, _ = run_cli("validate", plan)
         assert verdict in (EXIT_OK, EXIT_INVALID)
+        if any("\udcff" in text for text in files.values()):
+            assert verdict == EXIT_INVALID
         code, _, err = run_cli("generate", plan, "--out", out)
         if verdict == EXIT_INVALID:
             assert code == EXIT_INVALID
