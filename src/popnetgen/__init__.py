@@ -20,13 +20,7 @@ from .bn import (
     topological_order,
     validate,
 )
-from .inference import (
-    Engine,
-    Posterior,
-    ZeroEvidenceError,
-    posterior,
-    probability_of_evidence,
-)
+from .inference import Engine, ZeroEvidenceError
 from .matching import (
     HomophilyRule,
     RuleReport,
@@ -36,7 +30,7 @@ from .matching import (
 from .metrics import (
     ErrorReport,
     NetworkStats,
-    distribution_error,
+    build_error_report,
     graph_statistics,
     matching_error,
 )
@@ -48,7 +42,7 @@ from .population import (
     learn_marginals,
     query_candidates,
 )
-from .sampling import PrototypeSampler, sample_prototype, substream
+from .sampling import PrototypeSampler, substream
 from .transitivity import TransitivityRule, enumerate_open_triads, run_transitivity_rule
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ labels, never numbers.
 """
 from __future__ import annotations
 
+import codecs
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -309,11 +310,19 @@ def parse_bn(text: str) -> BayesianNetwork:
 
 
 def read_text(path, error: type[Exception] = BnError) -> str:
-    """A UTF-8 file's text; bytes that do not decode raise ``error`` naming the file."""
+    """A UTF-8 file's text, without a leading byte-order mark.  A directory,
+    a path through a file, or bytes that do not decode raise ``error``
+    naming the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        raise error(f"{path}: {exc.strerror}") from None
+    body = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        return body.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text at byte {exc.start}") from None
+        at = exc.start + len(data) - len(body)
+        raise error(f"{path}: not UTF-8 text at byte {at}") from None
 
 
 def load_bn(path) -> BayesianNetwork:
@@ -461,12 +470,3 @@ def serialize_bn(bn: BayesianNetwork) -> str:
                 parts.append(f"  {probs}")
         parts.append("}")
     return "\n".join(parts) + "\n"
-
-
-def check_evidence(bn: BayesianNetwork, evidence: Evidence) -> None:
-    """Raise KeyError for unknown variables or out-of-domain values."""
-    for name, value in evidence.items():
-        var = bn.variable(name)
-        if value not in var.domain:
-            raise KeyError(f"{value!r} not in domain of {name}")
-

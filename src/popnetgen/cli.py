@@ -112,6 +112,11 @@ def run(
     seed = plan.seed if seed is None else seed
     size = plan.population_size if population is None else population
     out_dir = Path(out) if out is not None else (plan.output_dir or plan.base_dir / "out")
+    if write:  # before any work: the output path must be able to become a directory
+        holder = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not holder.is_dir():
+            raise NotADirectoryError(f"cannot write to {out_dir}: {holder} is not a directory")
+        earlier = read_manifest(out_dir) or {}
 
     attribute_bn = load_bn(plan.attribute_bn_path)
     _progress(f"generating population: N={size} seed={seed}")
@@ -147,7 +152,6 @@ def run(
         learned, out_dir,
     )
     if write:
-        earlier = read_manifest(out_dir) or {}
         result.files += export_network(store, out_dir)
         if plan.interaction_weights:
             result.files.append(

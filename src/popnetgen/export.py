@@ -152,6 +152,8 @@ def export_reports(
 
 
 def _digest(path: Path) -> str:
+    if path.is_dir():
+        raise ExportError(f"{path}: Is a directory")
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

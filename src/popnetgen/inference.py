@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .bn import BayesianNetwork, Evidence, check_evidence, topological_order
+from .bn import BayesianNetwork, Evidence, topological_order
 
 
 class InferenceError(Exception):
@@ -29,14 +28,6 @@ class ZeroEvidenceError(InferenceError):
 
 class UnknownVariableError(InferenceError, KeyError):
     pass
-
-
-@dataclass(frozen=True)
-class Posterior:
-    """Marginal distribution of one variable, aligned to its domain order."""
-
-    variable: str
-    probabilities: tuple[float, ...]
 
 
 _Factor = tuple[tuple[str, ...], np.ndarray]
@@ -54,7 +45,6 @@ class Engine:
     """
 
     def __init__(self, bn: BayesianNetwork):
-        self.bn = bn
         self.order = topological_order(bn)
         self.domains = {v.name: v.domain for v in bn.variables}
         self.value_index = {
@@ -132,10 +122,9 @@ class Engine:
         """p(keep, evidence), one axis per variable of ``keep``: the evidence
         sliced out of the factors of keep, the evidence and their ancestors
         (barren variables pruned), everything else summed out."""
-        try:
-            check_evidence(self.bn, evidence)
-        except KeyError as exc:
-            raise UnknownVariableError(str(exc)) from None
+        for name, value in evidence.items():
+            if value not in self.value_index.get(name, ()):
+                raise UnknownVariableError(f"{name}={value!r} is not a value of the network")
         relevant = {*keep, *evidence}
         for name in tuple(relevant):
             relevant |= self.ancestors[name]
@@ -193,18 +182,3 @@ def _eliminate(factors: list[_Factor], keep: tuple[str, ...], domains) -> np.nda
     if union != keep:
         arr = np.transpose(arr, [union.index(v) for v in keep])
     return arr
-
-
-# ---------------------------------------------------------------------------
-# Module-level operations: each call builds its own engine
-
-
-def posterior(bn: BayesianNetwork, evidence: Evidence, query: str) -> Posterior:
-    """Exact marginal p(query | evidence)."""
-    vec = Engine(bn).posterior(evidence, query)
-    return Posterior(query, tuple(float(p) for p in vec))
-
-
-def probability_of_evidence(bn: BayesianNetwork, evidence: Evidence) -> float:
-    return Engine(bn).probability_of_evidence(evidence)
-

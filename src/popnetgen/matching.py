@@ -290,7 +290,7 @@ def run_homophily_rule(
     engine = Engine(rule.bn)
     if vacuous(rule, engine):
         return RuleReport(rule.link_type, "homophily", vacuous=True)
-    sampler = PrototypeSampler(rule.bn, engine)
+    sampler = PrototypeSampler(engine)
     report = RuleReport(rule.link_type, "homophily")
     demand = rule.link_type if rule.counts_a2 else None
     tables = class_tables(rule, engine, store)

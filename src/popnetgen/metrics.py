@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .bn import BayesianNetwork
 from .matching import RuleReport
-from .population import LearnedMarginals, PopulationStore, learn_marginals, link_matrix
+from .population import LearnedMarginals, PopulationStore, link_matrix
 from .sampling import substream
 
 EXACT_PATH_LIMIT = 20_000
@@ -53,14 +53,6 @@ class ErrorReport:
     distribution_error: float
     unobserved_rows: int
     matching_errors: dict[str, float]
-
-
-def distribution_error(store: PopulationStore, attribute_bn: BayesianNetwork) -> float:
-    """Mean absolute difference between theoretical and re-learned CPT
-    probabilities, over rows whose parent combination was observed."""
-    learned = learn_marginals(store, attribute_bn)
-    error, _, _ = distribution_error_details(learned, attribute_bn)
-    return error
 
 
 def distribution_error_details(

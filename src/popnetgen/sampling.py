@@ -16,7 +16,7 @@ import hashlib
 
 import numpy as np
 
-from .bn import BayesianNetwork, Evidence
+from .bn import Evidence
 from .inference import Engine, ZeroEvidenceError
 
 
@@ -42,18 +42,23 @@ def draw_index(probabilities, u: float) -> int:
 
 
 class PrototypeSampler:
-    """Sampler bound to one network, reusing inference work across draws.
+    """Sampler bound to one network's engine, reusing its inference work
+    across draws.
 
     When no evidence sits on a variable's descendants, its conditional given
     everything sampled so far reduces to its own CPT row, so the chain skips
     inference for that step.
     """
 
-    def __init__(self, bn: BayesianNetwork, engine: Engine | None = None):
-        self.bn = bn
-        self.engine = engine if engine is not None else Engine(bn)
+    def __init__(self, engine: Engine):
+        self.engine = engine
 
     def sample(self, evidence: Evidence, rng: np.random.Generator) -> dict[str, str]:
+        """One full assignment drawn from p(. | evidence).
+
+        Evidenced variables keep their asserted values and consume no
+        randomness; every other variable consumes exactly one uniform draw.
+        """
         if evidence and self.engine.probability_of_evidence(evidence) <= 0.0:
             raise ZeroEvidenceError(f"evidence has probability 0: {dict(evidence)}")
         assignment = dict(evidence)
@@ -67,14 +72,3 @@ class PrototypeSampler:
             idx = draw_index(probs, rng.random())
             assignment[name] = self.engine.domains[name][idx]
         return assignment
-
-
-def sample_prototype(
-    bn: BayesianNetwork, evidence: Evidence, rng: np.random.Generator
-) -> dict[str, str]:
-    """One full assignment drawn from p(. | evidence).
-
-    Evidenced variables keep their asserted values and consume no randomness;
-    every other variable consumes exactly one uniform draw.
-    """
-    return PrototypeSampler(bn).sample(evidence, rng)

@@ -15,15 +15,15 @@ import pytest
 
 from popnetgen.bn import load_bn, parse_bn
 from popnetgen.cli import run
-from popnetgen.inference import Engine, ZeroEvidenceError, posterior
+from popnetgen.inference import Engine, ZeroEvidenceError
 from popnetgen.matching import run_homophily_rule
 from popnetgen.metrics import (
-    distribution_error,
+    build_error_report,
     matching_error,
     stats_for_edges,
 )
 from popnetgen.plan import build_homophily_rule, HomophilyPlanRule, load_plan
-from popnetgen.population import LinkType, generate_population
+from popnetgen.population import LinkType, generate_population, learn_marginals
 from popnetgen.sampling import PrototypeSampler, substream
 from popnetgen.transitivity import TransitivityRule, enumerate_open_triads, run_transitivity_rule
 
@@ -98,15 +98,15 @@ def test_criterion_02_marital_table_posterior():
     bn = load_bn(REPO / "plans" / "kenya" / "attributes.bn")
     row = bn.cpts["maritalStatus"].rows[("male", "15-19")]
     assert row == (0.981, 0.019)
-    p = posterior(bn, {"gender": "male", "ageSlices": "15-19"}, "maritalStatus")
-    yes = p.probabilities[bn.domain("maritalStatus").index("yes")]
+    p = Engine(bn).posterior({"gender": "male", "ageSlices": "15-19"}, "maritalStatus")
+    yes = p[bn.domain("maritalStatus").index("yes")]
     assert yes == pytest.approx(0.019, abs=1e-12)
     ok(2, f"p(married | male, 15-19) = {yes!r}, the published 1.90%")
 
 
 def test_criterion_03_sampling_fidelity():
     bn = parse_bn(FOUR_VAR_DOC)
-    sampler = PrototypeSampler(bn)
+    sampler = PrototypeSampler(Engine(bn))
     rng = substream(2024, "acceptance/sampling")
     draws = 100_000
     t0 = time.monotonic()
@@ -146,12 +146,10 @@ def test_criterion_04_distribution_error_trend():
     bn = load_bn(REPO / "plans" / "kenya" / "attributes.bn")
     means = []
     for size in (500, 2000, 10000):
-        errors = [
-            distribution_error(
-                generate_population(bn, size, substream(seed, "population")), bn
-            )
-            for seed in SEED_BATTERY
-        ]
+        errors = []
+        for seed in SEED_BATTERY:
+            store = generate_population(bn, size, substream(seed, "population"))
+            errors.append(build_error_report(learn_marginals(store, bn), bn, []).distribution_error)
         means.append(sum(errors) / len(errors))
     assert means[0] > means[1] > means[2], means
     ok(4, "distribution error decreases over N=500/2000/10000 "

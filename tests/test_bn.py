@@ -9,6 +9,7 @@ from popnetgen.bn import (
     Cpt,
     Variable,
     parse_bn,
+    read_text,
     serialize_bn,
     topological_order,
     validate,
@@ -133,6 +134,24 @@ class TestParse:
         bn = parse_bn(MARITAL_DOC)
         assert validate(bn) == []
         assert bn.cpts["maritalStatus"].rows[("male", "15-19")] == (0.981, 0.019)
+
+
+class TestReadText:
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "g.bn"
+        path.write_bytes(b"\xef\xbb\xbfvariable g { a, b }\r\ncpt g { 0.5, 0.5 }\n")
+        assert read_text(path).splitlines() == ["variable g { a, b }", "cpt g { 0.5, 0.5 }"]
+
+    @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"])
+    def test_undecodable_byte_counted_from_the_file_start(self, tmp_path, prefix):
+        path = tmp_path / "g.bn"
+        path.write_bytes(prefix + b"# \xff\n")
+        with pytest.raises(ValueError, match=f"not UTF-8 text at byte {len(prefix) + 2}$"):
+            read_text(path, ValueError)
+
+    def test_directory_raises_the_given_error(self, tmp_path):
+        with pytest.raises(ValueError, match="Is a directory"):
+            read_text(tmp_path, ValueError)
 
 
 class TestValidate:

@@ -9,7 +9,6 @@ from popnetgen.bn import parse_bn
 from popnetgen.matching import RuleReport
 from popnetgen.metrics import (
     build_error_report,
-    distribution_error,
     distribution_error_details,
     matching_error,
     stats_for_edges,
@@ -266,16 +265,16 @@ class TestDistributionError:
     def test_fair_coin_bounded(self):
         bn = parse_bn(ATTR_DOC)
         store = generate_population(bn, 10_000, substream(1, "p"))
-        assert distribution_error(store, bn) <= 0.015
+        assert build_error_report(learn_marginals(store, bn), bn, []).distribution_error <= 0.015
 
     def test_decreases_with_population_size(self):
         bn = parse_bn(ATTR_DOC)
         means = []
         for n in (100, 1000, 10000):
-            errors = [
-                distribution_error(generate_population(bn, n, substream(s, "p")), bn)
-                for s in range(10)
-            ]
+            errors = []
+            for s in range(10):
+                store = generate_population(bn, n, substream(s, "p"))
+                errors.append(build_error_report(learn_marginals(store, bn), bn, []).distribution_error)
             means.append(sum(errors) / len(errors))
         assert means[0] > means[1] > means[2]
 

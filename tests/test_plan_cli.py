@@ -425,11 +425,43 @@ class TestCli:
     def test_missing_plan_file(self, tmp_path):
         assert main(["generate", str(tmp_path / "nope.plan")]) == EXIT_INVALID
 
-    def test_unwritable_output_is_runtime_exit(self, plan_dir):
+    def test_unwritable_output_is_runtime_exit(self, plan_dir, capsys):
+        # refused before any agent is drawn, also for a path under the file
         blocker = plan_dir / "blocked"
         blocker.write_text("not a directory")
-        code = main(["generate", str(plan_dir / "plan.txt"), "--out", str(blocker)])
-        assert code == EXIT_RUNTIME
+        for out in (blocker, blocker / "sub"):
+            code = main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)])
+            assert code == EXIT_RUNTIME
+            err = capsys.readouterr().err
+            assert f"{blocker} is not a directory" in err
+            assert "generating population" not in err and "Traceback" not in err
+        assert blocker.read_text() == "not a directory"
+
+    def test_byte_order_marks_change_no_output(self, plan_dir, capsys):
+        plan = str(plan_dir / "plan.txt")
+        assert main(["generate", plan, "--out", str(plan_dir / "plain")]) == EXIT_OK
+        for name in ("plan.txt", "attributes.bn", "pair.bn"):
+            path = plan_dir / name
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["validate", plan]) == EXIT_OK
+        assert main(["generate", plan, "--out", str(plan_dir / "marked")]) == EXIT_OK
+        names = sorted(p.name for p in (plan_dir / "plain").iterdir())
+        assert names == sorted(p.name for p in (plan_dir / "marked").iterdir())
+        for name in names:
+            assert (plan_dir / "plain" / name).read_bytes() == (plan_dir / "marked" / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["plan.txt", "attributes.bn", "pair.bn"])
+    def test_directory_in_place_of_an_input_is_invalid_exit(self, plan_dir, capsys, name):
+        (plan_dir / name).unlink()
+        (plan_dir / name).mkdir()
+        assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert f"{plan_dir / name}: Is a directory" in captured.out + captured.err
+        out = plan_dir / "o"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "generating population" not in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_broken_bn_is_invalid_exit(self, plan_dir):
         (plan_dir / "attributes.bn").write_text("variable g { a, b }\ncpt g { 0.9, 0.9 }\n")
@@ -494,6 +526,31 @@ class TestCli:
         assert main(["stats", str(out)]) == EXIT_INVALID
         err = capsys.readouterr().err
         assert "invalid network files" in err and name in err
+
+    def test_path_through_a_file_is_invalid_exit(self, plan_dir, capsys):
+        (plan_dir / "plan.txt").write_text(MINIMAL_PLAN.replace("bn=pair.bn", "bn=pair.bn/x.bn"))
+        assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_INVALID
+        assert f"{plan_dir / 'pair.bn' / 'x.bn'}: Not a directory" in capsys.readouterr().out
+        assert main(["stats", str(plan_dir / "plan.txt")]) == EXIT_INVALID
+        assert "invalid network files" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, keep_manifest",
+        [("agents.csv", True), ("agents.csv", False), ("edges_all.csv", True),
+         ("edges_all.csv", False), ("manifest.txt", False)],
+    )
+    def test_stats_refuses_a_directory_in_place_of_a_file(self, plan_dir, capsys, name, keep_manifest):
+        out = plan_dir / "cli_out"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        if not keep_manifest:
+            (out / "manifest.txt").unlink()
+        if (out / name).exists():
+            (out / name).unlink()
+        (out / name).mkdir()
+        assert main(["stats", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"invalid network files: {out / name}: Is a directory" in err
 
     @pytest.mark.parametrize("name", ["agents.csv", "edges_all.csv"])
     def test_stats_refuses_files_that_do_not_match_the_manifest(self, plan_dir, capsys, name):

@@ -40,9 +40,10 @@ def sometimes(rng, valid: list, invalid: list, rate: float = 1 / 16):
 
 
 @st.composite
-def plan_directories(draw) -> dict[str, str]:
+def plan_directories(draw) -> dict[str, str | None]:
     """Files of one plan directory by name, ``plan.txt`` among them.  Text
-    is written with ``surrogateescape``, so "\\udcff" stands for the byte 0xff.
+    is written with ``surrogateescape``, so "\\udcff" stands for the byte 0xff;
+    a leading "\\ufeff" is a byte-order mark, and None a directory.
 
     The attribute network has attributes p0, p1, ... with labels x0, x1, ...
     and ``RC_`` variables for most link types; matching files copy p0 (and
@@ -97,7 +98,23 @@ def plan_directories(draw) -> dict[str, str]:
     if rng.random() < 1 / 10:  # one file that is not UTF-8
         name = sorted(files)[int(rng.integers(len(files)))]
         files[name] = "# \udcff\n" + files[name]
+    for name in sorted(files):
+        if rng.random() < 1 / 8:
+            files[name] = "\ufeff" + files[name]
+    if rng.random() < 1 / 8:  # a directory in place of a network file
+        networks = sorted(name for name in files if name != "plan.txt")
+        files[networks[int(rng.integers(len(networks)))]] = None
     return files
+
+
+def write_files(base: Path, files: dict[str, str | None], marks: bool = True) -> None:
+    """The plan directory on disk; ``marks=False`` drops the byte-order marks."""
+    for name, text in files.items():
+        if text is None:
+            (base / name).mkdir(exist_ok=True)
+        else:
+            text = text if marks else text.removeprefix("\ufeff")
+            (base / name).write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def run_cli(*args) -> tuple[int, str, str]:
@@ -115,12 +132,20 @@ def run_cli(*args) -> tuple[int, str, str]:
 def test_validate_agrees_with_generate_and_stats_with_report(files):
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
-        for name, text in files.items():
-            (base / name).write_text(text, encoding="utf-8", errors="surrogateescape")
         plan, out = base / "plan.txt", base / "out"
+        texts = [text for text in files.values() if text is not None]
+        marked = any(text.startswith("\ufeff") for text in texts)
+        if marked and not any("\udcff" in text for text in texts):
+            # a byte-order mark changes nothing validate prints; an
+            # undecodable byte's offset counts the mark
+            write_files(base, files, marks=False)
+            unmarked = run_cli("validate", plan)
+            write_files(base, files)
+            assert run_cli("validate", plan) == unmarked
+        write_files(base, files)
         verdict, _, _ = run_cli("validate", plan)
         assert verdict in (EXIT_OK, EXIT_INVALID)
-        if any("\udcff" in text for text in files.values()):
+        if None in files.values() or any("\udcff" in text for text in texts):
             assert verdict == EXIT_INVALID
         code, _, err = run_cli("generate", plan, "--out", out)
         if verdict == EXIT_INVALID:

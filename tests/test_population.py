@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popnetgen.bn import BayesianNetwork, Cpt, parse_bn
+from popnetgen.inference import Engine
 from popnetgen.population import (
     DemandExceededError,
     DyadOccupiedError,
@@ -94,7 +95,7 @@ class TestGeneratePopulation:
             for name, cpt in bn.cpts.items()
         })
         store = generate_population(bn, size, substream(seed, "p"))
-        sampler, rng = PrototypeSampler(bn), substream(seed, "p")
+        sampler, rng = PrototypeSampler(Engine(bn)), substream(seed, "p")
         expected = [sampler.sample({}, rng) for _ in range(size)]
         assert [store.attributes(i) for i in range(size)] == expected
 

@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 
 from popnetgen.bn import parse_bn
-from popnetgen.inference import ZeroEvidenceError
-from popnetgen.sampling import PrototypeSampler, draw_index, sample_prototype, substream
+from popnetgen.inference import Engine, ZeroEvidenceError
+from popnetgen.sampling import PrototypeSampler, draw_index, substream
 
 from helpers import enum_joint_items
 
@@ -82,10 +82,10 @@ class TestDrawIndex:
 
 class TestSamplePrototype:
     def test_deterministic_slice_from_age_evidence(self):
-        bn = parse_bn(AGE_SLICE_DOC)
+        sampler = PrototypeSampler(Engine(parse_bn(AGE_SLICE_DOC)))
         rng = substream(0, "t")
         for _ in range(50):
-            proto = sample_prototype(bn, {"ageDetail": "7"}, rng)
+            proto = sampler.sample({"ageDetail": "7"}, rng)
             assert proto["ageDetail"] == "7"
             assert proto["ageSlice"] == "0-14"
 
@@ -97,29 +97,27 @@ class TestSamplePrototype:
         cpt s | r { x: 0.0, 1.0
           y: 1.0, 0.0 }
         """
-        bn = parse_bn(doc)
+        sampler = PrototypeSampler(Engine(parse_bn(doc)))
         rng = substream(1, "t")
-        assert all(
-            sample_prototype(bn, {}, rng) == {"r": "x", "s": "y"} for _ in range(20)
-        )
+        assert all(sampler.sample({}, rng) == {"r": "x", "s": "y"} for _ in range(20))
 
     def test_contradictory_evidence_raises(self):
-        bn = parse_bn("variable g { a, b }\ncpt g { 1.0, 0.0 }")
+        sampler = PrototypeSampler(Engine(parse_bn("variable g { a, b }\ncpt g { 1.0, 0.0 }")))
         with pytest.raises(ZeroEvidenceError):
-            sample_prototype(bn, {"g": "b"}, substream(0, "t"))
+            sampler.sample({"g": "b"}, substream(0, "t"))
 
     def test_reproducible_sequences(self):
         bn = parse_bn(FOUR_VAR_DOC)
-        first = [sample_prototype(bn, {}, substream(9, "s")) for _ in range(1)]
+        first = [PrototypeSampler(Engine(bn)).sample({}, substream(9, "s")) for _ in range(1)]
         runs = []
         for _ in range(2):
-            rng = substream(9, "s")
-            runs.append([sample_prototype(bn, {}, rng) for _ in range(100)])
+            sampler, rng = PrototypeSampler(Engine(bn)), substream(9, "s")
+            runs.append([sampler.sample({}, rng) for _ in range(100)])
         assert runs[0] == runs[1]
         assert runs[0][0] == first[0]
 
     def _assert_matches_conditional_joint(self, bn, evidence, draws, seed):
-        sampler = PrototypeSampler(bn)
+        sampler = PrototypeSampler(Engine(bn))
         rng = substream(seed, "battery")
         counts = Counter()
         for _ in range(draws):
@@ -151,19 +149,20 @@ class TestSamplePrototype:
         self._assert_matches_conditional_joint(bn, {}, 20_000, seed=55)
 
     def test_evidence_always_carried_through(self):
-        bn = parse_bn(FOUR_VAR_DOC)
+        sampler = PrototypeSampler(Engine(parse_bn(FOUR_VAR_DOC)))
         rng = substream(3, "t")
         for _ in range(200):
-            proto = sample_prototype(bn, {"b": "b2", "d": "d1"}, rng)
+            proto = sampler.sample({"b": "b2", "d": "d1"}, rng)
             assert proto["b"] == "b2" and proto["d"] == "d1"
 
     def test_one_uniform_per_unevidenced_variable(self):
         # two samplers fed the same stream stay aligned when evidence only
         # removes variables from the draw sequence
         bn = parse_bn(FOUR_VAR_DOC)
+        sampler_a, sampler_b = PrototypeSampler(Engine(bn)), PrototypeSampler(Engine(bn))
         rng_a = substream(4, "t")
         rng_b = substream(4, "t")
         for _ in range(50):
-            sample_prototype(bn, {}, rng_a)
-            sample_prototype(bn, {}, rng_b)
+            sampler_a.sample({}, rng_a)
+            sampler_b.sample({}, rng_b)
         assert rng_a.random() == rng_b.random()
