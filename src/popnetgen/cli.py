@@ -23,6 +23,7 @@ from .export import (
     export_network,
     export_reports,
     manifest_link_types,
+    output_names,
     read_agents,
     read_edges_all,
     read_manifest,
@@ -116,6 +117,12 @@ def run(
         holder = next(p for p in (out_dir, *out_dir.parents) if p.exists())
         if not holder.is_dir():
             raise NotADirectoryError(f"cannot write to {out_dir}: {holder} is not a directory")
+        names = output_names(
+            (lt.name for lt in plan.link_types), size, bool(plan.interaction_weights)
+        )
+        for path in (out_dir / name for name in names):
+            if path.exists() and not path.is_file():
+                raise FileExistsError(f"cannot write {path}: it is not a file")
         earlier = read_manifest(out_dir) or {}
 
     attribute_bn = load_bn(plan.attribute_bn_path)

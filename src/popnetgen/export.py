@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +39,20 @@ def _write(path: Path, text: str) -> Path:
 def _sorted(ends: np.ndarray) -> np.ndarray:
     """Rows ordered by source, then target."""
     return ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+
+
+def output_names(link_types: Iterable[str], agents: int, interaction: bool) -> list[str]:
+    """Names of the files a run of ``agents`` agents writes into its output
+    directory, ``interaction.csv`` only with ``interaction``."""
+    names = ["agents.csv", *(f"edges_{name}.csv" for name in link_types), "edges_all.csv"]
+    if agents <= DOT_NODE_LIMIT:
+        names.append("network.dot")
+    if interaction:
+        names.append("interaction.csv")
+    names.append("report.txt")
+    if agents > 0:
+        names.append("learned_attributes.bn")
+    return [*names, MANIFEST]
 
 
 def export_network(store: PopulationStore, out_dir) -> list[Path]:

@@ -5,9 +5,10 @@ A matching network contains prefixed copies of both agents' attributes
 boolean link variable whose posterior given both attribute sets is the
 probability that the pair may be linked.  One elimination per rule gives
 that probability for every pair of agent classes; zero-pruning it per copied
-attribute yields the candidate sets.  Pairing then proceeds by prototype
-search against the store with an accept/reject fallback over the
-conditional candidate set.
+attribute yields the candidate sets.  Pairing then works on classes: a
+prototype's a2 class is drawn from the same elimination, the fallback scans
+the classes with available agents, and the agents a rule may still pick sit
+in one bucket per a2 class, so a link slot costs O(classes + degree).
 """
 from __future__ import annotations
 
@@ -20,8 +21,10 @@ import numpy as np
 
 from .bn import BayesianNetwork, parse_bn, read_text
 from .inference import Engine
-from .population import PopulationStore, query_candidates
-from .sampling import PrototypeSampler
+from .population import PopulationStore
+# Unused here; bench/tracing.py patches and subclasses these two names.
+from .population import query_candidates  # noqa: F401
+from .sampling import PrototypeSampler  # noqa: F401
 
 LINK_YES = "yes"
 LINK_NO = "no"
@@ -231,7 +234,9 @@ class ClassTables(NamedTuple):
     label of c1 is possible with link = yes; ``box[c1, c2]`` when each label
     of c2 is possible with c1's labels and link = yes.  Both are products of
     per-attribute supports, so they may admit classes whose compatibility
-    is 0.
+    is 0.  ``cdf[c1]`` is the running sum over c2 of p(c1's labels, c2's
+    labels, link = yes), one row per class but the extra one: inverting it
+    draws a prototype's a2 class.
     """
 
     a1_class: np.ndarray
@@ -239,6 +244,7 @@ class ClassTables(NamedTuple):
     compat: np.ndarray
     members: np.ndarray
     box: np.ndarray
+    cdf: np.ndarray
 
 
 def class_tables(rule: HomophilyRule, engine: Engine, store: PopulationStore) -> ClassTables:
@@ -246,13 +252,14 @@ def class_tables(rule: HomophilyRule, engine: Engine, store: PopulationStore) ->
     each copied variable and the link variable."""
     a1, a2 = rule.a1_map(), rule.a2_map()
     joint = engine.joint((*a1, *a2, rule.link_variable))
-    pair = joint.sum(axis=-1)
     yes = joint[..., engine.value_index[rule.link_variable][LINK_YES]]
-    compat = np.divide(yes, pair, out=np.zeros_like(pair), where=pair > 0.0)
-    del joint, pair, yes  # the spouses joint alone holds 4 MB
+    n1 = math.prod(yes.shape[:len(a1)])
+    cdf = np.cumsum(yes.reshape(n1, -1), axis=1)
+    compat = joint.sum(axis=-1)
+    np.divide(yes, compat, out=compat, where=compat > 0.0)
+    del joint, yes  # the spouses joint alone holds 4 MB
     possible = compat > 0.0
     side1, side2 = range(len(a1)), range(len(a1), possible.ndim)
-    n1 = math.prod(possible.shape[:len(a1)])
 
     def support(axis: int, keep=()) -> np.ndarray:
         """Labels of copy ``axis`` possible with link = yes, for each
@@ -272,7 +279,51 @@ def class_tables(rule: HomophilyRule, engine: Engine, store: PopulationStore) ->
         np.pad(compat.reshape(n1, -1), outside),
         np.append(members, False),
         np.pad(box, outside),
+        cdf,
     )
+
+
+class ClassBuckets:
+    """The agents a homophily rule may still pick, grouped by a2 class.
+
+    One array holds them all: class c owns ``ids[start[c]:start[c] +
+    size[c]]``, in no particular order, and ``where[agent]`` is the agent's
+    index in ``ids``, or -1 when it is in no bucket.
+    """
+
+    def __init__(self, a2_class: np.ndarray, classes: int, open_ids: np.ndarray):
+        self.a2_class = a2_class
+        self.ids = open_ids[np.argsort(a2_class[open_ids], kind="stable")]
+        self.size = np.bincount(a2_class[self.ids], minlength=classes)
+        self.start = np.cumsum(self.size) - self.size
+        self.where = np.full(len(a2_class), -1, dtype=np.intp)
+        self.where[self.ids] = np.arange(len(self.ids))
+
+    def remove(self, agent: int) -> None:
+        """Take the agent out of its bucket: the last agent of its class
+        moves into its place."""
+        c = self.a2_class[agent]
+        i, last = self.where[agent], self.start[c] + self.size[c] - 1
+        moved = self.ids[last]
+        self.ids[i] = moved
+        self.where[moved] = i
+        self.where[agent] = -1
+        self.size[c] -= 1
+
+    def available(self, taken: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per class, the number of its agents not in ``taken``; and the
+        agents of ``taken`` that are in a bucket."""
+        taken = taken[self.where[taken] >= 0]
+        return self.size - np.bincount(self.a2_class[taken], minlength=len(self.size)), taken
+
+    def pick(self, c: int, k: int, taken: np.ndarray) -> int:
+        """The agent at index k of class c's bucket once the agents of
+        ``taken`` (each in a bucket) are skipped."""
+        for skipped in np.sort(self.where[taken[self.a2_class[taken] == c]]).tolist():
+            if skipped > self.start[c] + k:
+                break
+            k += 1
+        return int(self.ids[self.start[c] + k])
 
 
 def run_homophily_rule(
@@ -282,51 +333,51 @@ def run_homophily_rule(
 
     Side-1 agents take turns in random order.  An agent's turn has one slot
     per open link when the rule counts side 1, otherwise one slot.  A slot
-    tries prototypes, then the fallback scan; when both find nobody the
-    agent is an orphan and its turn ends.  Shortfalls never raise; they
-    surface in the report.  Every created link passes the dyad-uniqueness
-    and demand checks of the store.
+    picks an a2 class by prototype draws, then by the fallback scan, and
+    then a uniform available agent of that class; when both find no class
+    the agent is an orphan and its turn ends.  An agent is available to a1
+    when it is not a1, shares no dyad with a1 and, when the rule counts
+    side 2, has open demand.  Shortfalls never raise; they surface in the
+    report.  Every created link passes the dyad-uniqueness and demand
+    checks of the store.
     """
     engine = Engine(rule.bn)
     if vacuous(rule, engine):
         return RuleReport(rule.link_type, "homophily", vacuous=True)
-    sampler = PrototypeSampler(engine)
     report = RuleReport(rule.link_type, "homophily")
-    demand = rule.link_type if rule.counts_a2 else None
     tables = class_tables(rule, engine, store)
-    a2_vars = tuple(rule.a2_map())
-    a2_dims = tuple(len(engine.domains[v]) for v in a2_vars)
+    if rule.counts_a2:
+        open_ids = np.flatnonzero(store.remaining(rule.link_type) > 0)
+    else:
+        open_ids = np.arange(len(store))
+    buckets = ClassBuckets(tables.a2_class, tables.compat.shape[1], open_ids)
 
-    def prototype(a1: int, pool: np.ndarray) -> int | None:
-        """Draw up to ``retries`` prototypes given a1's labels and link = yes,
-        and pick uniformly among the agents of ``pool`` in the first drawn a2
-        class that has any; None when every draw misses."""
-        labels = store.attributes(a1)
-        evidence = {rule.link_variable: LINK_YES}
-        evidence.update((v, labels[attribute]) for v, attribute in rule.a1_map().items())
+    def prototype(c1: int, available: np.ndarray) -> int | None:
+        """Draw up to ``retries`` a2 classes from p(a2 class | c1, link =
+        yes), one uniform each; the first with an available agent, or None
+        when every draw misses."""
+        cdf = tables.cdf[c1]  # c1's box is not empty, so cdf[-1] > 0
         for _ in range(rule.retries):
-            drawn = sampler.sample(evidence, rng)
-            c2 = np.ravel_multi_index(
-                tuple(engine.value_index[v][drawn[v]] for v in a2_vars), a2_dims
-            )
-            matches = pool[tables.a2_class[pool] == c2]
-            if len(matches):
-                return int(matches[rng.integers(len(matches))])
+            c2 = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+            if available[c2]:
+                return c2
         return None
 
-    def fallback(a1: int, pool: np.ndarray) -> int | None:
-        """Uniform draw with compatibility-proportional acceptance; rejected
-        candidates leave the pool, so the scan always terminates."""
-        compat = tables.compat[tables.a1_class[a1], tables.a2_class[pool]].tolist()
-        max_compat = max(compat, default=0.0)
+    def fallback(c1: int, box: np.ndarray, left: np.ndarray) -> int | None:
+        """Uniform draws of available agents without replacement, each kept
+        with probability compatibility / its largest value over them, run
+        by class: the class of a draw is picked by its count ``left`` of
+        undrawn agents, and a rejection takes one from that count."""
+        compat = tables.compat[c1, box]
+        max_compat = compat.max(initial=0.0, where=left > 0)
         if max_compat <= 0.0:
             return None
-        remaining = list(zip(pool.tolist(), compat))
-        while remaining:
-            candidate, c = remaining.pop(int(rng.integers(len(remaining))))
-            if c > 0.0 and rng.random() < c / max_compat:
-                return candidate
+        for total in range(int(left.sum()), 0, -1):
+            k = int(np.searchsorted(np.cumsum(left), rng.integers(total), side="right"))
+            if compat[k] > 0.0 and rng.random() < compat[k] / max_compat:
+                return int(box[k])
             report.fallback_rejections += 1
+            left[k] -= 1
         return None
 
     members = np.flatnonzero(tables.members[tables.a1_class])
@@ -340,16 +391,21 @@ def run_homophily_rule(
     for a1 in members[rng.permutation(len(members))].tolist():
         # Only a1's own links change its demand during its turn.
         slots = store.remaining(rule.link_type, a1) if rule.counts_a1 else 1
-        base = np.flatnonzero(tables.box[tables.a1_class[a1]][tables.a2_class])
+        c1 = tables.a1_class[a1]
+        box = np.flatnonzero(tables.box[c1])
         for _ in range(slots):
-            pool = query_candidates(store, base, demand, a1)
-            a2 = prototype(a1, pool) if len(pool) >= max(rule.small_set, 1) else None
-            by_prototype = a2 is not None
-            if a2 is None:
-                a2 = fallback(a1, pool)
-            if a2 is None:
+            available, taken = buckets.available(np.array([a1, *store.partners_of(a1)]))
+            candidates = available[box]
+            c2 = None
+            if candidates.sum() >= max(rule.small_set, 1):
+                c2 = prototype(c1, available)
+            by_prototype = c2 is not None
+            if c2 is None:
+                c2 = fallback(c1, box, candidates)
+            if c2 is None:
                 report.orphan_agents += 1
                 break
+            a2 = buckets.pick(c2, int(rng.integers(available[c2])), taken)
             store.record_link(
                 a1, a2, rule.link_type,
                 count_source=rule.counts_a1, count_target=rule.counts_a2, enforce_demand=True,
@@ -357,6 +413,10 @@ def run_homophily_rule(
             report.links_created += 1
             report.prototype_links += by_prototype
             report.fallback_links += not by_prototype
+            if rule.counts_a2:
+                for agent in (a1, a2) if rule.counts_a1 else (a2,):
+                    if store.remaining(rule.link_type, agent) == 0:
+                        buckets.remove(agent)
 
     if rule.counts_a1:
         report.unfulfilled = int(store.remaining(rule.link_type, members).sum())

@@ -57,24 +57,22 @@ class ErrorReport:
 
 def distribution_error_details(
     learned: LearnedMarginals, attribute_bn: BayesianNetwork
-) -> tuple[float, int, int]:
-    """(mean absolute error, observed row count, unobserved row count) of the
-    marginals learned from a population against the network it came from."""
+) -> tuple[float, int]:
+    """(mean absolute error, unobserved row count) of the marginals learned
+    from a population against the network it came from."""
     unobserved = set(learned.unobserved)
     total = 0.0
     entries = 0
-    observed_rows = 0
     for variable in attribute_bn.variables:
         theory = attribute_bn.cpts[variable.name]
         estimate = learned.bn.cpts[variable.name]
         for combo, probs in theory.rows.items():
             if (variable.name, combo) in unobserved:
                 continue
-            observed_rows += 1
             for p, q in zip(probs, estimate.rows[combo]):
                 total += abs(p - q)
                 entries += 1
-    return (total / entries if entries else 0.0), observed_rows, len(unobserved)
+    return (total / entries if entries else 0.0), len(unobserved)
 
 
 def matching_error(reports: Iterable[RuleReport]) -> dict[str, float]:
@@ -98,7 +96,7 @@ def build_error_report(
     attribute_bn: BayesianNetwork,
     reports: Iterable[RuleReport],
 ) -> ErrorReport:
-    error, _, unobserved = distribution_error_details(learned, attribute_bn)
+    error, unobserved = distribution_error_details(learned, attribute_bn)
     return ErrorReport(error, unobserved, matching_error(reports))
 
 

@@ -6,6 +6,7 @@ statistics from cubic triangle scans and plain BFS.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from pathlib import Path
 
@@ -102,6 +103,30 @@ def link_probability(engine: Engine, rule, a1: dict[str, str], a2: dict[str, str
     except ZeroEvidenceError:
         return 0.0
     return float(vec[engine.value_index[rule.link_variable]["yes"]])
+
+
+def scan_pick_law(compat: list[float]) -> list[float]:
+    """Exact law of the accept/reject scan over a pool of candidates with
+    compatibilities ``compat``: candidates are drawn uniformly without
+    replacement and each is kept with probability compat / the pool's
+    largest compat; a rejected one leaves the pool.  Returns the probability
+    that each candidate is picked, then that none is.  Recursion over the
+    set of candidates not yet drawn."""
+    top = max(compat, default=0.0)
+    if top <= 0.0:
+        return [0.0] * len(compat) + [1.0]
+
+    @functools.cache
+    def law(left: frozenset[int]) -> tuple[float, ...]:
+        out = [0.0] * len(compat) + [0.0 if left else 1.0]
+        for i in left:
+            keep = compat[i] / top
+            out[i] += keep / len(left)
+            for j, p in enumerate(law(left - {i})):
+                out[j] += (1.0 - keep) / len(left) * p
+        return tuple(out)
+
+    return list(law(frozenset(range(len(compat)))))
 
 
 # -- joint enumeration oracle -------------------------------------------------

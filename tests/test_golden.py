@@ -1,4 +1,9 @@
-"""Pinned digests of full runs: refactors must leave every byte."""
+"""Pinned digests of full runs: refactors must leave every byte.
+
+Recorded at the class-level homophily matcher, which draws prototype
+classes from the rule's class table and picks partners from per-class
+buckets; its random stream differs from the earlier per-agent matcher's,
+so these digests differ from those of earlier versions."""
 import hashlib
 import shutil
 from pathlib import Path
@@ -12,17 +17,17 @@ KENYA_PLAN = KENYA_DIR / "kenya.plan"
 # plans/kenya/kenya.plan at N=2000, seed 42.
 GOLDEN_SHA256 = {
     "agents.csv": "77634d1e1977e9bfa59225044117f0a5601d6430f7d99839526b5bf8bc0823ea",
-    "edges_all.csv": "e7700c3957bb8321bf5852545a40724878546589ece10406ae48dcd79fc8d7cb",
-    "report.txt": "9dfd8a49a8b28aff448564f0f4cc7c6d942444322f964bf115570925b86461f1",
+    "edges_all.csv": "68124e39917664d5ae07f97f33d61f7de48d86d0aab13acf2e51c77bc724575a",
+    "report.txt": "ebe9236e6e125898ff1eb96e9da0d19d4bf237ed16ca0d9eb964c705bf5f0419",
     "learned_attributes.bn": "8e946573f44f9a95c257625ef17d3ca8bb1aa866d4c9c67bd1913fd5e5908e96",
-    "edges_colleagues.csv": "a5a0d5ffb410f76c7ef5157a6c1390c79246ecae3df2f72662a82612c6a60c76",
-    "edges_fatherOf.csv": "770dc164e815d086d91bf3b9fa725ae44a47dcb60bcf7dd39328d993c34f521f",
-    "edges_friendship.csv": "c85214221ee090795d9160f62770d8b8c53fe83866ba9df9821e675ec137120c",
-    "edges_motherOf.csv": "0f5434a9a5b6d47b9fb0d31c10d4b94f1aee971b1de6751c789379ec2cf34679",
-    "edges_siblings.csv": "d3e538d2794455528f17e922e63f8247f7e2c6c8c44785ec0e345e59c276dda6",
-    "edges_spouses.csv": "95b413f77dd18c5ddfe5503308ea1ddedf40567d60dccd548802b3d8b3a57d6c",
-    "interaction.csv": "82cc00a5e46d8fa8388d159dacc9553adce8cd7f3858c7840a8a1d6aa5f2631f",
-    "network.dot": "dccfc47ab98fdb9f41058a742464e4f57bfb5f0cee016a33b5271bed55467aec",
+    "edges_colleagues.csv": "daeba95b3525080c0715bcf82679883bf0bed532e14d2e4daa03af9e47508afb",
+    "edges_fatherOf.csv": "b051a36cef5a4f043b301b04d33699c9dd994091eb8a176847411fbacfd0d8e4",
+    "edges_friendship.csv": "727f557f08b69b31a29829893556e65b1b9e9db7440f834753f41b0d69477d70",
+    "edges_motherOf.csv": "79b14029cedb2bcf7911e08c42a47e734214ba3e0d48cda5c294b84501914a12",
+    "edges_siblings.csv": "98b9e745bcdd7618df5b035a755d4921aeab320f27c72d8ac5f9d87e8eca55ff",
+    "edges_spouses.csv": "072bc4e3dd873016e91f4b9f5dad7049060816a5633b38105f151a76eecef2a4",
+    "interaction.csv": "d9fa10dd3a7802dcce1f3f790e73d654823ec8751f8d44d6776bfb7f9b6e385c",
+    "network.dot": "0a6dee779ab70414dbf6eef53cff38772e05d360395a3e0fb133aa84c0ec0777",
 }
 
 # The Kenya rules all use counts=both and the default options; this plan
@@ -46,8 +51,8 @@ rule homophily friendship bn=friendship.bn counts=both smallset=3 retries=2
 """
 
 MIXED_SHA256 = {
-    "edges_all.csv": "2807095b85ce7bb47d3539fd6d55a7c31b29773732442b10b6496f888a4fdab8",
-    "report.txt": "25654a4a0632d28a4715aec66dd207a68e247dbd7729234605aa162e3732fafd",
+    "edges_all.csv": "34e3cc14151dd70b2502cb516111214c46399c9e77f2e44a980bf2aed691af43",
+    "report.txt": "848e380d3596ce2505ac12a6206ad38b3bda47873e25b08538a20898a5b9799c",
 }
 
 

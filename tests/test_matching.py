@@ -3,10 +3,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popnetgen.bn import BayesianNetwork, Cpt, Variable, parse_bn
 from popnetgen.inference import Engine
 from popnetgen.matching import (
+    COUNTS_CHOICES,
+    ClassBuckets,
     HomophilyRule,
     MatchingError,
     class_tables,
@@ -15,10 +19,10 @@ from popnetgen.matching import (
     vacuous,
     validate_rule,
 )
-from popnetgen.population import LinkType, UnknownAttributeError
+from popnetgen.population import LinkType, UnknownAttributeError, query_candidates
 from popnetgen.sampling import substream
 
-from helpers import build_store, enum_joint_items, link_probability
+from helpers import build_store, enum_joint_items, link_probability, scan_pick_law
 
 SPOUSES_MATCHING = """
 matching spouses link=linkSpouses a1=a1_ a2=a2_ counts=both
@@ -618,3 +622,147 @@ class TestRunHomophilyRule:
         store = agent_store([{"gender": "male"}, {"gender": "female"}])
         with pytest.raises(UnknownAttributeError):
             run_homophily_rule(store, spouses_rule(), substream(0, "r"))
+
+
+def seeker_target_doc(a2_prior: dict, affinity: dict) -> str:
+    """A counts=a1 rule in which seekers link to targets only: each side
+    copies role and x, a2_x has the prior ``a2_prior``, and p(link = yes)
+    of a seeker and a target is ``affinity[a1 x, a2 x]``."""
+    a1_x = list(dict.fromkeys(x1 for x1, _ in affinity))
+    rows = "\n".join(f"  {x1}, {x2}: {p}, {1.0 - p}" for (x1, x2), p in affinity.items())
+    return f"""
+    matching pair link=link a1=a1_ a2=a2_ counts=a1
+    variable a1_role {{ seeker, target }}
+    variable a2_role {{ seeker, target }}
+    variable a1_x {{ {", ".join(a1_x)} }}
+    variable a2_x {{ {", ".join(a2_prior)} }}
+    variable roleOk {{ yes, no }}
+    variable affinity {{ yes, no }}
+    variable link {{ yes, no }}
+    cpt a1_role {{ 0.5, 0.5 }}
+    cpt a2_role {{ 0.5, 0.5 }}
+    cpt a1_x {{ {", ".join([str(1 / len(a1_x))] * len(a1_x))} }}
+    cpt a2_x {{ {", ".join(map(str, a2_prior.values()))} }}
+    cpt roleOk | a1_role, a2_role {{
+      seeker, seeker: 0.0, 1.0
+      seeker, target: 1.0, 0.0
+      target, seeker: 0.0, 1.0
+      target, target: 0.0, 1.0
+    }}
+    cpt affinity | a1_x, a2_x {{
+    {rows}
+    }}
+    cpt link | roleOk, affinity {{
+      yes, yes: 1.0, 0.0
+      yes, no: 0.0, 1.0
+      no, yes: 0.0, 1.0
+      no, no: 0.0, 1.0
+    }}
+    """
+
+
+A2_PRIOR = {"u": 0.2, "v": 0.3, "w": 0.5}
+
+
+def seekers_and_targets(seekers: list[str], targets: list[str]):
+    """A store of seekers with one link to make and targets with none, by x."""
+    rows = [{"role": "seeker", "x": x} for x in seekers]
+    rows += [{"role": "target", "x": x} for x in targets]
+    return agent_store(rows, link_type="pair", rc=[1] * len(seekers) + [0] * len(targets))
+
+
+def within_three_se(counts: list[int], law: list[float]) -> bool:
+    n = sum(counts)
+    return all(abs(k / n - p) <= 3 * (p * (1 - p) / n) ** 0.5 for k, p in zip(counts, law))
+
+
+class TestDrawLaws:
+    def test_class_draws_follow_the_conditional_of_the_network(self):
+        # three targets in each a2 class and one slot per seeker: every
+        # first draw hits, so partners' classes follow p(a2 x | a1 x, yes),
+        # which weighs the a2_x prior and not the class sizes
+        affinity = {
+            ("u", "u"): 0.9, ("u", "v"): 0.5, ("u", "w"): 0.1,
+            ("v", "u"): 0.2, ("v", "v"): 0.3, ("v", "w"): 0.6,
+        }
+        rule = load_matching_bn(
+            seeker_target_doc(A2_PRIOR, affinity), defaults={"small_set": 1}
+        )
+        seekers = ["u", "v"] * 1500
+        store = seekers_and_targets(seekers, ["u", "v", "w"] * 3)
+        report = run_homophily_rule(store, rule, substream(13, "r"))
+        assert report.prototype_links == report.links_created == len(seekers)
+        for x1 in ("u", "v"):
+            weights = dict.fromkeys("uvw", 0.0)
+            for a, w in enum_joint_items(rule.bn):
+                if (a["link"], a["a1_role"], a["a1_x"]) == ("yes", "seeker", x1):
+                    weights[a["a2_x"]] += w
+            law = [w / sum(weights.values()) for w in weights.values()]
+            partners = [
+                store.attributes(target)["x"] for source, target in store.edges("pair").tolist()
+                if store.attributes(source)["x"] == x1
+            ]
+            assert within_three_se([partners.count(x2) for x2 in "uvw"], law), (x1, law)
+
+    def test_fallback_picks_follow_the_per_agent_scan(self):
+        # compatibilities 1.0, 0.5 and 0.2 inside one box; with counts=a1
+        # no target leaves the pool, so every seeker scans the same nine
+        affinity = {("u", "u"): 1.0, ("u", "v"): 0.5, ("u", "w"): 0.2}
+        rule = load_matching_bn(
+            seeker_target_doc(A2_PRIOR, affinity), defaults={"small_set": 10_000}
+        )
+        targets = ["u"] * 2 + ["v"] * 3 + ["w"] * 4
+        store = seekers_and_targets(["u"] * 4000, targets)
+        report = run_homophily_rule(store, rule, substream(14, "r"))
+        assert report.fallback_links == report.links_created
+        assert report.fallback_rejections > 0
+        law = scan_pick_law([affinity["u", x] for x in targets])
+        picked = np.bincount(store.edges("pair")[:, 1] - 4000, minlength=len(targets))
+        assert within_three_se([*picked.tolist(), report.orphan_agents], law), law
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), counts=st.sampled_from(COUNTS_CHOICES))
+def test_available_counts_match_bruteforce_pool(seed, counts):
+    """Per-class available counts, their sum over a box and the agents pick
+    walks through, against query_candidates, after links made before the
+    buckets (partners, closed demand) and links made as the matcher does."""
+    rng = np.random.default_rng(seed)
+    n, classes = int(rng.integers(1, 25)), int(rng.integers(1, 5))
+    a2_class = rng.integers(0, classes, n)
+    store = build_store(
+        [LinkType("t", False), LinkType("o", True)],
+        [{"c": "x"}] * n, [{"t": int(r)} for r in rng.integers(0, 3, n)],
+    )
+    for _ in range(int(rng.integers(0, 2 * n))):
+        a, b = rng.integers(0, n, 2).tolist()
+        if a != b and not store.dyad_used(a, b):
+            store.record_link(a, b, ("t", "o")[int(rng.integers(2))])
+    counts_a1, counts_a2 = counts in ("both", "a1"), counts in ("both", "a2")
+    demand = "t" if counts_a2 else None
+    open_ids = np.flatnonzero(store.remaining("t") > 0) if demand else np.arange(n)
+    buckets = ClassBuckets(a2_class, classes, open_ids)
+    for _ in range(int(rng.integers(0, n + 1))):
+        a1 = int(rng.integers(n))
+        pool = query_candidates(store, np.arange(n), demand, a1)
+        if not len(pool) or (counts_a1 and store.remaining("t", a1) <= 0):
+            continue
+        a2 = int(pool[rng.integers(len(pool))])
+        store.record_link(
+            a1, a2, "t", count_source=counts_a1, count_target=counts_a2,
+            enforce_demand=True,
+        )
+        if counts_a2:
+            for agent in (a1, a2) if counts_a1 else (a2,):
+                if store.remaining("t", agent) == 0:
+                    buckets.remove(agent)
+    for a1 in range(n):
+        available, taken = buckets.available(np.array([a1, *store.partners_of(a1)]))
+        pool = query_candidates(store, np.arange(n), demand, a1)
+        assert available.tolist() == np.bincount(a2_class[pool], minlength=classes).tolist()
+        box = rng.random(classes) < 0.5
+        base = np.flatnonzero(box[a2_class])
+        assert available[box].sum() == len(query_candidates(store, base, demand, a1))
+        for c in range(classes):
+            picked = [buckets.pick(c, k, taken) for k in range(available[c])]
+            assert sorted(picked) == pool[a2_class[pool] == c].tolist()

@@ -257,7 +257,7 @@ class TestDistributionError:
         bn = parse_bn(DET_DOC)
         store = generate_population(bn, 20, substream(0, "p"))
         learned = learn_marginals(store, bn)
-        error, observed, unobserved = distribution_error_details(learned, bn)
+        error, unobserved = distribution_error_details(learned, bn)
         assert error == 0.0
         # the y-row of b can never be observed under p(a=y)=0
         assert unobserved == 1

@@ -10,6 +10,7 @@ import popnetgen
 from popnetgen import cli, metrics
 from popnetgen.bn import BnCycleError, BnSyntaxError, BnValidationError, parse_bn
 from popnetgen.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run
+from popnetgen.export import output_names
 from popnetgen.plan import (
     HomophilyPlanRule,
     PlanSyntaxError,
@@ -250,11 +251,13 @@ class TestRun:
             "population N=2001 seed=1 attributes=attributes.bn\nlinktype pair undirected\n"
         )
         bare = load_plan(plan_dir / "bare.txt")
-        run(bare, out=out)  # no rules, no interact lines, too large for a dot file
+        files = run(bare, out=out).files  # no rules, no interact lines, too large for a dot file
+        assert sorted(output_names(["pair"], 2001, False)) == sorted(p.name for p in files)
         assert not (out / "network.dot").exists()
         assert not (out / "interaction.csv").exists()
         assert (out / "learned_attributes.bn").exists()
-        run(bare, population=0, out=out)  # no agents to learn from
+        files = run(bare, population=0, out=out).files  # no agents to learn from
+        assert sorted(output_names(["pair"], 0, False)) == sorted(p.name for p in files)
         assert not (out / "learned_attributes.bn").exists()
         assert (out / "network.dot").exists()
         assert (out / "notes.txt").read_text() == "kept"
@@ -266,6 +269,7 @@ class TestRun:
         lines = (out / "manifest.txt").read_text().splitlines()
         names = [line.split("  ", 1)[1] for line in lines]
         assert names == sorted(p.name for p in result.files if p.name != "manifest.txt")
+        assert sorted(output_names(["pair"], 10, True)) == sorted(p.name for p in result.files)
         for line in lines:
             digest, name = line.split("  ", 1)
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
@@ -436,6 +440,18 @@ class TestCli:
             assert f"{blocker} is not a directory" in err
             assert "generating population" not in err and "Traceback" not in err
         assert blocker.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("name", ["agents.csv", "edges_pair.csv", "report.txt", "manifest.txt"])
+    def test_output_name_taken_by_a_directory_is_runtime_exit(self, plan_dir, capsys, name):
+        # refused before any agent is drawn, so no file of the run is written
+        out = plan_dir / "o"
+        (out / name).mkdir(parents=True)
+        code = main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"cannot write {out / name}" in err
+        assert "generating population" not in err and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == [name]
 
     def test_byte_order_marks_change_no_output(self, plan_dir, capsys):
         plan = str(plan_dir / "plan.txt")
