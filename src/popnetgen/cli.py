@@ -218,7 +218,7 @@ def _cmd_stats(args) -> int:
             f"names an agent outside [0, {n})"
         )
     all_stats = [stats_for_edges(n, ends, "collapsed")]
-    for name in sorted(declared.union(np.unique(types).tolist())):
+    for name in sorted(declared.union(types.tolist())):
         all_stats.append(stats_for_edges(n, ends[types == name], name))
     print(report_text(None, all_stats, []), end="")
     return EXIT_OK

@@ -7,6 +7,10 @@ fixed number of seeded random sources (flagged as estimated).  The distance
 sum is an exact integer, taken by a bit-parallel breadth-first search from
 up to 4,096 sources at once, or by one traversal per source when the
 component is too deep for that to pay.
+The kernels are numpy on CSR arrays of sorted ``row * n + col`` keys:
+triangles from degree-oriented wedges, components by root hooking and
+pointer jumping, depth by a frontier search.  Only the per-source traversal
+uses scipy, imported when a component is that deep.
 """
 from __future__ import annotations
 
@@ -14,12 +18,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .bn import BayesianNetwork
 from .matching import RuleReport
-from .population import LearnedMarginals, PopulationStore, link_matrix
+from .population import LearnedMarginals, PopulationStore, distinct, isin_sorted, ranges
 from .sampling import substream
 
 EXACT_PATH_LIMIT = 20_000
@@ -119,24 +121,23 @@ def stats_for_edges(
     its files agree."""
     n = node_count
     ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    adjacency = link_matrix(n, ends[ends[:, 0] != ends[:, 1]], both_ways=True)
+    # Sorted row * n + col keys of both orientations, repeats dropped.
+    keys = distinct((ends[ends[:, 0] != ends[:, 1]] @ np.array([[n, 1], [1, n]])).ravel())
+    rows, cols = np.divmod(keys, n)
+    degrees = np.bincount(rows, minlength=n)
 
-    m = adjacency.nnz // 2
+    m = len(keys) // 2
     density = (2.0 * m / (n * (n - 1))) if n > 1 else 0.0
     average_degree = (2.0 * m / n) if n else 0.0
 
-    triangles = int((adjacency @ adjacency).multiply(adjacency).sum()) // 6
-    degrees = np.diff(adjacency.indptr).astype(np.int64)
+    triangles = _triangle_count(n, keys, rows, cols, degrees)
     triples = int((degrees * (degrees - 1) // 2).sum())
     clustering = (3.0 * triangles / triples) if triples else 0.0
 
-    component_count, labels = connected_components(adjacency, directed=False)
-    sizes = np.bincount(labels)
-    _, lowest_member = np.unique(labels, return_index=True)
-    # The largest component has the most nodes; a tie goes to the component
-    # holding the lowest id.  The slice is empty when there are no nodes.
-    largest = np.lexsort((lowest_member, -sizes))[:1]
-    nodes = np.flatnonzero(np.isin(labels, largest))
+    labels = _component_labels(n, rows, cols)
+    # Labels are each component's lowest id, so the first label of the most
+    # nodes is the largest component, a tie going to the one of lowest id.
+    nodes = np.flatnonzero(labels == np.argmax(np.bincount(labels, minlength=1)))
 
     apl = None
     estimated = False
@@ -148,8 +149,11 @@ def stats_for_edges(
             rng = substream(0, f"stats/{scope}/path-sample")
             sources = rng.choice(s, size=min(PATH_SAMPLE_SOURCES, s), replace=False)
             estimated = True
-        component = adjacency[nodes][:, nodes]
-        apl = _distance_sum(component, sources) / (len(sources) * (s - 1))
+        # The component's own CSR graph, its nodes renumbered 0..s-1 by id.
+        sub_indptr = np.concatenate([[0], np.cumsum(degrees[nodes])])
+        slots = ranges(np.searchsorted(rows, nodes), degrees[nodes])
+        sub_indices = np.searchsorted(nodes, cols[slots])
+        apl = _distance_sum(sub_indptr, sub_indices, sources) / (len(sources) * (s - 1))
 
     return NetworkStats(
         scope=scope,
@@ -160,26 +164,60 @@ def stats_for_edges(
         clustering=clustering,
         average_path_length=apl,
         path_length_estimated=estimated,
-        components=int(component_count),
+        components=int(np.count_nonzero(labels == np.arange(n))),
         largest_component=s,
     )
 
 
-def _distance_sum(component: csr_matrix, sources: np.ndarray) -> int:
+def _triangle_count(n, keys, rows, cols, degrees) -> int:
+    """Triangles of the symmetric CSR graph: each link points from the lower
+    to the higher (degree, id) end, and a triangle is the one wedge of two
+    out-links of its lowest end that the third link closes."""
+    up = (degrees[rows] < degrees[cols]) | ((degrees[rows] == degrees[cols]) & (rows < cols))
+    out_rows, out_cols = rows[up], cols[up]
+    out_end = np.cumsum(np.bincount(out_rows, minlength=n))[out_rows]
+    later = out_end - np.arange(len(out_rows)) - 1  # out-links of the row after this one
+    wanted = np.repeat(out_cols, later) * n + out_cols[ranges(out_end - later, later)]
+    return int(np.count_nonzero(isin_sorted(wanted, keys)))
+
+
+def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each node's component as its lowest id: every root hooks under its
+    lowest neighbouring root, then pointer jumping, until no link joins two."""
+    labels = np.arange(n)
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, labels[rows], labels[cols])
+        jumped = hooked[hooked]
+        while not np.array_equal(jumped, hooked):
+            hooked, jumped = jumped, jumped[jumped]
+        if np.array_equal(hooked, labels):
+            return labels
+        labels = hooked
+
+
+def _distance_sum(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> int:
     """Sum of the hop distances from each of ``sources`` to every node of the
-    connected undirected graph ``component``.
+    connected undirected CSR graph ``indptr``, ``indices``.
 
     Any two nodes lie within 2e of each other, e the eccentricity of node 0,
     so the bitset traversal takes at most 2e levels.  Its cost grows with
     the level count, and past ``BITSET_MAX_LEVELS`` (long chains and thin
     grids) one traversal per source is the faster."""
-    eccentricity = int(shortest_path(component, unweighted=True, indices=0).max())
+    degrees = np.diff(indptr)
+    seen = np.arange(len(degrees)) == 0
+    frontier, eccentricity = np.zeros(1, dtype=np.int64), -1
+    while len(frontier):
+        eccentricity += 1
+        reached = indices[ranges(indptr[frontier], degrees[frontier])]
+        frontier = distinct(reached[~seen[reached]])
+        seen[frontier] = True
     if 2 * eccentricity <= BITSET_MAX_LEVELS:
-        return _bitset_distance_sum(component, sources)
-    return _dijkstra_distance_sum(component, sources)
+        return _bitset_distance_sum(indptr, indices, sources)
+    return _dijkstra_distance_sum(indptr, indices, sources)
 
 
-def _bitset_distance_sum(component: csr_matrix, sources: np.ndarray) -> int:
+def _bitset_distance_sum(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> int:
     """Multi-source BFS on bitsets (Then et al., PVLDB 8(4), 2014): row r of
     ``reach`` holds one bit per source of the block, set once that source
     lies within the current level of node ``order[r]``.  A level ORs each
@@ -187,7 +225,6 @@ def _bitset_distance_sum(component: csr_matrix, sources: np.ndarray) -> int:
     (source, node) pairs at that distance.  Rows go by falling degree, so
     the nodes with a k-th neighbour are a prefix and a level is one
     gather-OR per neighbour slot k."""
-    indptr, indices = component.indptr, component.indices
     degree = np.diff(indptr)
     order = np.argsort(-degree, kind="stable")
     rank = np.argsort(order)
@@ -195,7 +232,7 @@ def _bitset_distance_sum(component: csr_matrix, sources: np.ndarray) -> int:
     slots = [
         rank[indices[indptr[order[:with_slot[k]]] + k - 1]] for k in range(1, len(with_slot))
     ]
-    s = component.shape[0]
+    s = len(degree)
     total = 0
     for start in range(0, len(sources), BITSET_BLOCK_SOURCES):
         block = rank[sources[start:start + BITSET_BLOCK_SOURCES]]
@@ -217,8 +254,13 @@ def _bitset_distance_sum(component: csr_matrix, sources: np.ndarray) -> int:
     return total
 
 
-def _dijkstra_distance_sum(component: csr_matrix, sources: np.ndarray) -> int:
-    """One traversal per source, 512 sources per call."""
+def _dijkstra_distance_sum(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> int:
+    """One traversal per source, 512 sources per call.  The only user of
+    scipy, imported here so that no shallower graph loads it."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    component = csr_matrix((np.ones(len(indices)), indices, indptr))
     total = 0
     for start in range(0, len(sources), 512):
         dist = shortest_path(

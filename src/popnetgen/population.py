@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .bn import BayesianNetwork, Cpt
 from .inference import Engine
@@ -209,17 +208,20 @@ class PopulationStore:
         return source, target
 
 
-def link_matrix(n: int, ends: np.ndarray, both_ways: bool = False) -> csr_matrix:
-    """n x n 0/1 matrix with a one at each (source, target) row of ``ends``,
-    and at (target, source) too with ``both_ways``; repeated pairs collapse.
-    int32, not int8: entries of a product count common neighbours past 127."""
-    if both_ways:
-        ends = np.concatenate([ends, ends[:, ::-1]])
-    matrix = csr_matrix(
-        (np.ones(len(ends), dtype=np.int32), (ends[:, 0], ends[:, 1])), shape=(n, n)
-    )
-    matrix.data[:] = 1
-    return matrix
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(s, s + c)`` for each start s and count c, concatenated."""
+    return np.arange(np.sum(counts)) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct non-negative ``values``, ascending; np.unique is slower."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=-1) != 0]
+
+
+def isin_sorted(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.isin(values, keys)`` for ascending ``keys``, but much faster."""
+    return np.searchsorted(keys, values, "right") > np.searchsorted(keys, values)
 
 
 def query_candidates(

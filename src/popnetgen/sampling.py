@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use; every generate needs it
 
 from .bn import Evidence
 from .inference import Engine, ZeroEvidenceError

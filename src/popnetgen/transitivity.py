@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, tril
 
 from .matching import RuleReport
-from .population import PopulationStore, UnknownLinkTypeError, link_matrix
+from .population import PopulationStore, UnknownLinkTypeError, distinct, isin_sorted, ranges
 
 PIVOT_ROLES = ("source", "target", "any")
 
@@ -57,13 +56,15 @@ def parse_pattern(spec: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _relation(store: PopulationStore, link_type: str, role: str) -> csr_matrix:
-    """Pivot x counterpart 0/1 matrix of one link type, the pivot playing
-    ``role`` in the link (either role for "any" and undirected types)."""
+def _relation(store: PopulationStore, link_type: str, role: str) -> np.ndarray:
+    """The pivot and the counterpart rows of one link type, sorted by pivot;
+    the pivot plays ``role`` (either role for "any" and undirected types)."""
     ends = store.edges(link_type)
     if not store.link_types[link_type].directed or role == "any":
-        return link_matrix(len(store), ends, both_ways=True)
-    return link_matrix(len(store), ends if role == "source" else ends[:, ::-1])
+        ends = np.concatenate([ends, ends[:, ::-1]])
+    elif role == "target":
+        ends = ends[:, ::-1]
+    return ends[np.argsort(ends[:, 0])].T
 
 
 def enumerate_open_triads(store: PopulationStore, rule: TransitivityRule) -> list[tuple[int, int]]:
@@ -78,18 +79,21 @@ def enumerate_open_triads(store: PopulationStore, rule: TransitivityRule) -> lis
         if t not in store.link_types:
             raise UnknownLinkTypeError(t)
 
-    # paths[a1, a3] counts the pivots a2 of the two-link paths a1 - a2 - a3.
-    paths = _relation(store, rule.t1, rule.pivot_role_1).T @ _relation(
-        store, rule.t2, rule.pivot_role_2
-    )
-    occupied = link_matrix(len(store), store.edges(), both_ways=True)
-    open_pairs = (paths - paths.multiply(occupied)).sign()
+    n = len(store)
+    pivot1, a1 = _relation(store, rule.t1, rule.pivot_role_1)
+    pivot2, a3 = _relation(store, rule.t2, rule.pivot_role_2)
+    # Join each t1 link to the t2 links of its pivot: the paths a1 - a2 - a3.
+    start = np.searchsorted(pivot2, pivot1)
+    count = np.searchsorted(pivot2, pivot1, side="right") - start
+    a1, a3 = np.repeat(a1, count), a3[ranges(start, count)]
+    dyads = distinct((a1 * n + a3)[a1 != a3])
+    # Each link's row * n + col key in both orientations: the occupied pairs.
+    occupied = np.sort((store.edges() @ np.array([[n, 1], [1, n]])).ravel())
+    dyads = dyads[~isin_sorted(dyads, occupied)]
     # Where both orientations qualify, drop the descending one (a1 > a3).
-    open_pairs = (open_pairs - tril(open_pairs.multiply(open_pairs.T), k=-1)).tocoo()
-    keep = (open_pairs.data > 0) & (open_pairs.row != open_pairs.col)
-    a1, a3 = open_pairs.row[keep], open_pairs.col[keep]
-    order = np.lexsort((a3, a1))
-    return list(zip(a1[order].tolist(), a3[order].tolist()))
+    a1, a3 = dyads // n, dyads % n
+    keep = (a1 < a3) | ~isin_sorted(a3 * n + a1, dyads)
+    return list(zip(a1[keep].tolist(), a3[keep].tolist()))
 
 
 def run_transitivity_rule(

@@ -271,8 +271,11 @@ def gnp_edges(rng: np.random.Generator, n: int, p: float) -> list[tuple[int, int
 
 
 def brute_graph_stats(n: int, edges: list[tuple[int, int]]):
-    """(density, average degree, clustering, average path length or None),
-    from first principles: cubic triangle count, per-node BFS."""
+    """(density, average degree, clustering, average path length or None,
+    component count, largest component size), from first principles: cubic
+    triangle count, per-node BFS.  An isolated node is a component of one;
+    path length is taken on the largest component, a tie going to the one
+    holding the lowest id."""
     edge_set = {(min(a, b), max(a, b)) for a, b in edges if a != b}
     adj = {i: set() for i in range(n)}
     for a, b in edge_set:
@@ -294,7 +297,7 @@ def brute_graph_stats(n: int, edges: list[tuple[int, int]]):
     seen = set()
     components = []
     for start in range(n):
-        if start in seen or not adj[start]:
+        if start in seen:
             continue
         queue = [start]
         seen.add(start)
@@ -326,4 +329,4 @@ def brute_graph_stats(n: int, edges: list[tuple[int, int]]):
             total += sum(dist.values())
         s = len(largest)
         apl = total / (s * (s - 1))
-    return density, avg_degree, clustering, apl
+    return density, avg_degree, clustering, apl, len(components), len(largest)

@@ -273,7 +273,8 @@ def test_criterion_08_graph_statistics_correctness():
     for n in sizes:
         edges = gnp_edges(rng, n, float(rng.uniform(0.01, 0.25)))
         stats = stats_for_edges(n, edges)
-        density, degree, clustering, apl = brute_graph_stats(n, edges)
+        density, degree, clustering, apl, components, largest = brute_graph_stats(n, edges)
+        assert (stats.components, stats.largest_component) == (components, largest)
         assert stats.density == density
         assert stats.average_degree == degree
         assert stats.clustering == pytest.approx(clustering, abs=1e-12)

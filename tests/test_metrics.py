@@ -1,7 +1,7 @@
 """Graph statistics against brute force; generation error measures."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from popnetgen import metrics
@@ -61,7 +61,8 @@ class TestStatsForEdges:
             n = int(rng.integers(10, 200))
             edges = gnp_edges(rng, n, float(rng.uniform(0.01, 0.12)))
             stats = stats_for_edges(n, edges)
-            density, degree, clustering, apl = brute_graph_stats(n, edges)
+            density, degree, clustering, apl, components, largest = brute_graph_stats(n, edges)
+            assert (stats.components, stats.largest_component) == (components, largest)
             assert stats.density == pytest.approx(density, abs=0)
             assert stats.average_degree == pytest.approx(degree, abs=0)
             assert stats.clustering == pytest.approx(clustering, abs=1e-12)
@@ -94,7 +95,7 @@ class TestStatsForEdges:
         edges = [(0, 1)] + [(hub, leaf) for hub in (0, 1) for leaf in range(2, n)]
         edges += [(leaf, leaf + 1) for leaf in range(2, n - 1, 2)]
         stats = stats_for_edges(n, edges)
-        density, degree, clustering, apl = brute_graph_stats(n, edges)
+        density, degree, clustering, apl, _, _ = brute_graph_stats(n, edges)
         assert stats.links == len(edges)
         assert stats.clustering == pytest.approx(clustering, abs=1e-12)
         assert stats.average_path_length == pytest.approx(apl, abs=1e-12)
@@ -142,13 +143,17 @@ def small_world_edges(n, seed):
 
 @st.composite
 def component_graphs(draw):
-    """(node count, links) of up to 300 nodes: a few connected components
-    (random trees or paths, plus extra links) and isolated nodes, labels
+    """(node count, links) of up to 300 nodes, none at all included: a few
+    connected components (random trees or paths, plus extra links, some of
+    them self links), sometimes two of the largest size, and isolated
+    nodes.  Some links come again, in either orientation.  Labels are
     shuffled so that components interleave."""
     sizes = draw(st.lists(st.integers(1, 200), max_size=4))
+    if sizes and draw(st.booleans()):
+        sizes.append(max(sizes))  # a tie for the largest component
     isolated = draw(st.integers(0, 20))
     while sum(sizes) + isolated > 300:
-        sizes.pop()
+        sizes.pop(0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     path = draw(st.booleans())
     extra = draw(st.sampled_from([0.0, 0.3, 2.0]))
@@ -162,6 +167,9 @@ def component_graphs(draw):
         for _ in range(int(extra * size)):
             edges.append(tuple(first + rng.integers(size, size=2)))
         first += size
+    repeats = draw(st.sampled_from([0.0, 0.5]))
+    for a, b in edges[:int(repeats * len(edges))]:
+        edges.append((b, a) if rng.random() < 0.5 else (a, b))
     return n, [(int(label[a]), int(label[b])) for a, b in edges]
 
 
@@ -179,6 +187,8 @@ def record_calls(monkeypatch, names):
 class TestPathLengthKernel:
     @settings(max_examples=40, deadline=None)
     @given(graph=component_graphs(), block=st.sampled_from([64, 100]), sampled=st.booleans())
+    @example(graph=(0, []), block=64, sampled=False)
+    @example(graph=(1, [(0, 0), (0, 0)]), block=64, sampled=False)
     def test_bitset_matches_bruteforce_and_per_source(self, graph, block, sampled):
         n, edges = graph
         with pytest.MonkeyPatch.context() as patch:
@@ -191,12 +201,12 @@ class TestPathLengthKernel:
             patch.setattr(metrics, "BITSET_MAX_LEVELS", 0)
             per_source = stats_for_edges(n, edges, "friendship")
         assert bitset == per_source
-        if sampled:
-            return
-        density, degree, clustering, apl = brute_graph_stats(n, edges)
+        density, degree, clustering, apl, components, largest = brute_graph_stats(n, edges)
         assert (bitset.density, bitset.average_degree) == (density, degree)
         assert bitset.clustering == pytest.approx(clustering, abs=1e-12)
-        assert bitset.average_path_length == apl
+        assert (bitset.components, bitset.largest_component) == (components, largest)
+        if not sampled:
+            assert bitset.average_path_length == apl
 
     def test_two_full_blocks_pinned(self, monkeypatch):
         # 6,000 sources take one block of 4,096 and one of 1,904; the sum is

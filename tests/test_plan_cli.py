@@ -1,7 +1,10 @@
 """Plan parsing, validation warnings, and the command-line pipeline."""
 import hashlib
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -630,3 +633,29 @@ class TestCli:
         code = main(["generate", str(plan_dir / "plan.txt"), "--out", str(plan_dir / "o")])
         assert code in (EXIT_INVALID, EXIT_RUNTIME)
         assert "Traceback" not in capsys.readouterr().err
+
+
+SCIPY_FREE_RUN = """
+import sys
+from popnetgen.cli import main
+plan, out = sys.argv[1:]
+codes = [
+    main(["validate", plan]),
+    main(["generate", plan, "--population", "500", "--out", out]),
+    main(["stats", out]),
+]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_kenya_run_loads_no_scipy(tmp_path):
+    # Importing scipy.sparse would about double the start-up of every call;
+    # only path lengths of very deep components may load it.  A fresh
+    # process, as the tests themselves may have loaded scipy.
+    package_root = str(Path(popnetgen.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN, str(KENYA_PLAN), str(tmp_path / "run")],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"

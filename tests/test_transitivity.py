@@ -1,8 +1,9 @@
 """Triad closure: enumeration against a cubic oracle, Bernoulli behavior."""
 import itertools
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popnetgen.population import LinkType, UnknownLinkTypeError
 from popnetgen.sampling import substream
@@ -76,6 +77,34 @@ def brute_open_triads(store, rule):
     )
 
 
+@st.composite
+def random_networks(draw):
+    """A store of up to 20 agents with random spouses and motherOf links,
+    plus dyads that several pivots witness: each such pivot draws a link
+    type and orientation to either end of the dyad."""
+    n = draw(st.integers(0, 20))
+    store = build_store([
+        LinkType("spouses", False),
+        LinkType("motherOf", True),
+        LinkType("fatherOf", True),
+    ], [{}] * n)
+    if n == 0:
+        return store
+    agent = st.integers(0, n - 1)
+    kind = st.sampled_from(("spouses", "motherOf"))
+    links = draw(st.lists(st.tuples(agent, agent, kind), max_size=3 * n))
+    for a1, a3, pivots in draw(st.lists(st.tuples(agent, agent, st.lists(agent, max_size=4)),
+                                        max_size=3)):
+        for pivot in pivots:
+            for end in (a1, a3):
+                forward = draw(st.booleans())
+                links.append((pivot, end, draw(kind)) if forward else (end, pivot, draw(kind)))
+    for a, b, name in links:
+        if a != b and not store.dyad_used(a, b):
+            store.record_link(a, b, name, count_source=False, count_target=False)
+    return store
+
+
 class TestParsePattern:
     def test_roles(self):
         assert parse_pattern("any-source") == ("any", "source")
@@ -134,26 +163,14 @@ class TestEnumerateOpenTriads:
         # and a1 == a3 is excluded, so nothing qualifies
         assert enumerate_open_triads(store, rule) == []
 
-    def test_matches_bruteforce_on_random_networks(self):
-        rng = np.random.default_rng(61)
-        for trial in range(8):
-            store = build_store([
-                LinkType("spouses", False),
-                LinkType("motherOf", True),
-                LinkType("fatherOf", True),
-            ], [{}] * 30)
-            for _ in range(50):
-                a, b = int(rng.integers(30)), int(rng.integers(30))
-                name = ("spouses", "motherOf")[int(rng.integers(2))]
-                try:
-                    store.record_link(a, b, name, count_source=False, count_target=False)
-                except Exception:
-                    continue
-            # every role pair, across a directed and an undirected type
-            for t1, t2 in itertools.product(("spouses", "motherOf"), repeat=2):
-                for role1, role2 in itertools.product(PIVOT_ROLES, repeat=2):
-                    rule = TransitivityRule(t1, t2, "fatherOf", 1.0, role1, role2)
-                    assert enumerate_open_triads(store, rule) == brute_open_triads(store, rule)
+    @settings(max_examples=30, deadline=None)
+    @given(store=random_networks())
+    def test_matches_bruteforce_on_random_networks(self, store):
+        # every role pair, across a directed and an undirected type
+        for t1, t2 in itertools.product(("spouses", "motherOf"), repeat=2):
+            for role1, role2 in itertools.product(PIVOT_ROLES, repeat=2):
+                rule = TransitivityRule(t1, t2, "fatherOf", 1.0, role1, role2)
+                assert enumerate_open_triads(store, rule) == brute_open_triads(store, rule)
 
 
 class TestRunTransitivityRule:
