@@ -13,15 +13,20 @@ Probabilities are decimal literals in the child's domain order.  Parent
 combinations may appear in any order but must be complete.  Value labels are
 opaque strings compared by exact match: "15-19" and "village2" are plain
 labels, never numbers.
+
+Every text format is read from ``numbered_lines``, one stream of (line
+number, text) pairs; a cpt block takes the text after ``{`` as its first row
+and pulls rows from that stream up to one that ends with ``}``.
 """
 from __future__ import annotations
 
+import bisect
 import codecs
 import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 # Rows whose probabilities sum to within this of 1 are accepted; anything
 # further off is a validation failure.
@@ -147,11 +152,13 @@ def _normalize_row(probs: list[float]) -> tuple[float, ...] | None:
 # Parsing
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    if pos >= 0:
-        line = line[:pos]
-    return line.strip()
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line that is not blank once its ``#``
+    comment is gone, numbered from 1; the stream every text format reads."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def _split_labels(text: str, lineno: int, what: str) -> list[str]:
@@ -181,19 +188,26 @@ def parse_bn(text: str) -> BayesianNetwork:
     Raises BnSyntaxError on malformed input (with line/column),
     BnValidationError when the parsed network breaks an invariant.
     """
+    return read_network(numbered_lines(text))
+
+
+def _parse_row(row: str, lineno: int) -> tuple[tuple[str, ...], list[float], int]:
+    """A cpt row: parent values up to its first colon, if any, then probabilities."""
+    if ":" in row:
+        combo_part, _, prob_part = row.partition(":")
+        combo = tuple(_split_labels(combo_part.strip(), lineno, "value"))
+    else:
+        combo, prob_part = (), row
+    return combo, _parse_probs(prob_part.strip(), lineno), lineno
+
+
+def read_network(lines: Iterator[tuple[int, str]]) -> BayesianNetwork:
+    """parse_bn on a stream of numbered lines (see ``numbered_lines``)."""
     variables: list[Variable] = []
     seen: dict[str, int] = {}
     raw_cpts: list[tuple[str, tuple[str, ...], list, int]] = []
 
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        line = _strip_comment(lines[i])
-        i += 1
-        if not line:
-            continue
-
+    for lineno, line in lines:
         if line.startswith("variable "):
             body = line[len("variable "):].strip()
             if "{" not in body or not body.endswith("}"):
@@ -212,7 +226,7 @@ def parse_bn(text: str) -> BayesianNetwork:
             header = line[len("cpt "):]
             if "{" not in header:
                 raise BnSyntaxError("expected '{' in cpt declaration", lineno)
-            head, _, inline = header.partition("{")
+            head, _, first = header.partition("{")
             head = head.strip()
             if "|" in head:
                 child, _, parent_part = head.partition("|")
@@ -224,42 +238,15 @@ def parse_bn(text: str) -> BayesianNetwork:
             if not child:
                 raise BnSyntaxError("missing child variable in cpt", lineno)
 
-            rows: list[tuple[tuple[str, ...], list[float], int]] = []
-            closed = False
-
-            def add_row(row_text: str, row_line: int):
-                if ":" in row_text:
-                    combo_part, _, prob_part = row_text.partition(":")
-                    combo = tuple(_split_labels(combo_part.strip(), row_line, "value"))
-                else:
-                    combo = ()
-                    prob_part = row_text
-                rows.append((combo, _parse_probs(prob_part.strip(), row_line), row_line))
-
-            inline = inline.strip()
-            if inline.endswith("}"):
-                closed = True
-                inline = inline[:-1].strip()
-            if inline:
-                add_row(inline, lineno)
-
-            while not closed:
-                if i >= len(lines):
-                    raise BnSyntaxError(f"unterminated cpt for {child!r}", lineno)
-                row_line = i + 1
-                row = _strip_comment(lines[i])
-                i += 1
-                if not row:
-                    continue
-                if row == "}":
-                    closed = True
-                    break
+            rows = []
+            for row_line, row in itertools.chain([(lineno, first.strip())], lines):
+                body = row.removesuffix("}").strip()
+                if body:
+                    rows.append(_parse_row(body, row_line))
                 if row.endswith("}"):
-                    closed = True
-                    row = row[:-1].strip()
-                if row:
-                    add_row(row, row_line)
-
+                    break
+            else:
+                raise BnSyntaxError(f"unterminated cpt for {child!r}", lineno)
             raw_cpts.append((child, parents, rows, lineno))
 
         else:
@@ -361,12 +348,9 @@ def validate(bn: BayesianNetwork) -> list[Violation]:
     for child, cpt in bn.cpts.items():
         if child not in declared:
             continue
-        bad_parent = False
-        for p in cpt.parents:
-            if p not in declared:
-                out.append(Violation(child, "", f"undeclared parent {p!r}"))
-                bad_parent = True
-        if bad_parent:
+        undeclared = [p for p in cpt.parents if p not in declared]
+        out += (Violation(child, "", f"undeclared parent {p!r}") for p in undeclared)
+        if undeclared:
             continue
         domain = bn.variable(child).domain
         expected = set(itertools.product(*(bn.variable(p).domain for p in cpt.parents)))
@@ -426,14 +410,10 @@ def topological_order(bn: BayesianNetwork) -> list[str]:
     while ready:
         name = ready.pop(0)
         order.append(name)
-        changed = False
         for c in children[name]:
             indeg[c] -= 1
             if indeg[c] == 0:
-                ready.append(c)
-                changed = True
-        if changed:
-            ready.sort(key=decl.__getitem__)
+                bisect.insort(ready, c, key=decl.__getitem__)
     if len(order) != len(decl):
         # Every variable left over has a parent left over: walking from one
         # to the next must come back to a variable already seen.

@@ -209,7 +209,7 @@ def _cmd_stats(args) -> int:
     directory = Path(args.dir)
     declared = manifest_link_types(directory)
     n = read_agents(directory / "agents.csv")
-    ends, types = read_edges_all(directory / "edges_all.csv")
+    ends, kinds, names = read_edges_all(directory / "edges_all.csv")
     outside = ((ends < 0) | (ends >= n)).any(axis=1)
     if outside.any():
         source, target = ends[np.argmax(outside)].tolist()
@@ -218,8 +218,9 @@ def _cmd_stats(args) -> int:
             f"names an agent outside [0, {n})"
         )
     all_stats = [stats_for_edges(n, ends, "collapsed")]
-    for name in sorted(declared.union(types.tolist())):
-        all_stats.append(stats_for_edges(n, ends[types == name], name))
+    code = {name: k for k, name in enumerate(names)}
+    for name in sorted(declared.union(names)):  # a type with no links is coded -1
+        all_stats.append(stats_for_edges(n, ends[kinds == code.get(name, -1)], name))
     print(report_text(None, all_stats, []), end="")
     return EXIT_OK
 

@@ -90,14 +90,15 @@ def export_interaction_network(
         if not 0.0 <= p <= 1.0:
             raise ExportError(f"interaction probability for {name!r} outside [0, 1]")
     names = list(store.link_types)
-    counts = [len(store.edges(name)) for name in names]
+    per_type = [store.edges(name) for name in names]
+    counts = list(map(len, per_type))
     missing = sorted(name for name, m in zip(names, counts) if m and name not in weights)
     if missing:
         raise MissingWeightError(
             "no interaction probability for link types: " + ", ".join(missing)
         )
     # No two links share a dyad, so (source, target) orders every row.
-    ends = store.edges()
+    ends = np.concatenate([np.empty((0, 2), np.int64), *per_type])
     order = np.lexsort((ends[:, 1], ends[:, 0]))
     kinds = np.repeat(np.arange(len(names)), counts)[order].tolist()
     lines = ["source,target,probability"]
@@ -239,9 +240,10 @@ def _body(path, header: str) -> list[str]:
     return lines[1:]
 
 
-def read_edges_all(path) -> tuple[np.ndarray, np.ndarray]:
+def read_edges_all(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Links of a collapsed edge list: an int64 (m, 2) array of (source,
-    target) rows and the type of each row.
+    target) rows, each row's type as an index into the type names, and the
+    names in the order they first appear.
 
     The body is split once and the id columns converted with ``int`` in
     bulk; a line that is not three fields, or an id that ``int`` refuses or
@@ -259,21 +261,21 @@ def read_edges_all(path) -> tuple[np.ndarray, np.ndarray]:
     except (ValueError, OverflowError):
         return _read_edges_all_by_line(path)
     names = fields[2::3]
-    # Coding the names first is several times faster than np.array(names).
     code = {name: k for k, name in enumerate(dict.fromkeys(names))}
     kinds = np.fromiter(map(code.__getitem__, names), dtype=np.intp, count=len(lines))
-    return np.stack([sources, targets], axis=1), np.array(list(code), dtype=str)[kinds]
+    return np.stack([sources, targets], axis=1), kinds, list(code)
 
 
-def _read_edges_all_by_line(path) -> tuple[np.ndarray, np.ndarray]:
+def _read_edges_all_by_line(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """read_edges_all one line at a time, raising on the first bad line."""
-    ends, types = [], []
+    ends, kinds, code = [], [], {}
     for lineno, raw in enumerate(_body(path, "source,target,type"), start=2):
         if raw:
             source, target, name = _fields(path, lineno, raw, 3)
             ends.append((_agent_id(path, lineno, source), _agent_id(path, lineno, target)))
-            types.append(name)
-    return np.array(ends, dtype=np.int64).reshape(-1, 2), np.array(types, dtype=str)
+            kinds.append(code.setdefault(name, len(code)))
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    return ends, np.array(kinds, dtype=np.intp), list(code)
 
 
 def read_agents(path) -> int:

@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .bn import BayesianNetwork, parse_bn, read_text
+from .bn import BayesianNetwork, numbered_lines, read_network, read_text
 from .inference import Engine
 from .population import PopulationStore
 # Unused here; bench/tracing.py patches and subclasses these two names.
@@ -128,20 +128,11 @@ def load_matching_bn(text: str, *, defaults: Mapping[str, object] | None = None)
     The rest of the file uses the plain network grammar.  ``defaults`` may
     carry retries/small_set/counts overrides from the generation plan.
     """
-    lines = text.splitlines()
-    header = None
-    body_start = 0
-    for i, raw in enumerate(lines):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            header = stripped
-            body_start = i + 1
-            break
-    if header is None or not header.startswith("matching "):
+    lines = numbered_lines(text)
+    _, header = next(lines, (None, ""))
+    if not header.startswith("matching "):
         raise MatchingError("matching network must start with a 'matching ...' header")
     tokens = header.split()
-    if len(tokens) < 2:
-        raise MatchingError("matching header misses the link type")
     link_type = tokens[1]
     options = {"link": None, "a1": "a1_", "a2": "a2_", "counts": "both"}
     given: set[str] = set()
@@ -161,7 +152,7 @@ def load_matching_bn(text: str, *, defaults: Mapping[str, object] | None = None)
         raise MatchingError(f"counts must be one of {COUNTS_CHOICES}")
 
     defaults = dict(defaults or {})
-    bn = parse_bn("\n".join(lines[body_start:]))
+    bn = read_network(lines)
     rule = HomophilyRule(
         link_type=link_type,
         bn=bn,

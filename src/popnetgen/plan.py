@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .bn import BayesianNetwork, BnError, load_bn, read_text
+from .bn import BayesianNetwork, BnError, load_bn, numbered_lines, read_text
 from .inference import Engine
 from .matching import (
     HomophilyRule,
@@ -107,11 +107,7 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
     weights: dict[str, float] = {}
     output_dir: Path | None = None
 
-    for i, raw in enumerate(text.splitlines()):
-        lineno = i + 1
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text):
         tokens = line.split()
         head = tokens[0]
 

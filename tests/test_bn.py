@@ -4,6 +4,7 @@ import pytest
 from popnetgen.bn import (
     BayesianNetwork,
     BnCycleError,
+    BnError,
     BnSyntaxError,
     BnValidationError,
     Cpt,
@@ -134,6 +135,46 @@ class TestParse:
         bn = parse_bn(MARITAL_DOC)
         assert validate(bn) == []
         assert bn.cpts["maritalStatus"].rows[("male", "15-19")] == (0.981, 0.019)
+
+
+def _outcome(text):
+    """A document's CPT rows by child, or its error's type, line and text."""
+    try:
+        bn = parse_bn(text)
+    except BnError as exc:
+        return type(exc).__name__, getattr(exc, "line", None), str(exc)
+    return {name: cpt.rows for name, cpt in bn.cpts.items()}
+
+
+AB = "variable a { u, v }\nvariable b { x, y }\n"
+AB_ROWS = {"a": {(): (0.5, 0.5)}, "b": {("u",): (0.1, 0.9), ("v",): (0.2, 0.8)}}
+
+
+class TestCptLayouts:
+    """Every layout a cpt block may take, and the errors of broken ones."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("variable a { u, v }\ncpt a { 0.5, 0.5 }\n", {"a": {(): (0.5, 0.5)}}),
+        (AB + "cpt a {\n  0.5, 0.5\n}\ncpt b | a {\n  u: 0.1, 0.9\n  v: 0.2, 0.8\n}\n", AB_ROWS),
+        (AB + "cpt a {\n  0.5, 0.5 }\ncpt b | a {\n  u: 0.1, 0.9\n  v: 0.2, 0.8 }\n", AB_ROWS),
+        (AB + "cpt a { 0.5, 0.5\n}\ncpt b | a { u: 0.1, 0.9\n  v: 0.2, 0.8 }\n", AB_ROWS),
+        (AB + "cpt a { 0.5, 0.5 }\ncpt b | a {  # rows follow\n\n  # u first\n"
+         "  u: 0.1, 0.9  # trailing\n   \n  v: 0.2, 0.8\n  # last\n\n}  # done\n", AB_ROWS),
+        (AB + "cpt a { 0.5, 0.5 }\ncpt b | a {\n  u: 0.1: 0.9\n  v: 0.2, 0.8\n}\n",
+         ("BnSyntaxError", 5, "line 5, column 1: expected probability, got '0.1: 0.9'")),
+        ("variable a { u, v }\ncpt a {\n  0.5, 0.5\nvariable b { x, y }\n",
+         ("BnSyntaxError", 4, "line 4, column 1: expected probability, got 'variable b { x'")),
+        ("variable a { u, v }\ncpt a {\n  0.5, 0.5\n\n# trailing comment\n",
+         ("BnSyntaxError", 2, "line 2, column 1: unterminated cpt for 'a'")),
+        ("variable a { u, v }\ncpt a { }\n",
+         ("BnValidationError", None, "invalid network:\n  - a [prior]: missing row")),
+    ], ids=[
+        "one-line", "braces-alone", "brace-ends-last-row", "first-row-on-header",
+        "comments-and-blanks", "two-colons", "variable-in-open-block", "eof-in-block",
+        "empty-block",
+    ])
+    def test_layout(self, text, expected):
+        assert _outcome(text) == expected
 
 
 class TestReadText:

@@ -62,8 +62,8 @@ class TestExportNetwork:
     def test_round_trip_reconstructs_link_multiset(self, tmp_path):
         store = demo_store()
         export_network(store, tmp_path)
-        ends, types = read_edges_all(tmp_path / "edges_all.csv")
-        got = sorted(zip(map(tuple, ends.tolist()), types.tolist()))
+        ends, kinds, names = read_edges_all(tmp_path / "edges_all.csv")
+        got = sorted(zip(map(tuple, ends.tolist()), (names[k] for k in kinds)))
         expected = sorted(
             (tuple(pair), name) for name in store.link_types for pair in store.edges(name).tolist()
         )
@@ -135,10 +135,12 @@ class TestReadEdgesAll:
                 read_edges_all(path)
             assert str(got.value) == str(exc)
             return
-        ends, types = read_edges_all(path)
+        ends, kinds, names = read_edges_all(path)
         assert ends.dtype == expected[0].dtype and ends.shape == expected[0].shape
         assert np.array_equal(ends, expected[0])
-        assert types.dtype == expected[1].dtype and types.tolist() == expected[1].tolist()
+        assert kinds.dtype == expected[1].dtype and kinds.shape == expected[1].shape
+        assert np.array_equal(kinds, expected[1])
+        assert names == expected[2]
 
 
 class TestInteractionNetwork:

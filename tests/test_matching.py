@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popnetgen.bn import BayesianNetwork, Cpt, Variable, parse_bn
+from popnetgen.bn import BayesianNetwork, BnSyntaxError, Cpt, Variable, parse_bn
 from popnetgen.inference import Engine
 from popnetgen.matching import (
     COUNTS_CHOICES,
@@ -181,6 +181,17 @@ class TestLoadMatchingBn:
         bad = SPOUSES_MATCHING.replace(option, header)
         with pytest.raises(MatchingError, match=message):
             load_matching_bn(bad)
+
+    def test_body_error_names_the_file_line(self):
+        # Header and body are one stream, so body lines count from the
+        # file's first line, the comment and the header included.
+        doc = "# spouses\n" + SPOUSES_MATCHING.replace(
+            "  male, female: 1.0, 0.0", "  male, male: 1.0, 0.0", 1)
+        line = doc.splitlines().index("  male, male: 1.0, 0.0") + 1
+        with pytest.raises(BnSyntaxError) as err:
+            load_matching_bn(doc)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}, column 1: duplicate row ('male', 'male')")
 
     def test_defaults_override(self):
         rule = load_matching_bn(SPOUSES_MATCHING, defaults={"retries": 5, "small_set": 2})

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -481,6 +482,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "generating population" not in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_matching_file_error_names_its_own_line(self, tmp_path, capsys):
+        plan_dir = tmp_path / "inconsistent"
+        shutil.copytree(REPO / "plans" / "inconsistent", plan_dir)
+        path = plan_dir / "spouses.bn"
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[8] == "  male, female: 1.0, 0.0\n"
+        lines[8] = "  male, female: 1.0, oops\n"
+        path.write_text("".join(lines))
+        assert main(["validate", str(plan_dir / "inconsistent.plan")]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert "rule 1 (spouses): line 9, column 6: expected probability, got 'oops'" in captured.out
+        assert "Traceback" not in captured.err
 
     def test_broken_bn_is_invalid_exit(self, plan_dir):
         (plan_dir / "attributes.bn").write_text("variable g { a, b }\ncpt g { 0.9, 0.9 }\n")
