@@ -1,4 +1,6 @@
 """Homophily matching: class tables (compatibility and candidate boxes), rule execution."""
+import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -730,6 +732,122 @@ class TestDrawLaws:
         law = scan_pick_law([affinity["u", x] for x in targets])
         picked = np.bincount(store.edges("pair")[:, 1] - 4000, minlength=len(targets))
         assert within_three_se([*picked.tolist(), report.orphan_agents], law), law
+
+
+FRACTIONAL_MATCHING = """
+matching pair link=link a1=a1_ a2=a2_ counts=both
+variable a1_g { f, m }
+variable a2_g { f, m }
+variable a1_x { u, v, w }
+variable a2_x { u, v, w }
+variable genderOk { yes, no }
+variable affinity { yes, no }
+variable link { yes, no }
+cpt a1_g { 0.5, 0.5 }
+cpt a2_g { 0.5, 0.5 }
+cpt a1_x { 0.3, 0.3, 0.4 }
+cpt a2_x { 0.2, 0.5, 0.3 }
+cpt genderOk | a1_g, a2_g {
+  f, f: 0.1, 0.9
+  f, m: 0.9, 0.1
+  m, f: 0.8, 0.2
+  m, m: 0.0, 1.0
+}
+cpt affinity | a1_x, a2_x {
+  u, u: 1.0, 0.0
+  u, v: 0.4, 0.6
+  u, w: 0.0, 1.0
+  v, u: 0.4, 0.6
+  v, v: 0.8, 0.2
+  v, w: 0.3, 0.7
+  w, u: 0.1, 0.9
+  w, v: 0.3, 0.7
+  w, w: 1.0, 0.0
+}
+cpt link | genderOk, affinity {
+  yes, yes: 1.0, 0.0
+  yes, no: 0.05, 0.95
+  no, yes: 0.0, 1.0
+  no, no: 0.0, 1.0
+}
+"""
+
+
+def pinned_store(seed: int, n: int = 300):
+    """n agents of random gender and x (a few with an x outside the
+    matching domain), demand 0-3 for "pair", and some links of another type
+    made first, so partners are skipped from the start."""
+    rng = np.random.default_rng(seed)
+    genders = rng.integers(0, 2, n).tolist()
+    xs = rng.choice(4, n, p=[0.3, 0.3, 0.35, 0.05]).tolist()
+    rows = [{"g": ("f", "m")[g], "x": ("u", "v", "w", "z")[x]} for g, x in zip(genders, xs)]
+    required = [{"pair": r} for r in rng.integers(0, 4, n).tolist()]
+    store = build_store([LinkType("pair", False), LinkType("other", True)], rows, required)
+    for a, b in rng.integers(0, n, (n, 2)).tolist():
+        if a != b and not store.dyad_used(a, b):
+            store.record_link(a, b, "other")
+    return store
+
+
+# sha256 of store.edges("pair") and the report's tallies (demand_total,
+# links_created, unfulfilled, prototype_links, fallback_links,
+# fallback_rejections, orphan_agents), recorded from the numpy matcher.
+# They pin every RNG call of a rule run, in order, on branches the Kenya
+# plan never reaches: fallback rejections, counts a1 and a2, small_set 0
+# and retries 1.
+PINNED_RUNS = {
+    ("both", None, None): (
+        "0f432671405859361e8c08b589299dacadf2cdc61679e26bd2165fedde55151c",
+        (417, 190, 37, 124, 66, 51, 22),
+    ),
+    ("both", 0, None): (
+        "115185ac40595956aaceb756c755ace4ee3414698032927587ebd81156b9b80d",
+        (417, 190, 37, 190, 0, 0, 22),
+    ),
+    ("both", 0, 1): (
+        "31730904bef9534bc907f94a4325d6467a5f99092d5c1bfb113410f8e3eb09f4",
+        (417, 190, 37, 185, 5, 0, 22),
+    ),
+    ("both", 10_000, None): (
+        "299e49c7f1c0a27a611f96a26a2608648bc9b1a839d93d2137e82960dff69737",
+        (417, 194, 29, 0, 194, 234, 16),
+    ),
+    ("a1", None, None): (
+        "31f1c06ec4036383558113decc89214ea133af2be9078392da7456c5c0869f0a",
+        (417, 417, 0, 417, 0, 0, 0),
+    ),
+    ("a1", 10_000, None): (
+        "a87da6aeee4c4ab7e273e73bde02dcf84daf5347f5136965a4ab94a80c5a5a7f",
+        (417, 417, 0, 0, 417, 570, 0),
+    ),
+    ("a2", None, None): (
+        "797ade40a2f1bdc8be4735eb7decee0bc9c1bd622a6a383019955e593c91358b",
+        (286, 286, 0, 246, 40, 55, 0),
+    ),
+    ("a2", 0, 1): (
+        "167ca46f82b091200df7a3e9ca666ad74b7d69011217592a572f372d003920f6",
+        (286, 286, 0, 271, 15, 12, 0),
+    ),
+    ("a2", 10_000, None): (
+        "b4d605cd3bae1650bf9eec2a5661f285eb063df64143a63e661f268ee81f0ca2",
+        (286, 286, 0, 0, 286, 407, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("counts, small_set, retries", list(PINNED_RUNS))
+def test_rule_runs_match_pinned_digests(counts, small_set, retries):
+    defaults = {"counts": counts}
+    if small_set is not None:
+        defaults["small_set"] = small_set
+    if retries is not None:
+        defaults["retries"] = retries
+    rule = load_matching_bn(FRACTIONAL_MATCHING, defaults=defaults)
+    store = pinned_store(15)
+    report = run_homophily_rule(store, rule, substream(15, "pinned"))
+    digest = hashlib.sha256(store.edges("pair").tobytes()).hexdigest()
+    tallies = tuple(dataclasses.astuple(report)[2:-1])
+    assert (digest, tallies) == PINNED_RUNS[counts, small_set, retries]
 
 
 @settings(max_examples=100, deadline=None)
