@@ -8,13 +8,16 @@ that probability for every pair of agent classes; zero-pruning it per copied
 attribute yields the candidate sets.  Pairing then works on classes: a
 prototype's a2 class is drawn from the same elimination, the fallback scans
 the classes with available agents, and the agents a rule may still pick sit
-in one bucket per a2 class, so a link slot costs O(classes + degree).
+in one bucket per a2 class.  The tables stay numpy; a link slot reads them
+as Python lists, so it costs O(box + degree) with no numpy call but draws.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -127,29 +130,34 @@ def load_matching_bn(text: str, *, defaults: Mapping[str, object] | None = None)
 
     The rest of the file uses the plain network grammar.  ``defaults`` may
     carry retries/small_set/counts overrides from the generation plan.
+    Header errors name the header's line, body errors their own.
     """
     lines = numbered_lines(text)
-    _, header = next(lines, (None, ""))
+    lineno, header = next(lines, (1, ""))
+
+    def header_error(message: str) -> MatchingError:
+        return MatchingError(f"line {lineno}: {message}")
+
     if not header.startswith("matching "):
-        raise MatchingError("matching network must start with a 'matching ...' header")
+        raise header_error("matching network must start with a 'matching ...' header")
     tokens = header.split()
     link_type = tokens[1]
     options = {"link": None, "a1": "a1_", "a2": "a2_", "counts": "both"}
     given: set[str] = set()
     for token in tokens[2:]:
         if "=" not in token:
-            raise MatchingError(f"bad matching header token {token!r}")
+            raise header_error(f"bad matching header token {token!r}")
         key, _, value = token.partition("=")
         if key not in options:
-            raise MatchingError(f"unknown matching header option {key!r}")
+            raise header_error(f"unknown matching header option {key!r}")
         if key in given:
-            raise MatchingError(f"duplicate matching header option {key!r}")
+            raise header_error(f"duplicate matching header option {key!r}")
         given.add(key)
         options[key] = value
     if not options["link"]:
-        raise MatchingError("matching header misses link=<variable>")
+        raise header_error("matching header misses link=<variable>")
     if options["counts"] not in COUNTS_CHOICES:
-        raise MatchingError(f"counts must be one of {COUNTS_CHOICES}")
+        raise header_error(f"counts must be one of {COUNTS_CHOICES}")
 
     defaults = dict(defaults or {})
     bn = read_network(lines)
@@ -277,18 +285,19 @@ def class_tables(rule: HomophilyRule, engine: Engine, store: PopulationStore) ->
 class ClassBuckets:
     """The agents a homophily rule may still pick, grouped by a2 class.
 
-    One array holds them all: class c owns ``ids[start[c]:start[c] +
+    One list holds them all: class c owns ``ids[start[c]:start[c] +
     size[c]]``, in no particular order, and ``where[agent]`` is the agent's
-    index in ``ids``, or -1 when it is in no bucket.
+    index in ``ids``, or -1 when it is in no bucket.  They are Python lists:
+    a slot reads a few entries, cheaper than the fixed cost of a numpy call.
     """
 
     def __init__(self, a2_class: np.ndarray, classes: int, open_ids: np.ndarray):
-        self.a2_class = a2_class
-        self.ids = open_ids[np.argsort(a2_class[open_ids], kind="stable")]
-        self.size = np.bincount(a2_class[self.ids], minlength=classes)
-        self.start = np.cumsum(self.size) - self.size
-        self.where = np.full(len(a2_class), -1, dtype=np.intp)
-        self.where[self.ids] = np.arange(len(self.ids))
+        ids = open_ids[np.argsort(a2_class[open_ids], kind="stable")]
+        size = np.bincount(a2_class[ids], minlength=classes)
+        where = np.full(len(a2_class), -1, dtype=np.intp)
+        where[ids] = np.arange(len(ids))
+        self.a2_class, self.ids, self.where = a2_class.tolist(), ids.tolist(), where.tolist()
+        self.size, self.start = size.tolist(), (np.cumsum(size) - size).tolist()
 
     def remove(self, agent: int) -> None:
         """Take the agent out of its bucket: the last agent of its class
@@ -301,20 +310,24 @@ class ClassBuckets:
         self.where[agent] = -1
         self.size[c] -= 1
 
-    def available(self, taken: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per class, the number of its agents not in ``taken``; and the
-        agents of ``taken`` that are in a bucket."""
-        taken = taken[self.where[taken] >= 0]
-        return self.size - np.bincount(self.a2_class[taken], minlength=len(self.size)), taken
+    def available(self, taken: list[int], box: list[int]) -> tuple[list[int], list[int]]:
+        """Per class of ``box``, the number of its agents not in ``taken``;
+        and the agents of ``taken`` that are in a bucket."""
+        taken = [a for a in taken if self.where[a] >= 0]
+        skipped: dict[int, int] = {}
+        for c in (self.a2_class[a] for a in taken):
+            skipped[c] = skipped.get(c, 0) + 1
+        return [self.size[c] - skipped.get(c, 0) for c in box], taken
 
-    def pick(self, c: int, k: int, taken: np.ndarray) -> int:
+    def pick(self, c: int, k: int, taken: list[int]) -> int:
         """The agent at index k of class c's bucket once the agents of
         ``taken`` (each in a bucket) are skipped."""
-        for skipped in np.sort(self.where[taken[self.a2_class[taken] == c]]).tolist():
-            if skipped > self.start[c] + k:
+        i = self.start[c] + k
+        for skipped in sorted(self.where[a] for a in taken if self.a2_class[a] == c):
+            if skipped > i:
                 break
-            k += 1
-        return int(self.ids[self.start[c] + k])
+            i += 1
+        return self.ids[i]
 
 
 def run_homophily_rule(
@@ -343,30 +356,35 @@ def run_homophily_rule(
         open_ids = np.arange(len(store))
     buckets = ClassBuckets(tables.a2_class, tables.compat.shape[1], open_ids)
 
-    def prototype(c1: int, available: np.ndarray) -> int | None:
+    @functools.cache
+    def row(c1: int) -> tuple[list[int], list[float], list[float]]:
+        """c1's box classes, their compatibility with c1 and ``cdf[c1]`` at
+        them: a class outside the box adds 0 to it, so no draw lands there."""
+        box = np.flatnonzero(tables.box[c1])
+        return box.tolist(), tables.compat[c1, box].tolist(), tables.cdf[c1, box].tolist()
+
+    def prototype(cdf: list[float], available: list[int]) -> int | None:
         """Draw up to ``retries`` a2 classes from p(a2 class | c1, link =
-        yes), one uniform each; the first with an available agent, or None
-        when every draw misses."""
-        cdf = tables.cdf[c1]  # c1's box is not empty, so cdf[-1] > 0
-        for _ in range(rule.retries):
-            c2 = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-            if available[c2]:
-                return c2
+        yes), one uniform each; the box index of the first with an
+        available agent, or None when every draw misses."""
+        for _ in range(rule.retries):  # c1's box is not empty, so cdf[-1] > 0
+            k = bisect.bisect_right(cdf, rng.random() * cdf[-1])
+            if available[k]:
+                return k
         return None
 
-    def fallback(c1: int, box: np.ndarray, left: np.ndarray) -> int | None:
+    def fallback(compat: list[float], left: list[int]) -> int | None:
         """Uniform draws of available agents without replacement, each kept
         with probability compatibility / its largest value over them, run
         by class: the class of a draw is picked by its count ``left`` of
         undrawn agents, and a rejection takes one from that count."""
-        compat = tables.compat[c1, box]
-        max_compat = compat.max(initial=0.0, where=left > 0)
+        max_compat = max((x for x, n in zip(compat, left) if n > 0), default=0.0)
         if max_compat <= 0.0:
             return None
-        for total in range(int(left.sum()), 0, -1):
-            k = int(np.searchsorted(np.cumsum(left), rng.integers(total), side="right"))
+        for total in range(sum(left), 0, -1):
+            k = bisect.bisect_right(list(accumulate(left)), int(rng.integers(total)))
             if compat[k] > 0.0 and rng.random() < compat[k] / max_compat:
-                return int(box[k])
+                return k
             report.fallback_rejections += 1
             left[k] -= 1
         return None
@@ -382,21 +400,17 @@ def run_homophily_rule(
     for a1 in members[rng.permutation(len(members))].tolist():
         # Only a1's own links change its demand during its turn.
         slots = store.remaining(rule.link_type, a1) if rule.counts_a1 else 1
-        c1 = tables.a1_class[a1]
-        box = np.flatnonzero(tables.box[c1])
+        box, compat, cdf = row(int(tables.a1_class[a1]))
         for _ in range(slots):
-            available, taken = buckets.available(np.array([a1, *store.partners_of(a1)]))
-            candidates = available[box]
-            c2 = None
-            if candidates.sum() >= max(rule.small_set, 1):
-                c2 = prototype(c1, available)
-            by_prototype = c2 is not None
-            if c2 is None:
-                c2 = fallback(c1, box, candidates)
-            if c2 is None:
+            available, taken = buckets.available([a1, *store.partners_of(a1)], box)
+            k = prototype(cdf, available) if sum(available) >= max(rule.small_set, 1) else None
+            by_prototype = k is not None
+            if k is None:
+                k = fallback(compat, available[:])
+            if k is None:
                 report.orphan_agents += 1
                 break
-            a2 = buckets.pick(c2, int(rng.integers(available[c2])), taken)
+            a2 = buckets.pick(box[k], int(rng.integers(available[k])), taken)
             store.record_link(
                 a1, a2, rule.link_type,
                 count_source=rule.counts_a1, count_target=rule.counts_a2, enforce_demand=True,

@@ -170,8 +170,10 @@ class TestLoadMatchingBn:
         assert rule.a2_map() == {"a2_gender": "gender", "a2_location": "location"}
 
     def test_missing_header(self):
-        with pytest.raises(MatchingError):
+        with pytest.raises(MatchingError, match="^line 1: matching network must start"):
             load_matching_bn("variable x { a }\ncpt x { 1.0 }")
+        with pytest.raises(MatchingError, match="^line 1: matching network must start"):
+            load_matching_bn("")
 
     @pytest.mark.parametrize("option, header, message", [
         ("counts=both", "counts=everyone", "counts must be one of"),
@@ -180,9 +182,22 @@ class TestLoadMatchingBn:
         ("link=linkSpouses", "link=a1_gender link=linkSpouses", "duplicate matching header option 'link'"),
     ])
     def test_bad_counts(self, option, header, message):
-        bad = SPOUSES_MATCHING.replace(option, header)
-        with pytest.raises(MatchingError, match=message):
+        bad = SPOUSES_MATCHING.replace(option, header)  # the header is on line 2
+        with pytest.raises(MatchingError, match=f"^line 2: {message}"):
             load_matching_bn(bad)
+
+    @pytest.mark.parametrize("option, header, message", [
+        ("counts=both", "counts=both bogus", "bad matching header token 'bogus'"),
+        ("counts=both", "colour=red", "unknown matching header option 'colour'"),
+        (" link=linkSpouses", "", "matching header misses link=<variable>"),
+        ("matching spouses", "variable spouses", "matching network must start"),
+    ])
+    def test_header_error_names_the_header_line(self, option, header, message):
+        # a comment line sits above the header
+        doc = "# spouses\n" + SPOUSES_MATCHING.lstrip().replace(option, header)
+        with pytest.raises(MatchingError) as err:
+            load_matching_bn(doc)
+        assert str(err.value).startswith(f"line 2: {message}")
 
     def test_body_error_names_the_file_line(self):
         # Header and body are one stream, so body lines count from the
@@ -886,12 +901,14 @@ def test_available_counts_match_bruteforce_pool(seed, counts):
                 if store.remaining("t", agent) == 0:
                     buckets.remove(agent)
     for a1 in range(n):
-        available, taken = buckets.available(np.array([a1, *store.partners_of(a1)]))
+        taken = [a1, *store.partners_of(a1)]
+        available, in_buckets = buckets.available(taken, list(range(classes)))
         pool = query_candidates(store, np.arange(n), demand, a1)
-        assert available.tolist() == np.bincount(a2_class[pool], minlength=classes).tolist()
+        assert available == np.bincount(a2_class[pool], minlength=classes).tolist()
         box = rng.random(classes) < 0.5
         base = np.flatnonzero(box[a2_class])
-        assert available[box].sum() == len(query_candidates(store, base, demand, a1))
+        in_box, _ = buckets.available(taken, np.flatnonzero(box).tolist())
+        assert sum(in_box) == len(query_candidates(store, base, demand, a1))
         for c in range(classes):
-            picked = [buckets.pick(c, k, taken) for k in range(available[c])]
+            picked = [buckets.pick(c, k, in_buckets) for k in range(available[c])]
             assert sorted(picked) == pool[a2_class[pool] == c].tolist()
