@@ -406,7 +406,7 @@ def run_homophily_rule(
             k = prototype(cdf, available) if sum(available) >= max(rule.small_set, 1) else None
             by_prototype = k is not None
             if k is None:
-                k = fallback(compat, available[:])
+                k = fallback(compat, available[:])  # the pick reads the undrawn counts
             if k is None:
                 report.orphan_agents += 1
                 break
