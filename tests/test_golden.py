@@ -56,6 +56,30 @@ MIXED_SHA256 = {
 }
 
 
+# Every transitive rule above runs at p=1.0, where each closable dyad's draw
+# u < 1.0 always holds; these probabilities make the closure draws decide.
+CLOSURE_PLAN = """\
+population N=3000 seed=3 attributes=attributes.bn
+linktype spouses undirected
+linktype motherOf directed
+linktype fatherOf directed
+linktype siblings undirected
+linktype friendship undirected
+linktype colleagues undirected
+rule homophily spouses bn=spouses.bn counts=both
+rule homophily motherOf bn=motherOf.bn counts=both
+rule transitive fatherOf from spouses motherOf p=0.5 pattern=any-source
+rule transitive siblings from motherOf motherOf p=0.3 pattern=source-source
+rule homophily friendship bn=friendship.bn counts=both
+rule homophily colleagues bn=colleagues.bn counts=both
+"""
+
+CLOSURE_SHA256 = {
+    "edges_all.csv": "ca578940f136c8d72c5db8caf1a818b20b8422d57b2eead5be0a8adfa62b620a",
+    "report.txt": "8a22906b031be85b4de9acfdcd5d2555a770343c023fa9969578094e2346c15b",
+}
+
+
 def digests(directory: Path, names) -> dict[str, str]:
     return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
 
@@ -65,9 +89,19 @@ def test_kenya_outputs_match_pinned_digests(tmp_path):
     assert digests(tmp_path, GOLDEN_SHA256) == GOLDEN_SHA256
 
 
-def test_mixed_option_outputs_match_pinned_digests(tmp_path):
+def run_with_kenya_networks(tmp_path: Path, plan: str) -> Path:
+    """Run ``plan`` beside copies of the Kenya networks; the output directory."""
     for bn in KENYA_DIR.glob("*.bn"):
         shutil.copy(bn, tmp_path)
-    (tmp_path / "mixed.plan").write_text(MIXED_PLAN)
-    run(load_plan(tmp_path / "mixed.plan"), out=tmp_path / "out")
-    assert digests(tmp_path / "out", MIXED_SHA256) == MIXED_SHA256
+    (tmp_path / "test.plan").write_text(plan)
+    run(load_plan(tmp_path / "test.plan"), out=tmp_path / "out")
+    return tmp_path / "out"
+
+
+def test_mixed_option_outputs_match_pinned_digests(tmp_path):
+    assert digests(run_with_kenya_networks(tmp_path, MIXED_PLAN), MIXED_SHA256) == MIXED_SHA256
+
+
+def test_closure_draw_outputs_match_pinned_digests(tmp_path):
+    out = run_with_kenya_networks(tmp_path, CLOSURE_PLAN)
+    assert digests(out, CLOSURE_SHA256) == CLOSURE_SHA256
