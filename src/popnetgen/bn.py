@@ -242,7 +242,13 @@ def read_network(lines: Iterator[tuple[int, str]]) -> BayesianNetwork:
             for row_line, row in itertools.chain([(lineno, first.strip())], lines):
                 body = row.removesuffix("}").strip()
                 if body:
-                    rows.append(_parse_row(body, row_line))
+                    try:
+                        rows.append(_parse_row(body, row_line))
+                    except BnSyntaxError:
+                        # a declaration, not a row: the block was never closed
+                        if row.startswith(("variable ", "cpt ")):
+                            raise BnSyntaxError(f"unterminated cpt for {child!r}", lineno) from None
+                        raise
                 if row.endswith("}"):
                     break
             else:

@@ -165,17 +165,14 @@ def run(
                 export_interaction_network(store, plan.interaction_weights, out_dir)
             )
         header = {"population.size": size, "population.seed": seed}
-        result.files += export_reports(
-            error_report, stats, reports,
-            learned.bn if learned else None,
-            out_dir, header=header,
-        )
+        text = report_text(error_report, stats, reports, header)
+        result.files += export_reports(text, learned.bn if learned else None, out_dir)
         written = {path.relative_to(out_dir).as_posix() for path in result.files}
         for name in set(earlier) - written:  # left by an earlier run
             if (out_dir / name).is_file():
                 (out_dir / name).unlink()
         result.files.append(export_manifest(result.files, out_dir))
-        print(report_text(error_report, stats, reports, header), end="")
+        print(text, end="")
     return result
 
 

@@ -31,8 +31,12 @@ class MissingWeightError(ExportError):
 
 
 def _write(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    """Write ``text`` to ``path``; an OSError that names the path on failure."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
 
 
@@ -150,17 +154,11 @@ def report_text(
     return "".join(f"{k} = {_format_value(v)}\n" for k, v in entries)
 
 
-def export_reports(
-    error_report: ErrorReport | None,
-    stats: Sequence[NetworkStats],
-    rule_reports: Sequence[RuleReport],
-    learned_bn: BayesianNetwork | None,
-    out_dir,
-    header: Mapping[str, object] | None = None,
-) -> list[Path]:
-    """Write the key-value report and the re-learned attribute network."""
+def export_reports(text: str, learned_bn: BayesianNetwork | None, out_dir) -> list[Path]:
+    """Write the key-value report ``text`` (see ``report_text``) and the
+    re-learned attribute network."""
     out = Path(out_dir)
-    written = [_write(out / "report.txt", report_text(error_report, stats, rule_reports, header))]
+    written = [_write(out / "report.txt", text)]
     if learned_bn is not None:
         written.append(_write(out / "learned_attributes.bn", serialize_bn(learned_bn)))
     return written

@@ -46,10 +46,9 @@ class MatchingError(Exception):
 class HomophilyRule:
     """One homophily generation rule for a single link type.
 
-    counts names the endpoints whose required/created counters govern the
-    rule ("both", "a1" or "a2").  retries bounds prototype draws per link
-    slot; below small_set candidates the matcher goes straight to the
-    fallback scan.
+    counts names the endpoints whose open demand governs the rule ("both",
+    "a1" or "a2").  retries bounds prototype draws per link slot; below
+    small_set candidates the matcher goes straight to the fallback scan.
     """
 
     link_type: str
@@ -391,6 +390,7 @@ def run_homophily_rule(
 
     members = np.flatnonzero(tables.members[tables.a1_class])
     left = store.remaining(rule.link_type, members)  # refuses an unknown type
+    demand = store.demand[rule.link_type]
     if rule.counts_a1:
         members = members[left > 0]
         report.demand_total = int(left[left > 0].sum())
@@ -399,7 +399,7 @@ def run_homophily_rule(
 
     for a1 in members[rng.permutation(len(members))].tolist():
         # Only a1's own links change its demand during its turn.
-        slots = store.remaining(rule.link_type, a1) if rule.counts_a1 else 1
+        slots = demand[a1] if rule.counts_a1 else 1
         box, compat, cdf = row(int(tables.a1_class[a1]))
         for _ in range(slots):
             available, taken = buckets.available([a1, *store.partners_of(a1)], box)
@@ -420,7 +420,7 @@ def run_homophily_rule(
             report.fallback_links += not by_prototype
             if rule.counts_a2:
                 for agent in (a1, a2) if rule.counts_a1 else (a2,):
-                    if store.remaining(rule.link_type, agent) == 0:
+                    if demand[agent] == 0:
                         buckets.remove(agent)
 
     if rule.counts_a1:

@@ -3,18 +3,19 @@
 Agent i is row i of an N x V integer matrix whose column j holds the index
 of the agent's label in the label tuple of variable j.  Variables named with
 the ``RC_`` prefix hold required link counts (``RC_spouses`` is the number
-of spouses links an agent needs); the store turns each into a required-count
-array for its link type, next to a created-count array that links bump.
-Open demand is created < required.  Each link type keeps its links as one
-list of (source, target) pairs, undirected ones lowest id first.  Any
-unordered pair of agents carries at most one link across all types.
+of spouses links an agent needs); the store turns each into a list of open
+demand for its link type, one Python int per agent, that counted links
+decrement.  Each link type keeps its links as one flat int64 buffer of
+(source, target) pairs, undirected ones lowest id first.  Any unordered pair
+of agents carries at most one link across all types.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -82,10 +83,11 @@ class LinkType:
 
 
 class PopulationStore:
-    """Agent code matrix, per-type link counters and the link registry.
+    """Agent code matrix, per-type open demand and the link registry.
 
     ``columns`` maps each variable to its label tuple, in declaration order;
-    ``codes`` has one row per agent and one column per variable.  Reads may
+    ``codes`` has one row per agent and one column per variable;
+    ``demand[type][agent]`` is the agent's open demand of the type.  Reads may
     run concurrently; mutations go through a single writer, which is what
     the sequential generation pipeline provides.
     """
@@ -104,29 +106,22 @@ class PopulationStore:
             np.zeros((0, len(self.columns))) if codes is None else codes, dtype=np.intp
         )
         self.link_types: dict[str, LinkType] = {}
-        self.required: dict[str, np.ndarray] = {}
-        self.created: dict[str, np.ndarray] = {}
-        self._ends: dict[str, list[tuple[int, int]]] = {}
+        self.demand: dict[str, list[int]] = {}
+        self._links: dict[str, array] = {}
         self._partners: dict[int, set[int]] = {}
         for j, name in enumerate(self.columns):
-            if not name.startswith(RC_PREFIX):
-                continue
-            link_type = name[len(RC_PREFIX):]
-            self.required[link_type] = link_counts(name, self.labels[j])[self.codes[:, j]]
-            self.created[link_type] = np.zeros(len(self), dtype=np.int64)
+            if name.startswith(RC_PREFIX):
+                counts = link_counts(name, self.labels[j])[self.codes[:, j]]
+                self.demand[name[len(RC_PREFIX):]] = counts.tolist()
         for lt in link_types:
-            self.declare_link_type(lt)
+            if lt.name in self.link_types:
+                raise PopulationError(f"link type {lt.name!r} declared twice")
+            self.link_types[lt.name] = lt
+            self.demand.setdefault(lt.name, [0] * len(self))
+            self._links[lt.name] = array("q")
 
     def __len__(self) -> int:
         return self.codes.shape[0]
-
-    def declare_link_type(self, link_type: LinkType) -> None:
-        if link_type.name in self.link_types:
-            raise PopulationError(f"link type {link_type.name!r} declared twice")
-        self.link_types[link_type.name] = link_type
-        self.required.setdefault(link_type.name, np.zeros(len(self), dtype=np.int64))
-        self.created.setdefault(link_type.name, np.zeros(len(self), dtype=np.int64))
-        self._ends[link_type.name] = []
 
     def column(self, attribute: str) -> int:
         try:
@@ -140,28 +135,25 @@ class PopulationStore:
         return {name: labels[c] for name, labels, c in zip(self.columns, self.labels, row)}
 
     def remaining(self, link_type: str, ids=slice(None)) -> np.ndarray:
-        """Required minus created links of this type, per agent or for ``ids``."""
-        if link_type not in self.required:
+        """Open demand of this type as int64, per agent or for ``ids``."""
+        if link_type not in self.demand:
             raise UnknownLinkTypeError(link_type)
-        return self.required[link_type][ids] - self.created[link_type][ids]
+        return np.array(self.demand[link_type], dtype=np.int64)[ids]
 
     def edges(self, link_type: str | None = None) -> np.ndarray:
         """(source, target) rows of one type's links in insertion order, or
-        of every type's, types in declaration order; int64, shape (m, 2)."""
-        if link_type is None:
-            pairs = [pair for ends in self._ends.values() for pair in ends]
-        elif link_type in self.link_types:
-            pairs = self._ends[link_type]
-        else:
+        of every type's, types in declaration order; int64, shape (m, 2).
+        The rows are a copy: a view would keep the buffer from growing."""
+        if link_type is not None and link_type not in self._links:
             raise UnknownLinkTypeError(link_type)
-        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        names = self._links if link_type is None else [link_type]
+        views = [np.frombuffer(self._links[name], dtype=np.int64) for name in names]
+        return np.concatenate([np.empty(0, dtype=np.int64), *views]).reshape(-1, 2)
 
-    def dyad_used(self, a: int, b: int) -> bool:
-        return b in self._partners.get(a, ())
-
-    def partners_of(self, agent_id: int) -> frozenset[int]:
-        """Agents sharing a dyad with this one, across all link types."""
-        return frozenset(self._partners.get(agent_id, ()))
+    def partners_of(self, agent_id: int) -> AbstractSet[int]:
+        """Agents sharing a dyad with this one, across all link types.  The
+        store's own set, read in place: the caller must not change it."""
+        return self._partners.get(agent_id, frozenset())
 
     def record_link(
         self,
@@ -175,15 +167,15 @@ class PopulationStore:
     ) -> tuple[int, int]:
         """Insert a link if the dyad is still free; returns the stored pair.
 
-        Counted endpoints have their created counter for the type bumped;
-        with enforce_demand the insert refuses to push created past required
+        Counted endpoints have their open demand for the type decremented;
+        with enforce_demand the insert refuses to take it below zero
         (matching rules rely on this as a hard stop).
         """
         if source == target:
             raise SelfLinkError(f"agent {source} cannot link to itself")
         if link_type not in self.link_types:
             raise UnknownLinkTypeError(link_type)
-        if self.dyad_used(source, target):
+        if target in self._partners.get(source, ()):
             raise DyadOccupiedError(
                 f"agents {min(source, target)} and {max(source, target)} already linked"
             )
@@ -193,18 +185,18 @@ class PopulationStore:
         counted = [a for flag, a in ((count_source, source), (count_target, target)) if flag]
         if enforce_demand:
             for agent_id in counted:
-                if self.remaining(link_type, agent_id) <= 0:
+                if self.demand[link_type][agent_id] <= 0:
                     raise DemandExceededError(
                         f"agent {agent_id} has no remaining {link_type!r} demand"
                     )
 
         if not self.link_types[link_type].directed and source > target:
             source, target = target, source
-        self._ends[link_type].append((source, target))
+        self._links[link_type].extend((source, target))
         self._partners.setdefault(source, set()).add(target)
         self._partners.setdefault(target, set()).add(source)
         for agent_id in counted:
-            self.created[link_type][agent_id] += 1
+            self.demand[link_type][agent_id] -= 1
         return source, target
 
 

@@ -104,10 +104,8 @@ def run_transitivity_rule(
     report = RuleReport(rule.t3, "transitive")
     dyads = enumerate_open_triads(store, rule)
     report.demand_total = len(dyads)
-    for a1, a3 in dyads:
-        if rng.random() < rule.probability:
-            store.record_link(
-                a1, a3, rule.t3, count_source=True, count_target=True
-            )
+    for (a1, a3), u in zip(dyads, rng.random(len(dyads)).tolist()):
+        if u < rule.probability:
+            store.record_link(a1, a3, rule.t3)
             report.links_created += 1
     return report

@@ -163,15 +163,20 @@ class TestCptLayouts:
         (AB + "cpt a { 0.5, 0.5 }\ncpt b | a {\n  u: 0.1: 0.9\n  v: 0.2, 0.8\n}\n",
          ("BnSyntaxError", 5, "line 5, column 1: expected probability, got '0.1: 0.9'")),
         ("variable a { u, v }\ncpt a {\n  0.5, 0.5\nvariable b { x, y }\n",
-         ("BnSyntaxError", 4, "line 4, column 1: expected probability, got 'variable b { x'")),
+         ("BnSyntaxError", 2, "line 2, column 1: unterminated cpt for 'a'")),
+        (AB + "cpt a {\n  0.5, 0.5\ncpt b | a {\n  u: 0.1, 0.9\n  v: 0.2, 0.8\n}\n",
+         ("BnSyntaxError", 3, "line 3, column 1: unterminated cpt for 'a'")),
+        ("variable a { cpt x, v }\nvariable b { x, y }\ncpt a { 0.5, 0.5 }\n"
+         "cpt b | a {\n  cpt x: 0.1, 0.9\n  v: 0.2, 0.8\n}\n",
+         {"a": {(): (0.5, 0.5)}, "b": {("cpt x",): (0.1, 0.9), ("v",): (0.2, 0.8)}}),
         ("variable a { u, v }\ncpt a {\n  0.5, 0.5\n\n# trailing comment\n",
          ("BnSyntaxError", 2, "line 2, column 1: unterminated cpt for 'a'")),
         ("variable a { u, v }\ncpt a { }\n",
          ("BnValidationError", None, "invalid network:\n  - a [prior]: missing row")),
     ], ids=[
         "one-line", "braces-alone", "brace-ends-last-row", "first-row-on-header",
-        "comments-and-blanks", "two-colons", "variable-in-open-block", "eof-in-block",
-        "empty-block",
+        "comments-and-blanks", "two-colons", "variable-in-open-block", "cpt-in-open-block",
+        "cpt-x-label", "eof-in-block", "empty-block",
     ])
     def test_layout(self, text, expected):
         assert _outcome(text) == expected

@@ -224,7 +224,7 @@ class TestReports:
         store = generate_population(bn, 5, substream(0, "p"))
         learned = learn_marginals(store, bn)
         error, stats, rule_reports = self.reports()
-        files = export_reports(error, stats, rule_reports, learned.bn, tmp_path)
+        files = export_reports(report_text(error, stats, rule_reports), learned.bn, tmp_path)
         names = {f.name for f in files}
         assert names == {"report.txt", "learned_attributes.bn"}
         # deterministic run: learned network identical to the input after
@@ -249,7 +249,7 @@ class TestReports:
 
     def test_report_keys_cover_every_rule(self, tmp_path):
         error, stats, rule_reports = self.reports()
-        files = export_reports(error, stats, rule_reports, None, tmp_path)
+        files = export_reports(report_text(error, stats, rule_reports), None, tmp_path)
         parsed = parse_report((tmp_path / "report.txt").read_text())
         for i in range(len(rule_reports)):
             assert f"rule.{i}.type" in parsed

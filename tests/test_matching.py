@@ -487,7 +487,7 @@ class TestRunHomophilyRule:
         store = agent_store(rows, rc=rc)
         rule = spouses_rule()
         run_homophily_rule(store, rule, substream(5, "r"))
-        assert (store.created["spouses"] <= store.required["spouses"]).all()
+        assert (store.remaining("spouses") >= 0).all()
         audit_links(store, rule)
 
     def test_deterministic_under_fixed_seed(self):
@@ -530,7 +530,7 @@ class TestRunHomophilyRule:
         assert report.links_created == 2
         assert report.demand_total == 4
         assert report.unfulfilled == 2
-        assert store.created["pair"][2] == 0
+        assert store.remaining("pair")[2] == 0  # required 0, so no counted link
         assert {frozenset(pair) for pair in store.edges("pair").tolist()} == {
             frozenset((0, 2)), frozenset((1, 2)),
         }
@@ -544,7 +544,7 @@ class TestRunHomophilyRule:
         assert report.links_created == 2
         assert report.demand_total == 3
         assert report.unfulfilled == 1
-        assert store.created["pair"].tolist() == [0, 0, 0, 2]
+        assert store.remaining("pair").tolist() == [0, 0, 0, 0]  # required 0, 0, 0, 2
 
     def test_fallback_rejects_low_compatibility_candidates(self):
         # same-location pairs are certain, cross-location ones only likely,
@@ -799,7 +799,7 @@ def pinned_store(seed: int, n: int = 300):
     required = [{"pair": r} for r in rng.integers(0, 4, n).tolist()]
     store = build_store([LinkType("pair", False), LinkType("other", True)], rows, required)
     for a, b in rng.integers(0, n, (n, 2)).tolist():
-        if a != b and not store.dyad_used(a, b):
+        if a != b and b not in store.partners_of(a):
             store.record_link(a, b, "other")
     return store
 
@@ -880,7 +880,7 @@ def test_available_counts_match_bruteforce_pool(seed, counts):
     )
     for _ in range(int(rng.integers(0, 2 * n))):
         a, b = rng.integers(0, n, 2).tolist()
-        if a != b and not store.dyad_used(a, b):
+        if a != b and b not in store.partners_of(a):
             store.record_link(a, b, ("t", "o")[int(rng.integers(2))])
     counts_a1, counts_a2 = counts in ("both", "a1"), counts in ("both", "a2")
     demand = "t" if counts_a2 else None
@@ -889,7 +889,7 @@ def test_available_counts_match_bruteforce_pool(seed, counts):
     for _ in range(int(rng.integers(0, n + 1))):
         a1 = int(rng.integers(n))
         pool = query_candidates(store, np.arange(n), demand, a1)
-        if not len(pool) or (counts_a1 and store.remaining("t", a1) <= 0):
+        if not len(pool) or (counts_a1 and store.demand["t"][a1] <= 0):
             continue
         a2 = int(pool[rng.integers(len(pool))])
         store.record_link(
@@ -898,7 +898,7 @@ def test_available_counts_match_bruteforce_pool(seed, counts):
         )
         if counts_a2:
             for agent in (a1, a2) if counts_a1 else (a2,):
-                if store.remaining("t", agent) == 0:
+                if store.demand["t"][agent] == 0:
                     buckets.remove(agent)
     for a1 in range(n):
         taken = [a1, *store.partners_of(a1)]

@@ -242,7 +242,7 @@ class TestRun:
             pairs = [(min(s, t), max(s, t)) for s, t in store.edges().tolist()]
             assert len(pairs) == len(set(pairs))
             assert all(a != b for a, b in pairs)
-            assert (store.created["pair"] <= store.required["pair"]).all()
+            assert (store.remaining("pair") >= 0).all()
             seen.append(sorted(pairs))
         assert seen[0] != seen[1] or seen[1] != seen[2]
 
@@ -456,6 +456,21 @@ class TestCli:
         assert f"cannot write {out / name}" in err
         assert "generating population" not in err and "Traceback" not in err
         assert [p.name for p in out.iterdir()] == [name]
+
+    def test_failed_output_write_is_runtime_exit(self, tmp_path, capsys):
+        # a dangling symlink passes the checks made before any work, so the
+        # write through it fails only once the run is done
+        out = tmp_path / "o"
+        args = ["generate", str(REPO / "plans" / "inconsistent" / "inconsistent.plan"),
+                "--out", str(out)]
+        assert main([*args, "--population", "300", "--seed", "1"]) == EXIT_OK
+        (out / "report.txt").unlink()
+        (out / "report.txt").symlink_to(tmp_path / "nowhere" / "report.txt")
+        capsys.readouterr()
+        assert main([*args, "--population", "400", "--seed", "2"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"runtime failure: cannot write {out / 'report.txt'}: " in err
+        assert "Traceback" not in err
 
     def test_byte_order_marks_change_no_output(self, plan_dir, capsys):
         plan = str(plan_dir / "plan.txt")

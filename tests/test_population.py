@@ -71,11 +71,13 @@ class TestGeneratePopulation:
     def test_required_links_filled_and_created_zeroed(self, attribute_bn):
         store = generate_population(attribute_bn, 50, substream(1, "p"))
         assert store.columns == ("gender", "ageSlices", "location", "RC_friendship")
-        assert set(store.required) == {"friendship"}
-        assert store.required["friendship"].shape == (50,)
-        assert 0 <= store.required["friendship"].min() <= store.required["friendship"].max() <= 2
-        assert set(store.created) == {"friendship"}
-        assert not store.created["friendship"].any()
+        assert set(store.demand) == {"friendship"}
+        j = store.column("RC_friendship")
+        required = [int(store.labels[j][code]) for code in store.codes[:, j]]
+        assert store.remaining("friendship").shape == (50,)
+        assert 0 <= min(required) <= max(required) <= 2
+        # no link is counted yet: open demand is the whole requirement
+        assert store.remaining("friendship").tolist() == required
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -171,7 +173,7 @@ class TestQueryCandidates:
         # sprinkle some links
         for _ in range(60):
             a, b = rng.integers(0, 200, size=2)
-            if a != b and not store.dyad_used(int(a), int(b)):
+            if a != b and b not in store.partners_of(int(a)):
                 store.record_link(int(a), int(b), "friendship",
                                   count_source=False, count_target=False)
         for _ in range(50):
@@ -196,7 +198,7 @@ class TestRecordLink:
     def test_fresh_dyad_inserted(self):
         store = small_store()
         assert store.record_link(0, 1, "friendship") == (0, 1)
-        assert store.dyad_used(0, 1) and store.dyad_used(1, 0)
+        assert 1 in store.partners_of(0) and 0 in store.partners_of(1)
 
     def test_same_pair_different_type_rejected(self):
         store = small_store()
@@ -234,9 +236,10 @@ class TestRecordLink:
 
     def test_counters_follow_count_flags(self):
         store = small_store()
+        before = {t: store.remaining(t) for t in ("friendship", "motherOf")}
         store.record_link(1, 0, "friendship", count_source=True, count_target=False)
-        assert store.created["friendship"].tolist() == [0, 1, 0]
-        assert store.created["motherOf"].tolist() == [0, 0, 0]
+        assert (before["friendship"] - store.remaining("friendship")).tolist() == [0, 1, 0]
+        assert (before["motherOf"] - store.remaining("motherOf")).tolist() == [0, 0, 0]
 
     def test_open_demand_tracking(self):
         store = small_store()
@@ -266,12 +269,24 @@ class TestRecordLink:
 
     def test_created_sum_matches_link_counts(self):
         store = small_store()
+        before = {t: store.remaining(t) for t in ("friendship", "motherOf")}
         store.record_link(0, 1, "friendship")  # undirected, both counted
         store.record_link(1, 2, "motherOf", count_source=True, count_target=False)
-        undirected_total = int(store.created["friendship"].sum())
+        undirected_total = int((before["friendship"] - store.remaining("friendship")).sum())
         assert undirected_total == 2 * len(store.edges("friendship"))
-        directed_total = int(store.created["motherOf"].sum())
+        directed_total = int((before["motherOf"] - store.remaining("motherOf")).sum())
         assert directed_total == len(store.edges("motherOf"))
+
+    def test_edges_are_owned_copies(self):
+        store = small_store()
+        store.record_link(0, 1, "friendship")
+        one_type, every_type = store.edges("friendship"), store.edges()
+        # a view into the store's buffer would make this extend raise
+        store.record_link(2, 1, "friendship")
+        store.record_link(2, 0, "motherOf")
+        assert one_type.tolist() == every_type.tolist() == [[0, 1]]
+        one_type[0] = every_type[0] = (2, 2)
+        assert store.edges().tolist() == [[0, 1], [1, 2], [2, 0]]
 
 
 class TestLearnMarginals:

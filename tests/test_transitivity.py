@@ -69,7 +69,7 @@ def brute_open_triads(store, rule):
             for a3 in range(n):
                 if a3 in (a1, a2) or a3 not in side2[a2]:
                     continue
-                if store.dyad_used(a1, a3):
+                if a3 in store.partners_of(a1):
                     continue
                 oriented.add((a1, a3))
     return sorted(
@@ -100,7 +100,7 @@ def random_networks(draw):
                 forward = draw(st.booleans())
                 links.append((pivot, end, draw(kind)) if forward else (end, pivot, draw(kind)))
     for a, b, name in links:
-        if a != b and not store.dyad_used(a, b):
+        if a != b and b not in store.partners_of(a):
             store.record_link(a, b, name, count_source=False, count_target=False)
     return store
 
