@@ -24,14 +24,16 @@ def make_random_bn(
     max_domain: int = 4,
     max_parents: int = 3,
     zero_fraction: float = 0.15,
+    min_domain: int = 2,
 ) -> BayesianNetwork:
     """Random DAG with dense random CPTs; some entries forced to zero so
-    support pruning gets exercised."""
+    support pruning gets exercised.  ``min_domain=1`` lets variables of one
+    value in, whose factors carry size-1 axes."""
     if n_vars is None:
         n_vars = int(rng.integers(2, max_vars + 1))
     variables = []
     for i in range(n_vars):
-        size = int(rng.integers(2, max_domain + 1))
+        size = int(rng.integers(min_domain, max_domain + 1))
         variables.append(Variable(f"v{i}", tuple(f"x{j}" for j in range(size))))
     cpts = {}
     for i, var in enumerate(variables):

@@ -10,6 +10,7 @@ from popnetgen.inference import (
 )
 
 from helpers import (
+    assignment_weight,
     enum_joint_items,
     enum_posterior,
     enum_probability,
@@ -42,20 +43,21 @@ class TestPosterior:
 
     def test_matches_enumeration_on_random_networks(self):
         rng = np.random.default_rng(101)
-        for _ in range(30):
-            bn = make_random_bn(rng, max_vars=6, max_domain=3)
-            ev = random_evidence(rng, bn)
-            for query in bn.names:
-                if query in ev:
-                    continue
-                try:
-                    expected = enum_posterior(bn, ev, query)
-                except ZeroDivisionError:
-                    with pytest.raises(ZeroEvidenceError):
-                        Engine(bn).posterior(ev, query)
-                    break
-                got = Engine(bn).posterior(ev, query)
-                assert got == pytest.approx(expected, abs=TOL)
+        for min_domain in (2, 1):  # 1 lets in variables of one value: size-1 axes
+            for _ in range(30):
+                bn = make_random_bn(rng, max_vars=6, max_domain=3, min_domain=min_domain)
+                ev = random_evidence(rng, bn)
+                for query in bn.names:
+                    if query in ev:
+                        continue
+                    try:
+                        expected = enum_posterior(bn, ev, query)
+                    except ZeroDivisionError:
+                        with pytest.raises(ZeroEvidenceError):
+                            Engine(bn).posterior(ev, query)
+                        break
+                    got = Engine(bn).posterior(ev, query)
+                    assert got == pytest.approx(expected, abs=TOL)
 
     def test_matches_enumeration_at_twelve_variables(self):
         rng = np.random.default_rng(707)
@@ -126,18 +128,68 @@ class TestProbabilityOfEvidence:
     def test_empty_evidence(self, marital_bn):
         assert Engine(marital_bn).probability_of_evidence({}) == 1.0
 
+    def test_joint_of_no_variables_is_one(self, marital_bn):
+        p = Engine(marital_bn).joint(())
+        assert isinstance(p, np.ndarray) and p.shape == () and p.dtype == np.float64
+        assert p == 1.0
+
     def test_zero_prior_value(self):
         bn = parse_bn("variable g { a, b }\ncpt g { 1.0, 0.0 }")
         assert Engine(bn).probability_of_evidence({"g": "b"}) == 0.0
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(303)
-        for _ in range(30):
-            bn = make_random_bn(rng, max_vars=6, max_domain=3)
-            ev = random_evidence(rng, bn)
-            assert Engine(bn).probability_of_evidence(ev) == pytest.approx(
-                enum_probability(bn, ev), abs=TOL
-            )
+        for min_domain in (2, 1):
+            for _ in range(30):
+                bn = make_random_bn(rng, max_vars=6, max_domain=3, min_domain=min_domain)
+                ev = random_evidence(rng, bn)
+                assert Engine(bn).probability_of_evidence(ev) == pytest.approx(
+                    enum_probability(bn, ev), abs=TOL
+                )
+
+    def test_every_variable_evidenced(self):
+        # every factor is sliced to 0-d, so nothing is left to eliminate
+        rng = np.random.default_rng(313)
+        for _ in range(20):
+            bn = make_random_bn(rng, max_vars=6, max_domain=3, min_domain=1)
+            ev = {n: bn.domain(n)[int(rng.integers(len(bn.domain(n))))] for n in bn.names}
+            weight = assignment_weight(bn, ev)
+            engine = Engine(bn)
+            assert engine.probability_of_evidence(ev) == pytest.approx(weight, abs=TOL)
+            for query in bn.names:
+                if weight == 0.0:
+                    with pytest.raises(ZeroEvidenceError):
+                        engine.posterior(ev, query)
+                else:
+                    expected = np.zeros(len(bn.domain(query)))
+                    expected[bn.domain(query).index(ev[query])] = 1.0
+                    np.testing.assert_array_equal(engine.posterior(ev, query), expected)
+
+
+def _chain_doc(n: int, prior: tuple[float, float], step) -> str:
+    """A binary chain v0 -> v1 -> ... -> v{n-1} sharing one transition matrix."""
+    lines = [f"variable v{i} {{ a, b }}" for i in range(n)]
+    lines.append(f"cpt v0 {{ {prior[0]!r}, {prior[1]!r} }}")
+    for i in range(1, n):
+        lines.append(f"cpt v{i} | v{i - 1} {{")
+        lines += [f"  {x}: {row[0]!r}, {row[1]!r}" for x, row in zip("ab", step)]
+        lines.append("}")
+    return "\n".join(lines)
+
+
+class TestLongChain:
+    """More variables than one einsum call takes labels (52); elimination
+    contracts a few at a time, so the chain still answers."""
+
+    PRIOR = (0.3, 0.7)
+    STEP = ((0.9, 0.1), (0.25, 0.75))
+
+    def test_matches_the_transition_matrix_power(self):
+        engine = Engine(parse_bn(_chain_doc(60, self.PRIOR, self.STEP)))
+        power = np.linalg.matrix_power(np.array(self.STEP), 59)
+        np.testing.assert_allclose(engine.posterior({"v0": "a"}, "v59"), power[0], rtol=0, atol=1e-12)
+        expected = (np.diag(self.PRIOR) @ power).T  # p(v59, v0)
+        np.testing.assert_allclose(engine.joint(("v59", "v0")), expected, rtol=0, atol=1e-12)
 
 
 class TestEngineJoint:
