@@ -7,13 +7,13 @@ declared direction semantics; undirected links are stored lowest-id first.
 from __future__ import annotations
 
 import hashlib
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bn import BayesianNetwork, read_text, serialize_bn
+from .csvscan import _NotPlain, plain_header, scan
 from .matching import RuleReport
 from .metrics import ErrorReport, NetworkStats, stats_report_entries
 from .population import PopulationStore, agents_csv
@@ -210,7 +210,8 @@ def manifest_link_types(directory) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Readers (round-tripping and the stats-only command)
+# Readers (round-tripping and the stats-only command): ``csvscan`` parses a
+# plain file; any other goes line by line, and only that tier raises.
 
 
 def _fields(path, lineno: int, raw: str, count: int) -> list[str]:
@@ -230,44 +231,27 @@ def _agent_id(path, lineno: int, token: str) -> int:
     return value
 
 
-def _body(path, header: str) -> list[str]:
-    """Lines below the header, the header checked."""
-    lines = read_text(path, ExportError).splitlines()
-    if not lines or lines[0] != header:
-        raise ExportError(f"{path}: expected {header!r} header")
-    return lines[1:]
-
-
 def read_edges_all(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Links of a collapsed edge list: an int64 (m, 2) array of (source,
     target) rows, each row's type as an index into the type names, and the
-    names in the order they first appear.
-
-    The body is split once and the id columns converted with ``int`` in
-    bulk; a line that is not three fields, or an id that ``int`` refuses or
-    int64 cannot hold, sends the file through the line-by-line reader,
-    which names the first bad line."""
-    lines = [raw for raw in _body(path, "source,target,type") if raw]
-    if not set(map(str.count, lines, repeat(","))) <= {2}:
-        return _read_edges_all_by_line(path)
-    fields = ",".join(lines).split(",")
+    names in the order they first appear."""
+    text = read_text(path, ExportError)
     try:
-        sources, targets = (
-            np.fromiter(map(int, fields[k::3]), dtype=np.int64, count=len(lines))
-            for k in (0, 1)
-        )
-    except (ValueError, OverflowError):
-        return _read_edges_all_by_line(path)
-    names = fields[2::3]
-    code = {name: k for k, name in enumerate(dict.fromkeys(names))}
-    kinds = np.fromiter(map(code.__getitem__, names), dtype=np.intp, count=len(lines))
-    return np.stack([sources, targets], axis=1), kinds, list(code)
+        columns, start = plain_header(text)
+        if columns == ["source", "target", "type"]:
+            return scan(text, start, 3, (0, 1), 2)
+    except _NotPlain:
+        pass
+    return _read_edges_all_by_line(path)
 
 
 def _read_edges_all_by_line(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """read_edges_all one line at a time, raising on the first bad line."""
+    lines = read_text(path, ExportError).splitlines()
+    if not lines or lines[0] != "source,target,type":
+        raise ExportError(f"{path}: expected 'source,target,type' header")
     ends, kinds, code = [], [], {}
-    for lineno, raw in enumerate(_body(path, "source,target,type"), start=2):
+    for lineno, raw in enumerate(lines[1:], start=2):
         if raw:
             source, target, name = _fields(path, lineno, raw, 3)
             ends.append((_agent_id(path, lineno, source), _agent_id(path, lineno, target)))
@@ -279,6 +263,20 @@ def _read_edges_all_by_line(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
 def read_agents(path) -> int:
     """Number of agents in an agent table; every row has one field per
     column and row k carries id k."""
+    text = read_text(path, ExportError)
+    try:
+        columns, start = plain_header(text)
+        if "id" in columns:
+            ids = scan(text, start, len(columns), (columns.index("id"),))[0][:, 0]
+            if np.array_equal(ids, np.arange(len(ids))):
+                return len(ids)
+    except _NotPlain:
+        pass
+    return _read_agents_by_line(path)
+
+
+def _read_agents_by_line(path) -> int:
+    """read_agents one line at a time, raising on the first bad line."""
     lines = read_text(path, ExportError).splitlines()
     if not lines:
         raise ExportError(f"{path}: empty agent table")

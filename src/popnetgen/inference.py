@@ -59,8 +59,9 @@ class Engine:
             )
             combos = itertools.product(*(self.domains[p] for p in cpt.parents))
             shape = [len(self.domains[v]) for v in cpt.parents + (name,)]
-            table = np.array([cpt.rows[combo] for combo in combos], dtype=np.float64)
-            self._factors[name] = (cpt.parents + (name,), table.reshape(shape))
+            table = np.array([cpt.rows[combo] for combo in combos], dtype=np.float64).reshape(shape)
+            table.setflags(write=False)  # einsum may hand out a view of a lone factor
+            self._factors[name] = (cpt.parents + (name,), table)
         self.descendants = {
             name: frozenset(d for d in self.order if name in self.ancestors[d])
             for name in self.order

@@ -178,6 +178,7 @@ def _triangle_count(n, keys, rows, cols, degrees) -> int:
     out_end = np.cumsum(np.bincount(out_rows, minlength=n))[out_rows]
     later = out_end - np.arange(len(out_rows)) - 1  # out-links of the row after this one
     wanted = np.repeat(out_cols, later) * n + out_cols[ranges(out_end - later, later)]
+    wanted.sort()  # probes in key order stay in cache; only their count is used
     return int(np.count_nonzero(isin_sorted(wanted, keys)))
 
 

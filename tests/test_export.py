@@ -1,10 +1,13 @@
 """File exports: canonical ordering, round-trips, interaction weights."""
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popnetgen import export
+from popnetgen import csvscan, export
 from popnetgen.bn import parse_bn, serialize_bn
 from popnetgen.export import (
     ExportError,
@@ -100,6 +103,8 @@ ID_TOKENS = st.one_of(
     st.integers(-2**64, 2**64).map(str),
     st.sampled_from([
         "+5", " 5", "5 ", "1_0", "_1", "1__0", "0x10", "1.0", "", "x", "\u0663",
+        "-0", "00", "01", "-01", "-", str(10**18 - 1), str(-10**18 + 1),
+        str(10**18), str(-10**18), "0" * 18 + "1",
         str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 - 1),
     ]),
 )
@@ -109,38 +114,126 @@ EDGE_LINES = st.one_of(
     st.just(""),
     st.tuples(ID_TOKENS, ID_TOKENS, TYPE_TOKENS, TYPE_TOKENS).map(",".join),  # extra field
     st.tuples(ID_TOKENS, ID_TOKENS).map(",".join),  # missing field
-    st.text(alphabet="0123456789,_+- x\r\x1c", max_size=12),
+    st.text(alphabet="0123456789,_+- x\r\x1c\u0085\u2028", max_size=12),
 )
+# Blocks of the byte parser small enough to cut the drawn files into many.
+READ_BLOCKS = st.sampled_from([1, 3, 8, csvscan.READ_BLOCK])
+
+
+def assert_reads_as_by_line(read, by_line, path, block):
+    """``read`` at block size ``block`` returns what ``by_line`` returns,
+    dtypes and shapes included, or raises the same ExportError."""
+    try:
+        expected = by_line(path)
+    except ExportError as exc:
+        with pytest.raises(ExportError) as got, patch.object(csvscan, "READ_BLOCK", block):
+            read(path)
+        assert str(got.value) == str(exc)
+        return
+    with patch.object(csvscan, "READ_BLOCK", block):
+        got = read(path)
+    if isinstance(expected, int):
+        assert type(got) is int and got == expected
+        return
+    for array, want in zip(got[:2], expected[:2]):
+        assert array.dtype == want.dtype and array.shape == want.shape
+        assert np.array_equal(array, want)
+    assert got[2] == expected[2]
 
 
 class TestReadEdgesAll:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(
         lines=st.lists(EDGE_LINES, max_size=12),
         well_formed=st.booleans(),
         header=st.sampled_from(["source,target,type", "source,target"]),
         newline=st.sampled_from(["\n", "\r\n"]),
+        block=READ_BLOCKS,
     )
     def test_bulk_parse_agrees_with_line_by_line(
-        self, tmp_path_factory, lines, well_formed, header, newline
+        self, tmp_path_factory, lines, well_formed, header, newline, block
     ):
         if well_formed:  # most drawn files hold a bad line; keep half clean
             lines = [f"{len(line)},{len(line) % 5},t{len(line) % 3}" for line in lines]
         path = tmp_path_factory.mktemp("edges") / "edges_all.csv"
         path.write_text(newline.join([header, *lines]) + newline, encoding="utf-8")
+        assert_reads_as_by_line(read_edges_all, export._read_edges_all_by_line, path, block)
+
+    @pytest.mark.parametrize("body", [
+        "9223372036854775807,-9223372036854775808,t\n1000000000000000000,0,t\n",
+        "9223372036854775808,1,t\n",  # 19 digits, past int64
+        "1,2,t,u\n3,4\n",  # the right comma count, but not three per line
+        "1,2,t\u0085\n",  # line breaks of str.splitlines
+        "1,2,t\u2028\n",
+        "1,2,t\r3,4,t\n",
+        "-0,00,t\n01,-01,t\n",
+    ])
+    def test_agrees_with_line_by_line_on(self, tmp_path, body):
+        path = tmp_path / "edges_all.csv"
+        path.write_text("source,target,type\n" + body, encoding="utf-8")
+        for block in (1, csvscan.READ_BLOCK):
+            assert_reads_as_by_line(read_edges_all, export._read_edges_all_by_line, path, block)
+
+    def test_peak_memory_is_a_few_times_the_file(self, tmp_path):
+        types = ["colleagues", "fatherOf", "friendship", "motherOf", "siblings", "spouses"]
+        rows = [f"{i},{(i * 7919) % 100_000},{types[i * 6 // 100_000]}" for i in range(100_000)]
+        path = tmp_path / "edges_all.csv"
+        path.write_text("\n".join(["source,target,type", *rows]) + "\n", encoding="utf-8")
+        tracemalloc.start()
         try:
-            expected = export._read_edges_all_by_line(path)
-        except ExportError as exc:
-            with pytest.raises(ExportError) as got:
-                read_edges_all(path)
-            assert str(got.value) == str(exc)
-            return
-        ends, kinds, names = read_edges_all(path)
-        assert ends.dtype == expected[0].dtype and ends.shape == expected[0].shape
-        assert np.array_equal(ends, expected[0])
-        assert kinds.dtype == expected[1].dtype and kinds.shape == expected[1].shape
-        assert np.array_equal(kinds, expected[1])
-        assert names == expected[2]
+            ends, _, names = read_edges_all(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ends.shape == (100_000, 2) and names == types
+        assert peak < 6 * path.stat().st_size
+
+
+AGENT_ROWS = st.one_of(
+    st.sampled_from(["ok", "ok", "ok", "blank", "extra", "short", "skip"]),
+    st.sampled_from(["-0", "00", "01", "+1", " 1", "\u0661", "1 ", "x", ""]),  # id as written
+)
+
+
+class TestReadAgents:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(AGENT_ROWS, max_size=12),
+        header=st.sampled_from(["id,color", "color,id", "id", "color", "color,ID"]),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        block=READ_BLOCKS,
+    )
+    def test_bulk_parse_agrees_with_line_by_line(
+        self, tmp_path_factory, rows, header, newline, block
+    ):
+        columns = header.split(",")
+        lines = [header]
+        for row in rows:
+            if row == "blank":
+                lines.append("")
+                continue
+            k = len([line for line in lines[1:] if line])
+            agent_id = {"ok": str(k), "extra": str(k), "short": str(k), "skip": str(k + 1)}
+            fields = [agent_id.get(row, row) if column == "id" else "red" for column in columns]
+            if row == "extra":
+                fields.append("x")
+            elif row == "short":
+                fields.pop()
+            lines.append(",".join(fields))
+        path = tmp_path_factory.mktemp("agents") / "agents.csv"
+        path.write_text(newline.join(lines) + newline, encoding="utf-8")
+        assert_reads_as_by_line(read_agents, export._read_agents_by_line, path, block)
+
+    @pytest.mark.parametrize("text", [
+        "c,id,d\na,0,b,1,c\nx\n",  # each id between two commas, but five fields then one
+        "c,id,d\r\na,0,b\r\n\r\na,1,b",
+        "\ufeffid\n0\n1\n",
+    ])
+    def test_agrees_with_line_by_line_on(self, tmp_path, text):
+        path = tmp_path / "agents.csv"
+        path.write_text(text, encoding="utf-8")
+        for block in (1, csvscan.READ_BLOCK):
+            assert_reads_as_by_line(read_agents, export._read_agents_by_line, path, block)
 
 
 class TestInteractionNetwork:

@@ -128,6 +128,12 @@ class TestProbabilityOfEvidence:
     def test_empty_evidence(self, marital_bn):
         assert Engine(marital_bn).probability_of_evidence({}) == 1.0
 
+    def test_joint_cannot_write_into_the_cpt(self):
+        engine = Engine(parse_bn("variable g { a, b }\ncpt g { 0.25, 0.75 }"))
+        with pytest.raises(ValueError):
+            engine.joint(("g",))[0] = 9.0
+        assert engine.posterior({}, "g").tolist() == [0.25, 0.75]
+
     def test_joint_of_no_variables_is_one(self, marital_bn):
         p = Engine(marital_bn).joint(())
         assert isinstance(p, np.ndarray) and p.shape == () and p.dtype == np.float64
