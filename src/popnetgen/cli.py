@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 usage, 2 invalid plan or network, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -158,20 +160,24 @@ def run(
         plan, store, reports, error_report, stats,
         learned, out_dir,
     )
-    if write:
-        result.files += export_network(store, out_dir)
-        if plan.interaction_weights:
-            result.files.append(
-                export_interaction_network(store, plan.interaction_weights, out_dir)
-            )
-        header = {"population.size": size, "population.seed": seed}
-        text = report_text(error_report, stats, reports, header)
-        result.files += export_reports(text, learned.bn if learned else None, out_dir)
-        written = {path.relative_to(out_dir).as_posix() for path in result.files}
-        for name in set(earlier) - written:  # left by an earlier run
+    if write:  # staged, so that a failed write leaves the earlier run whole
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir) as staging:
+            files = export_network(store, staging)
+            if plan.interaction_weights:
+                files.append(
+                    export_interaction_network(store, plan.interaction_weights, staging)
+                )
+            header = {"population.size": size, "population.seed": seed}
+            text = report_text(error_report, stats, reports, header)
+            files += export_reports(text, learned.bn if learned else None, staging)
+            files.append(export_manifest(files, staging))
+            for path in files:  # the manifest last
+                os.replace(path, out_dir / path.name)
+        result.files = [out_dir / path.name for path in files]
+        for name in set(earlier) - {path.name for path in files}:  # left by an earlier run
             if (out_dir / name).is_file():
                 (out_dir / name).unlink()
-        result.files.append(export_manifest(result.files, out_dir))
         print(text, end="")
     return result
 

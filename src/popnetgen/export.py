@@ -105,9 +105,9 @@ def export_interaction_network(
     ends = np.concatenate([np.empty((0, 2), np.int64), *per_type])
     order = np.lexsort((ends[:, 1], ends[:, 0]))
     kinds = np.repeat(np.arange(len(names)), counts)[order].tolist()
+    probability = [repr(weights.get(name)) for name in names]
     lines = ["source,target,probability"]
-    for (s, t), k in zip(ends[order].tolist(), kinds):
-        lines.append(f"{s},{t},{weights[names[k]]!r}")
+    lines += (f"{s},{t},{probability[k]}" for (s, t), k in zip(ends[order].tolist(), kinds))
     return _write(Path(out_dir) / "interaction.csv", "\n".join(lines) + "\n")
 
 

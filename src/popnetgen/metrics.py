@@ -4,13 +4,16 @@ Statistics treat every link as undirected, per type or with all types
 collapsed onto one uniplex graph.  Average path length is computed on the
 largest connected component only: exactly up to a size cap, above it from a
 fixed number of seeded random sources (flagged as estimated).  The distance
-sum is an exact integer, taken by a bit-parallel breadth-first search from
-up to 4,096 sources at once, or by one traversal per source when the
-component is too deep for that to pay.
+sum is an exact integer.  The exact branch first folds the trees hanging off
+the component's 2-core into weights on the core nodes, and a tree needs no
+search at all; the rest is a bit-parallel breadth-first search from up to
+2,048 sources at once, or one traversal per source when the core is too deep
+for that to pay.
 The kernels are numpy on CSR arrays of sorted ``row * n + col`` keys:
 triangles from degree-oriented wedges, components by root hooking and
-pointer jumping, depth by a frontier search.  Only the per-source traversal
-uses scipy, imported when a component is that deep.
+pointer jumping, the fold by rounds of leaf peeling, depth by a frontier
+search.  Only the per-source traversal uses scipy, imported when a core is
+that deep.
 """
 from __future__ import annotations
 
@@ -26,11 +29,11 @@ from .sampling import substream
 
 EXACT_PATH_LIMIT = 20_000
 PATH_SAMPLE_SOURCES = 1_000
-BITSET_BLOCK_SOURCES = 4_096  # sources per bitset traversal: 64 uint64 words a row
-# Deepest bitset traversal allowed.  On caterpillar trees centred on node 0,
-# whose end sources really take 2e levels, the bitset search at 2e = 384 ran
-# in 0.59 (5,000 nodes) and 0.95 (20,000 nodes) of the per-source time; at
-# 512 in 0.93 and 1.34.
+BITSET_BLOCK_SOURCES = 2_048  # sources per bitset traversal, whole words: 32 uint64 a row
+# Deepest bitset traversal allowed.  On grids with node 0 moved to the centre,
+# whose corner sources really take about 2e levels, the bitset search ran in
+# 0.78 (2e = 372) and 1.11 (2e = 428) of the per-source CPU time at 5,000
+# nodes, and in 0.57 (412) and 0.70 (450) at 20,000 nodes.
 BITSET_MAX_LEVELS = 384
 
 
@@ -143,17 +146,21 @@ def stats_for_edges(
     estimated = False
     s = len(nodes)
     if s >= 2:
-        if s <= EXACT_PATH_LIMIT:
-            sources = np.arange(s)
-        else:
-            rng = substream(0, f"stats/{scope}/path-sample")
-            sources = rng.choice(s, size=min(PATH_SAMPLE_SOURCES, s), replace=False)
-            estimated = True
         # The component's own CSR graph, its nodes renumbered 0..s-1 by id.
         sub_indptr = np.concatenate([[0], np.cumsum(degrees[nodes])])
         slots = ranges(np.searchsorted(rows, nodes), degrees[nodes])
         sub_indices = np.searchsorted(nodes, cols[slots])
-        apl = _distance_sum(sub_indptr, sub_indices, sources) / (len(sources) * (s - 1))
+        if s <= EXACT_PATH_LIMIT:
+            core_indptr, core_indices, weight, total = _fold(sub_indptr, sub_indices)
+            if len(weight) > 1:  # not a tree
+                total += _distance_sum(core_indptr, core_indices, np.arange(len(weight)), weight)
+            apl = total / (s * (s - 1))
+        else:
+            rng = substream(0, f"stats/{scope}/path-sample")
+            sources = rng.choice(s, size=min(PATH_SAMPLE_SOURCES, s), replace=False)
+            estimated = True
+            unit = np.ones(s, dtype=np.int64)
+            apl = _distance_sum(sub_indptr, sub_indices, sources, unit) / (len(sources) * (s - 1))
 
     return NetworkStats(
         scope=scope,
@@ -197,13 +204,51 @@ def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         labels = hooked
 
 
-def _distance_sum(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> int:
-    """Sum of the hop distances from each of ``sources`` to every node of the
-    connected undirected CSR graph ``indptr``, ``indices``.
+def _fold(indptr, indices):
+    """Fold the trees hanging off the 2-core of the connected CSR graph.
+
+    Each round peels every node of degree 1 into its one live neighbour,
+    passing on its subtree size; of two leaves joined to each other the
+    higher id peels, so a tree folds to one root.  Returns the core's own
+    CSR graph, each core node's count c_u of the nodes folded into it (u
+    included), and what the peeled links add to the distance sum over
+    ordered pairs, 2sS - 2Q for the component's s nodes and S, Q the sums
+    of size and size² over the peeled links (the tree sum of Mohar and
+    Pisanski, J. Math. Chem. 2, 1988).  The whole sum is that plus the
+    core's sum of c_u c_v d(u, v)."""
+    s = len(indptr) - 1
+    full = np.diff(indptr)
+    degree = full.copy()
+    size = np.ones(s, dtype=np.int64)
+    alive = np.ones(s, dtype=bool)
+    total = 0
+    leaves = np.flatnonzero(degree == 1)
+    while len(leaves):
+        near = indices[ranges(indptr[leaves], full[leaves])]
+        parent = near[alive[near]]
+        peel = (degree[parent] != 1) | (leaves > parent)
+        leaves, parent = leaves[peel], parent[peel]
+        folded = size[leaves]
+        total += 2 * s * int(folded.sum()) - 2 * int(folded @ folded)
+        np.add.at(size, parent, folded)
+        alive[leaves] = False
+        touched, times = np.unique(parent, return_counts=True)
+        degree[touched] -= times
+        leaves = touched[degree[touched] == 1]
+    core = np.flatnonzero(alive)
+    near = indices[ranges(indptr[core], full[core])]
+    core_indices = (np.cumsum(alive) - 1)[near[alive[near]]]
+    return np.concatenate([[0], np.cumsum(degree[core])]), core_indices, size[core], total
+
+
+def _distance_sum(indptr, indices, sources, weight) -> int:
+    """Sum of weight[u] * weight[v] * d(u, v) over each u of ``sources`` and
+    every node v of the connected undirected CSR graph ``indptr``,
+    ``indices``.
 
     Any two nodes lie within 2e of each other, e the eccentricity of node 0,
     so the bitset traversal takes at most 2e levels.  Its cost grows with
-    the level count, and past ``BITSET_MAX_LEVELS`` (long chains and thin
+    the level count, and past ``BITSET_MAX_LEVELS`` (long cycles and thin
     grids) one traversal per source is the faster."""
     degrees = np.diff(indptr)
     seen = np.arange(len(degrees)) == 0
@@ -214,18 +259,20 @@ def _distance_sum(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) 
         frontier = distinct(reached[~seen[reached]])
         seen[frontier] = True
     if 2 * eccentricity <= BITSET_MAX_LEVELS:
-        return _bitset_distance_sum(indptr, indices, sources)
-    return _dijkstra_distance_sum(indptr, indices, sources)
+        return _bitset_distance_sum(indptr, indices, sources, weight)
+    return _dijkstra_distance_sum(indptr, indices, sources, weight)
 
 
-def _bitset_distance_sum(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> int:
+def _bitset_distance_sum(indptr, indices, sources, weight) -> int:
     """Multi-source BFS on bitsets (Then et al., PVLDB 8(4), 2014): row r of
     ``reach`` holds one bit per source of the block, set once that source
     lies within the current level of node ``order[r]``.  A level ORs each
     node's neighbours' rows into its own, and the bits it sets are the
     (source, node) pairs at that distance.  Rows go by falling degree, so
     the nodes with a k-th neighbour are a prefix and a level is one
-    gather-OR per neighbour slot k."""
+    gather-OR per neighbour slot k.  Sources go by weight, each weight's
+    run padded to whole words, so a level's weighted count is the rows'
+    popcounts times their word weights."""
     degree = np.diff(indptr)
     order = np.argsort(-degree, kind="stable")
     rank = np.argsort(order)
@@ -233,14 +280,21 @@ def _bitset_distance_sum(indptr: np.ndarray, indices: np.ndarray, sources: np.nd
     slots = [
         rank[indices[indptr[order[:with_slot[k]]] + k - 1]] for k in range(1, len(with_slot))
     ]
+    row_weight = weight[order]
+    sources = sources[np.argsort(weight[sources], kind="stable")]
+    values, first, counts = np.unique(weight[sources], return_index=True, return_counts=True)
+    words = -(-counts // 64)
+    column = np.arange(len(sources)) + np.repeat(64 * (np.cumsum(words) - words) - first, counts)
+    word_weight = np.repeat(values, words)
     s = len(degree)
     total = 0
-    for start in range(0, len(sources), BITSET_BLOCK_SOURCES):
-        block = rank[sources[start:start + BITSET_BLOCK_SOURCES]]
-        cols = np.arange(len(block))
-        reach = np.zeros((s, -(-len(block) // 64)), dtype=np.uint64)
-        reach[block, cols // 64] = np.uint64(1) << (cols % 64).astype(np.uint64)
-        reached, full = len(block), len(block) * s
+    for start in range(0, 64 * len(word_weight), BITSET_BLOCK_SOURCES):
+        lo, hi = np.searchsorted(column, [start, start + BITSET_BLOCK_SOURCES])
+        cols, own = column[lo:hi] - start, weight[sources[lo:hi]]
+        block_weight = word_weight[start // 64:(start + BITSET_BLOCK_SOURCES) // 64]
+        reach = np.zeros((s, len(block_weight)), dtype=np.uint64)
+        reach[rank[sources[lo:hi]], cols // 64] = np.uint64(1) << (cols % 64).astype(np.uint64)
+        reached, full = int(own @ own), int(own.sum()) * int(weight.sum())
         level = 0
         while reached < full:
             level += 1
@@ -248,14 +302,14 @@ def _bitset_distance_sum(indptr: np.ndarray, indices: np.ndarray, sources: np.nd
             for neighbours in slots:
                 grown[:len(neighbours)] |= reach[neighbours]
             reach = grown
-            now = int(np.bitwise_count(reach).sum())
+            now = int(row_weight @ (np.bitwise_count(reach) @ block_weight))
             assert now > reached, "component is not connected"
             total += level * (now - reached)
             reached = now
     return total
 
 
-def _dijkstra_distance_sum(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> int:
+def _dijkstra_distance_sum(indptr, indices, sources, weight) -> int:
     """One traversal per source, 512 sources per call.  The only user of
     scipy, imported here so that no shallower graph loads it."""
     from scipy.sparse import csr_matrix
@@ -264,10 +318,9 @@ def _dijkstra_distance_sum(indptr: np.ndarray, indices: np.ndarray, sources: np.
     component = csr_matrix((np.ones(len(indices)), indices, indptr))
     total = 0
     for start in range(0, len(sources), 512):
-        dist = shortest_path(
-            component, method="D", unweighted=True, indices=sources[start:start + 512]
-        )
-        total += int(dist.sum())  # integers below 2**53, so the float sum is exact
+        batch = sources[start:start + 512]
+        dist = shortest_path(component, method="D", unweighted=True, indices=batch)
+        total += int(weight[batch] @ dist.astype(np.int64) @ weight)
     return total
 
 

@@ -173,6 +173,43 @@ def component_graphs(draw):
     return n, [(int(label[a]), int(label[b])) for a, b in edges]
 
 
+@st.composite
+def grafted_graphs(draw):
+    """(node count, links) of one connected graph of up to 38 nodes: a
+    cycle, a clique, a star, a path or a single link, with random trees
+    grafted onto it or one long tail hanging off its last node.  Labels are
+    shuffled, so that the fold's tie between two leaves goes either way."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["cycle", "clique", "star", "path", "link"]))
+    k = 2 if shape == "link" else draw(st.integers(3, 8))
+    edges = {
+        "cycle": [(v, (v + 1) % k) for v in range(k)],
+        "clique": [(a, b) for a in range(k) for b in range(a + 1, k)],
+        "star": [(0, v) for v in range(1, k)],
+    }.get(shape, [(v, v + 1) for v in range(k - 1)])
+    tail = draw(st.booleans())
+    n = k + draw(st.integers(0, 30))
+    for v in range(k, n):
+        edges.append((v - 1 if tail else int(rng.integers(v)), v))
+    label = rng.permutation(n)
+    return n, [(int(label[a]), int(label[b])) for a, b in edges]
+
+
+def scipy_distance_sum(n, edges):
+    """Distance sum over the ordered pairs of a connected graph, by scipy's
+    own breadth-first search from every node."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    ends = np.asarray(edges)
+    graph = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(n, n)).tocsr()
+    total = 0
+    for start in range(0, n, 500):
+        sources = np.arange(start, min(start + 500, n))
+        total += int(shortest_path(graph, directed=False, unweighted=True, indices=sources).sum())
+    return total
+
+
 def record_calls(monkeypatch, names):
     """Wrap the named functions of metrics; returns the names called, in order."""
     calls = []
@@ -186,7 +223,7 @@ def record_calls(monkeypatch, names):
 
 class TestPathLengthKernel:
     @settings(max_examples=40, deadline=None)
-    @given(graph=component_graphs(), block=st.sampled_from([64, 100]), sampled=st.booleans())
+    @given(graph=component_graphs(), block=st.sampled_from([64, 128]), sampled=st.booleans())
     @example(graph=(0, []), block=64, sampled=False)
     @example(graph=(1, [(0, 0), (0, 0)]), block=64, sampled=False)
     def test_bitset_matches_bruteforce_and_per_source(self, graph, block, sampled):
@@ -208,25 +245,53 @@ class TestPathLengthKernel:
         if not sampled:
             assert bitset.average_path_length == apl
 
+    @settings(max_examples=150, deadline=None)
+    @given(graph=grafted_graphs(), block=st.sampled_from([64, 128]), bitset=st.booleans())
+    def test_fold_matches_bruteforce(self, graph, block, bitset):
+        # cores of one weight and of many, in one block of words or several,
+        # by bitsets or by one traversal per source
+        n, edges = graph
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "BITSET_BLOCK_SOURCES", block)
+            patch.setattr(metrics, "BITSET_MAX_LEVELS", 10**9 if bitset else 0)
+            stats = stats_for_edges(n, edges)
+        assert stats.largest_component == n
+        assert stats.average_path_length == brute_graph_stats(n, edges)[3]
+
     def test_two_full_blocks_pinned(self, monkeypatch):
-        # 6,000 sources take one block of 4,096 and one of 1,904; the sum is
-        # the one the per-source traversal gives for this graph.
+        # Every node has degree 2 or more, so the fold peels none: 6,000
+        # sources of weight 1 take two full blocks of 2,048 and one of
+        # 1,904.  The sum is the one the per-source traversal gives for this
+        # graph.
         ran = record_calls(monkeypatch, ["_bitset_distance_sum"])
         stats = stats_for_edges(6000, small_world_edges(6000, 8))
         assert ran == ["_bitset_distance_sum"] and stats.largest_component == 6000
         assert stats.average_path_length == 430_412_530 / (6000 * 5999)
 
+    def test_tree_runs_no_traversal(self, monkeypatch):
+        ran = record_calls(monkeypatch, ["_distance_sum"])
+        n, edges = 3000, [(v, v + 1) for v in range(2999)]
+        stats = stats_for_edges(n, edges)
+        assert ran == []
+        assert stats.average_path_length == (3000 + 1) / 3
+
     @pytest.mark.parametrize("deep", [True, False])
     def test_deep_component_goes_per_source(self, monkeypatch, deep):
         ran = record_calls(monkeypatch, ["_bitset_distance_sum", "_dijkstra_distance_sum"])
         if deep:
-            n, edges = 3000, [(v, v + 1) for v in range(2999)]
+            # a 3,000-node cycle, and on every tenth node a tail of 1 to 4
+            # nodes: core nodes of weights 1 to 5, 1,500 hops around
+            n, edges = 3000, [(v, (v + 1) % 3000) for v in range(3000)]
+            for host in range(0, 3000, 10):
+                for step in range(host // 10 % 4 + 1):
+                    edges.append((host if step == 0 else n - 1, n))
+                    n += 1
         else:
             n, edges = 3000, small_world_edges(3000, 2)
         stats = stats_for_edges(n, edges)
         assert ran == ["_dijkstra_distance_sum" if deep else "_bitset_distance_sum"]
         if deep:
-            assert stats.average_path_length == (3000 + 1) / 3
+            assert stats.average_path_length == scipy_distance_sum(n, edges) / (n * (n - 1))
 
 
 class TestGraphStatistics:

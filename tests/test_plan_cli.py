@@ -1,4 +1,5 @@
 """Plan parsing, validation warnings, and the command-line pipeline."""
+import errno
 import hashlib
 import importlib
 import os
@@ -457,20 +458,57 @@ class TestCli:
         assert "generating population" not in err and "Traceback" not in err
         assert [p.name for p in out.iterdir()] == [name]
 
-    def test_failed_output_write_is_runtime_exit(self, tmp_path, capsys):
-        # a dangling symlink passes the checks made before any work, so the
-        # write through it fails only once the run is done
+    def test_failed_output_write_is_runtime_exit(self, tmp_path, monkeypatch, capsys):
+        # The writer fails on its k-th file, for every k.  The run exits 3
+        # naming that file, and the directory holds the earlier run byte for
+        # byte, which stats still reads.
+        out = tmp_path / "o"
+        args = ["generate", str(REPO / "plans" / "inconsistent" / "inconsistent.plan"),
+                "--out", str(out)]
+        assert main([*args, "--population", "300", "--seed", "1"]) == EXIT_OK
+        earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+        report = earlier["report.txt"].decode().splitlines(keepends=True)
+        stats = "".join(line for line in report if line.startswith("stats."))
+        write_text = Path.write_text
+        for k in range(1, len(earlier) + 1):
+            written = []
+
+            def failing(path, *rest, **options):
+                written.append(path)
+                if len(written) == k:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return write_text(path, *rest, **options)
+
+            capsys.readouterr()
+            with monkeypatch.context() as patch:
+                patch.setattr(Path, "write_text", failing)
+                assert main([*args, "--population", "400", "--seed", "2"]) == EXIT_RUNTIME
+            err = capsys.readouterr().err
+            assert f"runtime failure: cannot write {written[-1]}: No space left" in err
+            assert "Traceback" not in err
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
+            assert main(["stats", str(out)]) == EXIT_OK
+            assert capsys.readouterr().out == stats
+        assert written[-1].name == "manifest.txt"
+
+    def test_dangling_symlink_at_an_output_name_is_replaced(self, tmp_path, capsys):
+        # the files are moved into place, so the link itself gives way to
+        # the new run's file and the directory holds that run alone
         out = tmp_path / "o"
         args = ["generate", str(REPO / "plans" / "inconsistent" / "inconsistent.plan"),
                 "--out", str(out)]
         assert main([*args, "--population", "300", "--seed", "1"]) == EXIT_OK
         (out / "report.txt").unlink()
         (out / "report.txt").symlink_to(tmp_path / "nowhere" / "report.txt")
-        capsys.readouterr()
-        assert main([*args, "--population", "400", "--seed", "2"]) == EXIT_RUNTIME
-        err = capsys.readouterr().err
-        assert f"runtime failure: cannot write {out / 'report.txt'}: " in err
-        assert "Traceback" not in err
+        assert main([*args, "--population", "400", "--seed", "2"]) == EXIT_OK
+        assert not (out / "report.txt").is_symlink()
+        assert not (tmp_path / "nowhere").exists()
+        for line in (out / "manifest.txt").read_text().splitlines():
+            digest, name = line.split("  ", 1)
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            output_names(["spouses"], 400, False)
+        )
 
     def test_byte_order_marks_change_no_output(self, plan_dir, capsys):
         plan = str(plan_dir / "plan.txt")
