@@ -163,15 +163,18 @@ def run(
     if write:  # staged, so that a failed write leaves the earlier run whole
         out_dir.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_dir) as staging:
-            files = export_network(store, staging)
-            if plan.interaction_weights:
-                files.append(
-                    export_interaction_network(store, plan.interaction_weights, staging)
-                )
-            header = {"population.size": size, "population.seed": seed}
-            text = report_text(error_report, stats, reports, header)
-            files += export_reports(text, learned.bn if learned else None, staging)
-            files.append(export_manifest(files, staging))
+            try:
+                files = export_network(store, staging)
+                if plan.interaction_weights:
+                    files.append(
+                        export_interaction_network(store, plan.interaction_weights, staging)
+                    )
+                header = {"population.size": size, "population.seed": seed}
+                text = report_text(error_report, stats, reports, header)
+                files += export_reports(text, learned.bn if learned else None, staging)
+                files.append(export_manifest(files, staging))
+            except OSError as exc:  # name the file where the run would have left it
+                raise OSError(str(exc).replace(staging, str(out_dir), 1)) from None
             for path in files:  # the manifest last
                 os.replace(path, out_dir / path.name)
         result.files = [out_dir / path.name for path in files]

@@ -9,7 +9,8 @@ attribute yields the candidate sets.  Pairing then works on classes: a
 prototype's a2 class is drawn from the same elimination, the fallback scans
 the classes with available agents, and the agents a rule may still pick sit
 in one bucket per a2 class.  The tables stay numpy; a link slot reads them
-as Python lists, so it costs O(box + degree) with no numpy call but draws.
+as Python lists and draws from sampling.Draws, so it costs O(box + degree)
+with no numpy call at all.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import numpy as np
 from .bn import BayesianNetwork, numbered_lines, read_network, read_text
 from .inference import Engine
 from .population import PopulationStore
+from .sampling import Draws
 # Unused here; bench/tracing.py patches and subclasses these two names.
 from .population import query_candidates  # noqa: F401
 from .sampling import PrototypeSampler  # noqa: F401
@@ -309,14 +311,17 @@ class ClassBuckets:
         self.where[agent] = -1
         self.size[c] -= 1
 
-    def available(self, taken: list[int], box: list[int]) -> tuple[list[int], list[int]]:
-        """Per class of ``box``, the number of its agents not in ``taken``;
-        and the agents of ``taken`` that are in a bucket."""
-        taken = [a for a in taken if self.where[a] >= 0]
-        skipped: dict[int, int] = {}
-        for c in (self.a2_class[a] for a in taken):
-            skipped[c] = skipped.get(c, 0) + 1
-        return [self.size[c] - skipped.get(c, 0) for c in box], taken
+    def available(self, agents: list[int], box: Mapping[int, int]) -> tuple[list[int], list[int]]:
+        """Per class of ``box``, which maps each to its place in the box, the
+        number of its agents not in ``agents``; and the agents of ``agents``
+        that are in a bucket."""
+        available = [self.size[c] for c in box]
+        taken = [a for a in agents if self.where[a] >= 0]
+        for a in taken:
+            k = box.get(self.a2_class[a])
+            if k is not None:
+                available[k] -= 1
+        return available, taken
 
     def pick(self, c: int, k: int, taken: list[int]) -> int:
         """The agent at index k of class c's bucket once the agents of
@@ -347,85 +352,88 @@ def run_homophily_rule(
     engine = Engine(rule.bn)
     if vacuous(rule, engine):
         return RuleReport(rule.link_type, "homophily", vacuous=True)
-    report = RuleReport(rule.link_type, "homophily")
     tables = class_tables(rule, engine, store)
-    if rule.counts_a2:
-        open_ids = np.flatnonzero(store.remaining(rule.link_type) > 0)
+    link_type, counts_a1, counts_a2 = rule.link_type, rule.counts_a1, rule.counts_a2
+    if counts_a2:
+        open_ids = np.flatnonzero(store.remaining(link_type) > 0)
     else:
         open_ids = np.arange(len(store))
     buckets = ClassBuckets(tables.a2_class, tables.compat.shape[1], open_ids)
 
     @functools.cache
-    def row(c1: int) -> tuple[list[int], list[float], list[float]]:
-        """c1's box classes, their compatibility with c1 and ``cdf[c1]`` at
-        them: a class outside the box adds 0 to it, so no draw lands there."""
+    def row(c1: int) -> tuple[list[int], dict[int, int], list[float], list[float]]:
+        """c1's box classes, each class's index in the box, their
+        compatibility with c1 and ``cdf[c1]`` at them: a class outside the
+        box adds 0 to it, so no draw lands there."""
         box = np.flatnonzero(tables.box[c1])
-        return box.tolist(), tables.compat[c1, box].tolist(), tables.cdf[c1, box].tolist()
-
-    def prototype(cdf: list[float], available: list[int]) -> int | None:
-        """Draw up to ``retries`` a2 classes from p(a2 class | c1, link =
-        yes), one uniform each; the box index of the first with an
-        available agent, or None when every draw misses."""
-        for _ in range(rule.retries):  # c1's box is not empty, so cdf[-1] > 0
-            k = bisect.bisect_right(cdf, rng.random() * cdf[-1])
-            if available[k]:
-                return k
-        return None
-
-    def fallback(compat: list[float], left: list[int]) -> int | None:
-        """Uniform draws of available agents without replacement, each kept
-        with probability compatibility / its largest value over them, run
-        by class: the class of a draw is picked by its count ``left`` of
-        undrawn agents, and a rejection takes one from that count."""
-        max_compat = max((x for x, n in zip(compat, left) if n > 0), default=0.0)
-        if max_compat <= 0.0:
-            return None
-        for total in range(sum(left), 0, -1):
-            k = bisect.bisect_right(list(accumulate(left)), int(rng.integers(total)))
-            if compat[k] > 0.0 and rng.random() < compat[k] / max_compat:
-                return k
-            report.fallback_rejections += 1
-            left[k] -= 1
-        return None
+        index = {c: k for k, c in enumerate(box.tolist())}
+        return [*index], index, tables.compat[c1, box].tolist(), tables.cdf[c1, box].tolist()
 
     members = np.flatnonzero(tables.members[tables.a1_class])
-    left = store.remaining(rule.link_type, members)  # refuses an unknown type
-    demand = store.demand[rule.link_type]
-    if rule.counts_a1:
+    left = store.remaining(link_type, members)  # refuses an unknown type
+    demand = store.demand[link_type]
+    if counts_a1:
         members = members[left > 0]
-        report.demand_total = int(left[left > 0].sum())
+        demand_total = int(left[left > 0].sum())
     else:
-        report.demand_total = len(members)
+        demand_total = len(members)
+    turns = members[rng.permutation(len(members))].tolist()
+    draws = Draws(rng)  # the rule's later draws: rng is not used again
+    random, integers = draws.random, draws.integers
+    a1_class, retries, small_set = tables.a1_class.tolist(), rule.retries, max(rule.small_set, 1)
+    partners_of, record_link = store.partners_of, store.record_link
+    available_of, pick, remove = buckets.available, buckets.pick, buckets.remove
+    prototype_links = fallback_links = rejections = orphans = 0
 
-    for a1 in members[rng.permutation(len(members))].tolist():
+    for a1 in turns:
+        box, index, compat, cdf = row(a1_class[a1])
         # Only a1's own links change its demand during its turn.
-        slots = demand[a1] if rule.counts_a1 else 1
-        box, compat, cdf = row(int(tables.a1_class[a1]))
-        for _ in range(slots):
-            available, taken = buckets.available([a1, *store.partners_of(a1)], box)
-            k = prototype(cdf, available) if sum(available) >= max(rule.small_set, 1) else None
-            by_prototype = k is not None
-            if k is None:
-                k = fallback(compat, available[:])  # the pick reads the undrawn counts
-            if k is None:
-                report.orphan_agents += 1
-                break
-            a2 = buckets.pick(box[k], int(rng.integers(available[k])), taken)
-            store.record_link(
-                a1, a2, rule.link_type,
-                count_source=rule.counts_a1, count_target=rule.counts_a2, enforce_demand=True,
+        for _ in range(demand[a1] if counts_a1 else 1):
+            available, taken = available_of([a1, *partners_of(a1)], index)
+            k = None
+            if sum(available) >= small_set:
+                # Prototype: up to ``retries`` a2 classes drawn from p(a2
+                # class | c1, link = yes), one uniform each, until one has
+                # an available agent.  c1's box is not empty, so cdf[-1] > 0.
+                for _ in range(retries):
+                    j = bisect.bisect_right(cdf, random() * cdf[-1])
+                    if available[j]:
+                        k = j
+                        break
+            if k is not None:
+                prototype_links += 1
+            else:
+                # Fallback: uniform draws of available agents without
+                # replacement, each kept with probability compat / its
+                # largest value over them, run by class: a draw's class is
+                # picked by its undrawn count, which a rejection lowers.
+                undrawn = available[:]  # the pick still reads ``available``
+                top = max((x for x, n in zip(compat, undrawn) if n > 0), default=0.0)
+                for total in range(sum(undrawn) if top > 0.0 else 0, 0, -1):
+                    j = bisect.bisect_right(list(accumulate(undrawn)), integers(total))
+                    if compat[j] > 0.0 and random() < compat[j] / top:
+                        k = j
+                        break
+                    rejections += 1
+                    undrawn[j] -= 1
+                if k is None:
+                    orphans += 1
+                    break
+                fallback_links += 1
+            a2 = pick(box[k], integers(available[k]), taken)
+            record_link(
+                a1, a2, link_type,
+                count_source=counts_a1, count_target=counts_a2, enforce_demand=True,
             )
-            report.links_created += 1
-            report.prototype_links += by_prototype
-            report.fallback_links += not by_prototype
-            if rule.counts_a2:
-                for agent in (a1, a2) if rule.counts_a1 else (a2,):
+            if counts_a2:
+                for agent in (a1, a2) if counts_a1 else (a2,):
                     if demand[agent] == 0:
-                        buckets.remove(agent)
+                        remove(agent)
 
-    if rule.counts_a1:
-        report.unfulfilled = int(store.remaining(rule.link_type, members).sum())
-    else:
-        # One slot each: an orphan is exactly an agent left without a link.
-        report.unfulfilled = report.orphan_agents
-    return report
+    # Without side 1 counted a turn has one slot: an orphan is exactly an
+    # agent left without a link.
+    unfulfilled = int(store.remaining(link_type, members).sum()) if counts_a1 else orphans
+    return RuleReport(
+        link_type, "homophily", demand_total, prototype_links + fallback_links, unfulfilled,
+        prototype_links, fallback_links, rejections, orphans,
+    )

@@ -173,30 +173,29 @@ class PopulationStore:
         """
         if source == target:
             raise SelfLinkError(f"agent {source} cannot link to itself")
-        if link_type not in self.link_types:
+        kind = self.link_types.get(link_type)
+        if kind is None:
             raise UnknownLinkTypeError(link_type)
         if target in self._partners.get(source, ()):
             raise DyadOccupiedError(
                 f"agents {min(source, target)} and {max(source, target)} already linked"
             )
-
-        # Count flags are bound to the caller's endpoint roles, which the
-        # canonical storage order below must not disturb.
-        counted = [a for flag, a in ((count_source, source), (count_target, target)) if flag]
+        demand = self.demand[link_type]
         if enforce_demand:
-            for agent_id in counted:
-                if self.demand[link_type][agent_id] <= 0:
-                    raise DemandExceededError(
-                        f"agent {agent_id} has no remaining {link_type!r} demand"
-                    )
+            short = (source if count_source and demand[source] <= 0
+                     else target if count_target and demand[target] <= 0 else None)
+            if short is not None:
+                raise DemandExceededError(f"agent {short} has no remaining {link_type!r} demand")
 
-        if not self.link_types[link_type].directed and source > target:
+        # Count flags are bound to the caller's endpoint roles, so demand
+        # goes down before the canonical storage order below.
+        demand[source] -= count_source
+        demand[target] -= count_target
+        if not kind.directed and source > target:
             source, target = target, source
         self._links[link_type].extend((source, target))
         self._partners.setdefault(source, set()).add(target)
         self._partners.setdefault(target, set()).add(source)
-        for agent_id in counted:
-            self.demand[link_type][agent_id] -= 1
         return source, target
 
 

@@ -8,11 +8,13 @@ joint given the initial evidence.
 
 Randomness comes from named sub-streams derived from a master seed, so each
 part of the generation pipeline replays identically regardless of what the
-other parts consume.
+other parts consume.  Draws reads a stream's words in blocks and gives the
+values of the stream's Generator calls at a fraction of their cost.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use; every generate needs it
@@ -24,7 +26,51 @@ from .inference import Engine, ZeroEvidenceError
 def substream(master_seed: int, label: str) -> np.random.Generator:
     """Independent generator derived from the master seed and a stable label."""
     digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:16], "big"))
+    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "big")))
+
+
+class Draws:
+    """``rng.random()`` and ``int(rng.integers(n))``, value for value, read
+    from blocks of ``rng``'s raw PCG64 words: a double from a word's top 53
+    bits, and numpy's bounded draw, Lemire's method (ACM TOMACS 29(1), 2019)
+    on 32-bit half words, low half first as PCG64 hands them out, up to
+    n = 2**32 and on whole words above.  The words and the kept half word
+    are taken behind ``rng``'s back, so it must not be used again.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bits = rng.bit_generator
+        if not isinstance(bits, np.random.PCG64):
+            raise TypeError(f"Draws reads PCG64 words, not {type(bits).__name__}")
+        state = bits.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        blocks = iter(lambda: bits.random_raw(1024).tolist(), None)  # never None
+        self._words = itertools.chain.from_iterable(blocks)
+
+    def random(self) -> float:
+        """A uniform double in [0, 1)."""
+        return (next(self._words) >> 11) * 2.0**-53
+
+    def integers(self, n: int) -> int:
+        """A uniform integer in [0, n), for 1 <= n <= 2**64."""
+        if n == 1:
+            return 0
+        if n > 1 << 32:
+            threshold = (1 << 64) % n  # bias rejected below this, as numpy computes it
+            while True:
+                m = next(self._words) * n
+                if m & 0xFFFF_FFFF_FFFF_FFFF >= threshold:
+                    return m >> 64
+        threshold = (1 << 32) % n
+        while True:
+            if self._half is None:
+                word = next(self._words)
+                self._half, word = word >> 32, word & 0xFFFF_FFFF
+            else:
+                word, self._half = self._half, None
+            m = word * n
+            if m & 0xFFFF_FFFF >= threshold:
+                return m >> 32
 
 
 def draw_index(probabilities, u: float) -> int:

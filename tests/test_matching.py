@@ -902,12 +902,15 @@ def test_available_counts_match_bruteforce_pool(seed, counts):
                     buckets.remove(agent)
     for a1 in range(n):
         taken = [a1, *store.partners_of(a1)]
-        available, in_buckets = buckets.available(taken, list(range(classes)))
+        every = dict(zip(range(classes), range(classes)))
+        available, in_buckets = buckets.available(taken, every)
         pool = query_candidates(store, np.arange(n), demand, a1)
         assert available == np.bincount(a2_class[pool], minlength=classes).tolist()
         box = rng.random(classes) < 0.5
         base = np.flatnonzero(box[a2_class])
-        in_box, _ = buckets.available(taken, np.flatnonzero(box).tolist())
+        box_classes = np.flatnonzero(box).tolist()
+        in_box, _ = buckets.available(taken, {c: k for k, c in enumerate(box_classes)})
+        assert in_box == [available[c] for c in box_classes]
         assert sum(in_box) == len(query_candidates(store, base, demand, a1))
         for c in range(classes):
             picked = [buckets.pick(c, k, in_buckets) for k in range(available[c])]

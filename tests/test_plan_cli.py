@@ -484,8 +484,8 @@ class TestCli:
                 patch.setattr(Path, "write_text", failing)
                 assert main([*args, "--population", "400", "--seed", "2"]) == EXIT_RUNTIME
             err = capsys.readouterr().err
-            assert f"runtime failure: cannot write {written[-1]}: No space left" in err
-            assert "Traceback" not in err
+            assert f"runtime failure: cannot write {out / written[-1].name}: No space left" in err
+            assert "Traceback" not in err and ".staging-" not in err
             assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
             assert main(["stats", str(out)]) == EXIT_OK
             assert capsys.readouterr().out == stats

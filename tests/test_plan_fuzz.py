@@ -5,13 +5,14 @@ import io
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popnetgen.bn import serialize_bn
-from popnetgen.cli import EXIT_INVALID, EXIT_OK, main
+from popnetgen.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
 
 from helpers import make_random_bn
 from test_matching import make_random_matching_rule
@@ -128,8 +129,8 @@ def run_cli(*args) -> tuple[int, str, str]:
 
 
 @settings(max_examples=60, deadline=None)
-@given(plan_directories())
-def test_validate_agrees_with_generate_and_stats_with_report(files):
+@given(plan_directories(), st.integers(0, 2**32 - 1))
+def test_validate_agrees_with_generate_and_stats_with_report(files, failing_write):
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         plan, out = base / "plan.txt", base / "out"
@@ -157,3 +158,23 @@ def test_validate_agrees_with_generate_and_stats_with_report(files):
         assert code == EXIT_OK, err
         report = (out / "report.txt").read_text(encoding="utf-8").splitlines()
         assert stats_out.splitlines() == [line for line in report if line.startswith("stats.")]
+
+        # The run again into the same directory, with the writer failing on
+        # its k-th file: exit 3, and the first run's files stay as they were.
+        # k is uniform over the files: hypothesis favours small integers.
+        earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+        k = 1 + int(np.random.default_rng(failing_write).integers(len(earlier)))
+        written, write_text = [], Path.write_text
+
+        def failing(path, *rest, **options):
+            written.append(path)
+            if len(written) == k:
+                raise OSError(28, "No space left on device")
+            return write_text(path, *rest, **options)
+
+        with mock.patch.object(Path, "write_text", failing):
+            code, _, err = run_cli("generate", plan, "--out", out)
+        assert code == EXIT_RUNTIME, err
+        assert f"cannot write {out / written[-1].name}: No space left" in err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
+        assert run_cli("stats", out) == (EXIT_OK, stats_out, "")

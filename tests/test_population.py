@@ -277,6 +277,37 @@ class TestRecordLink:
         directed_total = int((before["motherOf"] - store.remaining("motherOf")).sum())
         assert directed_total == len(store.edges("motherOf"))
 
+    @pytest.mark.parametrize("source, target, link_type, error, message", [
+        (0, 0, "ghost", SelfLinkError, "agent 0 cannot link to itself"),
+        (1, 2, "ghost", UnknownLinkTypeError, "ghost"),
+        (2, 1, "motherOf", DyadOccupiedError, "agents 1 and 2 already linked"),
+        (3, 0, "friendship", DyadOccupiedError, "agents 0 and 3 already linked"),
+        (0, 1, "friendship", DemandExceededError, "agent 0 has no remaining 'friendship' demand"),
+        (1, 3, "friendship", DemandExceededError, "agent 3 has no remaining 'friendship' demand"),
+        (4, 0, "friendship", DemandExceededError, "agent 4 has no remaining"),
+        (0, 4, "friendship", DemandExceededError, "agent 0 has no remaining"),
+    ])
+    def test_refusal_changes_nothing(self, source, target, link_type, error, message):
+        # Checks run self link, type, dyad, then demand, source before
+        # target; most cases also fail a later check, which must not be
+        # the one reported.
+        store = build_store(
+            [LinkType("friendship", False), LinkType("motherOf", True)],
+            [{"x": "1"}] * 5,
+            [{"friendship": d} for d in (0, 1, 1, 0, 0)],
+        )
+        store.record_link(2, 1, "friendship", count_source=False, count_target=False)
+        store.record_link(0, 3, "motherOf", count_source=False, count_target=False)
+
+        def state():
+            partners = {a: set(store.partners_of(a)) for a in range(len(store))}
+            return {t: list(d) for t, d in store.demand.items()}, partners, store.edges().tolist()
+
+        before = state()
+        with pytest.raises(error, match=message):
+            store.record_link(source, target, link_type, enforce_demand=True)
+        assert state() == before
+
     def test_edges_are_owned_copies(self):
         store = small_store()
         store.record_link(0, 1, "friendship")

@@ -1,12 +1,16 @@
 """Prototype sampling: evidence handling, exactness, reproducibility."""
+import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popnetgen.bn import parse_bn
 from popnetgen.inference import Engine, ZeroEvidenceError
-from popnetgen.sampling import PrototypeSampler, draw_index, substream
+from popnetgen.sampling import Draws, PrototypeSampler, draw_index, substream
 
 from helpers import enum_joint_items
 
@@ -59,8 +63,44 @@ class TestSubstream:
         b = substream(42, "rule/homophily/spouses/0")
         assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
 
+    def test_streams_are_pcg64(self):
+        assert isinstance(substream(42, "population").bit_generator, np.random.PCG64)
+
     def test_seed_changes_stream(self):
         assert substream(1, "x").random() != substream(2, "x").random()
+
+
+# Every branch of numpy's bounded draw: no word (1), 32-bit Lemire, a bare
+# half word (2**32) and 64-bit Lemire.  2**31 + 1 and 3 * 2**61 + 1 reject
+# about one draw in two and one in eight.
+DRAW_BOUNDS = [
+    1, 2, 3, 1000, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3, 3 * 2**61 + 1, 2**63 - 1,
+]
+
+
+class TestDraws:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**128 - 1),
+        shuffled=st.integers(0, 40),
+        calls=st.lists(st.sampled_from([None, *DRAW_BOUNDS]), min_size=1, max_size=40),
+    )
+    def test_same_values_as_the_generator(self, seed, shuffled, calls):
+        # A permutation of an even length leaves a half word cached.
+        expected, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert expected.permutation(shuffled).tolist() == rng.permutation(shuffled).tolist()
+        draws = Draws(rng)
+        for n in itertools.islice(itertools.cycle(calls), 3000):
+            if n is None:
+                assert draws.random() == expected.random()
+            else:
+                assert draws.integers(n) == int(expected.integers(n))
+        # 2,200 more doubles: past a block boundary whatever the calls were
+        assert [draws.random() for _ in range(2200)] == expected.random(2200).tolist()
+
+    def test_other_bit_generators_refused(self):
+        with pytest.raises(TypeError, match="MT19937"):
+            Draws(np.random.Generator(np.random.MT19937(1)))
 
 
 class TestDrawIndex:
