@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping
 
 import numpy as np
 
@@ -38,7 +37,8 @@ _CACHE_MAX = 400_000
 
 
 class Engine:
-    """Per-network inference engine with one memo keyed by (variables, evidence).
+    """Per-network inference engine: dense CPTs, ancestor sets and one memo
+    keyed by (variables, evidence).
 
     An Engine never mutates its network, so one instance can serve concurrent
     reads.  Construction is cheap; the win from reuse is the memo, which
@@ -63,10 +63,6 @@ class Engine:
             table = np.array([cpt.rows[combo] for combo in combos], dtype=np.float64).reshape(shape)
             table.setflags(write=False)  # einsum may hand out a view of a lone factor
             self._factors[name] = (cpt.parents + (name,), table)
-        self.descendants = {
-            name: frozenset(d for d in self.order if name in self.ancestors[d])
-            for name in self.order
-        }
         self._memo: dict[tuple, np.ndarray] = {}
 
     # -- public queries ------------------------------------------------------
@@ -100,12 +96,6 @@ class Engine:
         """Parents of ``name`` and its dense CPT: one axis per parent, child last."""
         varnames, table = self._factors[name]
         return varnames[:-1], table
-
-    def cpt_row(self, name: str, parent_values: Mapping[str, str]) -> np.ndarray:
-        """Direct CPT lookup p(name | parents); all parents must be present."""
-        varnames, table = self._factors[name]
-        idx = tuple(self.value_index[p][parent_values[p]] for p in varnames[:-1])
-        return table[idx]
 
     # -- internals -------------------------------------------------------------
 

@@ -349,10 +349,9 @@ def run_homophily_rule(
     report.  Every created link passes the dyad-uniqueness and demand
     checks of the store.
     """
-    engine = Engine(rule.bn)
-    if vacuous(rule, engine):
+    tables = class_tables(rule, Engine(rule.bn), store)
+    if not tables.members.any():  # a cell with link = yes makes its a1 class a member
         return RuleReport(rule.link_type, "homophily", vacuous=True)
-    tables = class_tables(rule, engine, store)
     link_type, counts_a1, counts_a2 = rule.link_type, rule.counts_a1, rule.counts_a2
     if counts_a2:
         open_ids = np.flatnonzero(store.remaining(link_type) > 0)

@@ -246,7 +246,7 @@ def generate_population(
     engine = Engine(attribute_bn)
     column = {name: j for j, name in enumerate(attribute_bn.names)}
     check_population_size(size, len(column))
-    codes = np.empty((size, len(column)), dtype=np.intp)
+    codes = np.empty((size, len(column)), dtype=np.intp, order="F")  # the store's layout
     uniforms = rng.random((size, len(column)))
     for step, name in enumerate(engine.order):
         parents, table = engine.cpt_table(name)

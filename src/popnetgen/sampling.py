@@ -108,14 +108,15 @@ class PrototypeSampler:
         """
         if evidence and self.engine.probability_of_evidence(evidence) <= 0.0:
             raise ZeroEvidenceError(f"evidence has probability 0: {dict(evidence)}")
-        assignment = dict(evidence)
-        for name in self.engine.order:
+        engine, assignment = self.engine, dict(evidence)
+        for name in engine.order:
             if name in evidence:
                 continue
-            if self.engine.descendants[name].isdisjoint(evidence):
-                probs = self.engine.cpt_row(name, assignment)
+            if any(name in engine.ancestors[e] for e in evidence):
+                probs = engine.posterior(assignment, name)
             else:
-                probs = self.engine.posterior(assignment, name)
+                parents, table = engine.cpt_table(name)
+                probs = table[tuple(engine.value_index[p][assignment[p]] for p in parents)]
             idx = draw_index(probs, rng.random())
-            assignment[name] = self.engine.domains[name][idx]
+            assignment[name] = engine.domains[name][idx]
         return assignment

@@ -301,7 +301,8 @@ class TestEngineClosures:
 
             for name in bn.names:
                 assert engine.ancestors[name] == reach(name, bn.parents)
-                assert engine.descendants[name] == reach(name, children.__getitem__)
+                descendants = {d for d in bn.names if name in engine.ancestors[d]}
+                assert descendants == reach(name, children.__getitem__)
 
 
 class TestTensorOracleAgreesWithEnumeration:

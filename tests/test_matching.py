@@ -305,6 +305,7 @@ class TestMemberBox:
                     if in_box(tables, i, j)
                 }
                 assert admitted == {a[bn_var] for a in possible}
+            assert run_homophily_rule(store, rule, substream(0, "r")).vacuous == (not possible)
 
 
 class TestBaseBox:

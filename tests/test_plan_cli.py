@@ -2,6 +2,7 @@
 import errno
 import hashlib
 import importlib
+import inspect
 import os
 import pkgutil
 import shutil
@@ -16,6 +17,7 @@ from popnetgen import cli, metrics
 from popnetgen.bn import BnCycleError, BnSyntaxError, BnValidationError, parse_bn
 from popnetgen.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run
 from popnetgen.export import output_names
+from popnetgen.inference import Engine
 from popnetgen.plan import (
     HomophilyPlanRule,
     PlanSyntaxError,
@@ -351,6 +353,21 @@ class TestCli:
             assert "stats.collapsed.path_length_estimated = true" in stats_out.splitlines()
         report = (out / "report.txt").read_text().splitlines()
         assert stats_out.splitlines() == [l for l in report if l.startswith("stats.")]
+
+    def test_generate_tests_vacuity_only_in_validation(self, tmp_path, monkeypatch):
+        # validate warns from p(link = yes) of each of Kenya's four homophily
+        # rules; run reads vacuity off each rule's class tables instead.
+        from_validate = []
+        probability_of_evidence = Engine.probability_of_evidence
+
+        def counted(engine, evidence):
+            from_validate.append(any(f.function == "validate_plan" for f in inspect.stack(0)))
+            return probability_of_evidence(engine, evidence)
+
+        monkeypatch.setattr(Engine, "probability_of_evidence", counted)
+        args = ["generate", str(KENYA_PLAN), "--population", "300", "--out", str(tmp_path / "o")]
+        assert main(args) == EXIT_OK
+        assert from_validate == [True] * 4
 
     def test_validate_subcommand(self, plan_dir, capsys):
         assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_OK

@@ -2,13 +2,14 @@
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popnetgen.bn import parse_bn
+from popnetgen.bn import load_bn, parse_bn
 from popnetgen.inference import Engine, ZeroEvidenceError
 from popnetgen.sampling import Draws, PrototypeSampler, draw_index, substream
 
@@ -194,6 +195,18 @@ class TestSamplePrototype:
         for _ in range(200):
             proto = sampler.sample({"b": "b2", "d": "d1"}, rng)
             assert proto["b"] == "b2" and proto["d"] == "d1"
+
+    def test_no_evidence_reads_cpt_rows_only(self, monkeypatch):
+        # without evidence each conditional is the variable's own CPT row
+        kenya = Path(__file__).resolve().parent.parent / "plans" / "kenya" / "attributes.bn"
+        engine = Engine(load_bn(kenya))
+
+        def refused(*args):
+            raise AssertionError("Engine.posterior called")
+
+        monkeypatch.setattr(Engine, "posterior", refused)
+        proto = PrototypeSampler(engine).sample({}, substream(6, "t"))
+        assert set(proto) == set(engine.order)
 
     def test_one_uniform_per_unevidenced_variable(self):
         # two samplers fed the same stream stay aligned when evidence only
