@@ -127,7 +127,7 @@ def run(
                 raise FileExistsError(f"cannot write {path}: it is not a file")
         earlier = read_manifest(out_dir) or {}
 
-    attribute_bn = load_bn(plan.attribute_bn_path)
+    attribute_bn = plan.attribute_bn or load_bn(plan.attribute_bn_path)
     _progress(f"generating population: N={size} seed={seed}")
     store = generate_population(
         attribute_bn, size, substream(seed, "population"), plan.link_types

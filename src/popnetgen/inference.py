@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Mapping
 
 import numpy as np
 
@@ -34,6 +35,8 @@ class UnknownVariableError(InferenceError, KeyError):
 _Factor = tuple[tuple[str, ...], np.ndarray]
 
 _CACHE_MAX = 400_000
+_BATCH = ""  # the batch axis of Engine.joint_at; no variable has an empty name
+_BLOCK = 8192  # rows per elimination in Engine.joint_at
 
 
 class Engine:
@@ -86,11 +89,37 @@ class Engine:
         """Exact p(evidence); 1.0 for empty evidence."""
         return float(self._marginal((), evidence)) if evidence else 1.0
 
-    def joint(self, variables: tuple[str, ...]) -> np.ndarray:
-        """Exact p(variables), one axis per variable in the given order;
-        every other variable is summed out.  Not memoised: a rule's joint
-        can run to megabytes and is read once."""
-        return self._eliminated(variables, {})
+    def joint(self, variables: tuple[str, ...], evidence: Evidence = {}) -> np.ndarray:
+        """Exact p(variables, evidence), one axis per variable in the given
+        order; every other variable is summed out.  Not memoised: it is read
+        once."""
+        return self._eliminated(variables, evidence)
+
+    def joint_at(self, codes: Mapping[str, np.ndarray], keep: str) -> np.ndarray:
+        """Exact p(the variables of ``codes`` at one row's codes, keep), one
+        row per entry of the equal-length code arrays, keep's axis last.
+        Each factor is gathered at a block of rows' codes along one shared
+        batch axis before the rest is summed out, so no table spans the
+        product of the coded variables' domains, nor more than _BLOCK rows."""
+        rows = len(next(iter(codes.values())))
+        relevant = {*codes, keep}
+        for name in tuple(relevant):
+            relevant |= self.ancestors[name]
+
+        def block(start: int) -> np.ndarray:
+            at, size = slice(start, start + _BLOCK), min(rows - start, _BLOCK)
+            factors = []
+            for name in sorted(relevant):
+                varnames, table = self._factors[name]
+                coded = [i for i, v in enumerate(varnames) if v in codes]
+                if coded:
+                    table = np.moveaxis(table, coded, range(len(coded)))[
+                        tuple(codes[varnames[i]][at] for i in coded)]
+                    varnames = (_BATCH, *(v for v in varnames if v not in codes))
+                factors.append((varnames, table))
+            return _eliminate(factors, (_BATCH, keep), {**self.domains, _BATCH: range(size)})
+
+        return np.concatenate([block(start) for start in range(0, max(rows, 1), _BLOCK)])
 
     def cpt_table(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
         """Parents of ``name`` and its dense CPT: one axis per parent, child last."""

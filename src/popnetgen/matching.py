@@ -3,14 +3,15 @@
 A matching network contains prefixed copies of both agents' attributes
 (``a1_age``, ``a2_age``, ...), any internal condition variables, and one
 boolean link variable whose posterior given both attribute sets is the
-probability that the pair may be linked.  One elimination per rule gives
-that probability for every pair of agent classes; zero-pruning it per copied
-attribute yields the candidate sets.  Pairing then works on classes: a
-prototype's a2 class is drawn from the same elimination, the fallback scans
-the classes with available agents, and the agents a rule may still pick sit
-in one bucket per a2 class.  The tables stay numpy; a link slot reads them
-as Python lists and draws from sampling.Draws, so it costs O(box + degree)
-with no numpy call at all.
+probability that the pair may be linked.  One small elimination per a2
+copy gives its labels possible with each a1 class and link = yes; their
+product is the class's box of candidate a2 classes.  One batched query
+then gives that probability, and the weights a prototype's a2 class is
+drawn from, at the box pairs of the a1 classes that take turns only.
+Pairing works on classes: the fallback scans the classes with available
+agents, and the agents a rule may still pick sit in one bucket per a2
+class.  A link slot reads its class's row as Python lists and draws from
+sampling.Draws, so it costs O(box + degree) with no numpy call at all.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .bn import BayesianNetwork, numbered_lines, read_network, read_text
 from .inference import Engine
-from .population import PopulationStore
+from .population import PopulationStore, distinct
 from .sampling import Draws
 # Unused here; bench/tracing.py patches and subclasses these two names.
 from .population import query_candidates  # noqa: F401
@@ -229,58 +230,64 @@ class ClassTables(NamedTuple):
     An agent's a1 (a2) class numbers its labels of the attributes the rule
     copies on side 1 (2); the extra last class holds the agents with a label
     outside the matching network's domain and admits nothing.
-    ``compat[c1, c2]`` is p(link = yes | both classes' labels), 0 where those
-    labels have probability 0 together.  ``members[c1]`` holds when each
-    label of c1 is possible with link = yes; ``box[c1, c2]`` when each label
-    of c2 is possible with c1's labels and link = yes.  Both are products of
-    per-attribute supports, so they may admit classes whose compatibility
-    is 0.  ``cdf[c1]`` is the running sum over c2 of p(c1's labels, c2's
-    labels, link = yes), one row per class but the extra one: inverting it
-    draws a prototype's a2 class.
+    ``supports[k][c1]`` marks the labels of the k-th a2 copy that are
+    possible with c1's labels and link = yes.  ``members[c1]`` holds when
+    each label of c1 is possible with link = yes.  c1's box is the product
+    of its supports, so it may admit classes whose compatibility is 0.
+    ``rows[c1]``, for each member class that takes turns, holds its box
+    classes in ascending order, each one's index in the box, their
+    compatibility p(link = yes | both classes' labels), 0 where those
+    labels have probability 0 together, and the running sum of p(c1's
+    labels, c2's labels, link = yes) over the box: inverting it draws a
+    prototype's a2 class.
     """
 
     a1_class: np.ndarray
     a2_class: np.ndarray
-    compat: np.ndarray
     members: np.ndarray
-    box: np.ndarray
-    cdf: np.ndarray
+    supports: tuple[np.ndarray, ...]
+    rows: dict[int, tuple[list[int], dict[int, int], list[float], list[float]]]
 
 
-def class_tables(rule: HomophilyRule, engine: Engine, store: PopulationStore) -> ClassTables:
-    """Compatibility of every class pair, from one elimination that keeps
-    each copied variable and the link variable."""
+def class_tables(
+    rule: HomophilyRule, engine: Engine, store: PopulationStore, seekers: np.ndarray | None = None
+) -> ClassTables:
+    """The rule's supports, from one small elimination per a2 copy, and a
+    row for each member class of an agent of ``seekers`` (all agents by
+    default), whose values come from one query at the rows' class pairs."""
     a1, a2 = rule.a1_map(), rule.a2_map()
-    joint = engine.joint((*a1, *a2, rule.link_variable))
-    yes = joint[..., engine.value_index[rule.link_variable][LINK_YES]]
-    n1 = math.prod(yes.shape[:len(a1)])
-    cdf = np.cumsum(yes.reshape(n1, -1), axis=1)
-    compat = joint.sum(axis=-1)
-    np.divide(yes, compat, out=compat, where=compat > 0.0)
-    del joint, yes  # the spouses joint alone holds 4 MB
-    possible = compat > 0.0
-    side1, side2 = range(len(a1)), range(len(a1), possible.ndim)
-
-    def support(axis: int, keep=()) -> np.ndarray:
-        """Labels of copy ``axis`` possible with link = yes, for each
-        combination of labels of the copies ``keep``."""
-        others = [a for a in range(possible.ndim) if a != axis and a not in keep]
-        return possible.any(axis=tuple(others))
-
-    members = functools.reduce(np.logical_and.outer, [support(a) for a in side1]).ravel()
-    codes2 = np.unravel_index(np.arange(possible.size // n1), possible.shape[len(a1):])
-    box = functools.reduce(np.logical_and, [
-        support(a, side1).reshape(n1, -1)[:, codes] for a, codes in zip(side2, codes2)
-    ])
-    outside = ((0, 1), (0, 1))
-    return ClassTables(
-        _class_ids(store, engine, a1),
-        _class_ids(store, engine, a2),
-        np.pad(compat.reshape(n1, -1), outside),
-        np.append(members, False),
-        np.pad(box, outside),
-        cdf,
+    dims1 = tuple(len(engine.domains[v]) for v in a1)
+    dims2 = tuple(len(engine.domains[v]) for v in a2)
+    yes = {rule.link_variable: LINK_YES}
+    supports = tuple(
+        (engine.joint((*a1, copy), yes) > 0.0).reshape(-1, size) for copy, size in zip(a2, dims2)
     )
+    possible = supports[0].any(axis=1).reshape(dims1)
+    members = np.append(functools.reduce(np.logical_and.outer, [
+        possible.any(axis=tuple(b for b in range(len(dims1)) if b != a)) for a in range(len(dims1))
+    ]).ravel(), False)
+    a1_class = _class_ids(store, engine, a1)
+    turns = distinct(a1_class if seekers is None else a1_class[seekers])
+    turns = turns[members[turns]]
+    # Each row's box, class by class in ascending order: the partial class
+    # numbers of the copies so far, each extended by the copy's labels.
+    row, c2 = np.arange(len(turns)), np.zeros(len(turns), dtype=np.intp)
+    for support, size in zip(supports, dims2):
+        entry, label = np.nonzero(support[turns[row]])
+        row, c2 = row[entry], c2[entry] * size + label
+    codes = zip((*a1, *a2), (*np.unravel_index(turns[row], dims1), *np.unravel_index(c2, dims2)))
+    joint = engine.joint_at(dict(codes), rule.link_variable)
+    p_yes = joint[:, engine.value_index[rule.link_variable][LINK_YES]]
+    total = joint.sum(axis=1)
+    compat = np.divide(p_yes, total, out=np.zeros_like(total), where=total > 0.0).tolist()
+    c2, p_yes = c2.tolist(), p_yes.tolist()
+    ends = np.cumsum(np.bincount(row, minlength=len(turns))).tolist()
+    rows = {}
+    for c1, start, end in zip(turns.tolist(), [0, *ends], ends):
+        box = c2[start:end]
+        index = dict(zip(box, range(len(box))))
+        rows[c1] = box, index, compat[start:end], list(accumulate(p_yes[start:end]))
+    return ClassTables(a1_class, _class_ids(store, engine, a2), members, supports, rows)
 
 
 class ClassBuckets:
@@ -349,33 +356,18 @@ def run_homophily_rule(
     report.  Every created link passes the dyad-uniqueness and demand
     checks of the store.
     """
-    tables = class_tables(rule, Engine(rule.bn), store)
+    link_type, counts_a1, counts_a2 = rule.link_type, rule.counts_a1, rule.counts_a2
+    left = store.remaining(link_type)  # refuses an unknown type
+    seekers = np.flatnonzero(left > 0) if counts_a1 else np.arange(len(store))
+    tables = class_tables(rule, Engine(rule.bn), store, seekers)
     if not tables.members.any():  # a cell with link = yes makes its a1 class a member
         return RuleReport(rule.link_type, "homophily", vacuous=True)
-    link_type, counts_a1, counts_a2 = rule.link_type, rule.counts_a1, rule.counts_a2
-    if counts_a2:
-        open_ids = np.flatnonzero(store.remaining(link_type) > 0)
-    else:
-        open_ids = np.arange(len(store))
-    buckets = ClassBuckets(tables.a2_class, tables.compat.shape[1], open_ids)
-
-    @functools.cache
-    def row(c1: int) -> tuple[list[int], dict[int, int], list[float], list[float]]:
-        """c1's box classes, each class's index in the box, their
-        compatibility with c1 and ``cdf[c1]`` at them: a class outside the
-        box adds 0 to it, so no draw lands there."""
-        box = np.flatnonzero(tables.box[c1])
-        index = {c: k for k, c in enumerate(box.tolist())}
-        return [*index], index, tables.compat[c1, box].tolist(), tables.cdf[c1, box].tolist()
-
-    members = np.flatnonzero(tables.members[tables.a1_class])
-    left = store.remaining(link_type, members)  # refuses an unknown type
+    open_ids = np.flatnonzero(left > 0) if counts_a2 else np.arange(len(store))
+    classes = math.prod(support.shape[1] for support in tables.supports) + 1
+    buckets = ClassBuckets(tables.a2_class, classes, open_ids)
+    members = seekers[tables.members[tables.a1_class[seekers]]]
     demand = store.demand[link_type]
-    if counts_a1:
-        members = members[left > 0]
-        demand_total = int(left[left > 0].sum())
-    else:
-        demand_total = len(members)
+    demand_total = int(left[members].sum()) if counts_a1 else len(members)
     turns = members[rng.permutation(len(members))].tolist()
     draws = Draws(rng)  # the rule's later draws: rng is not used again
     random, integers = draws.random, draws.integers
@@ -385,7 +377,7 @@ def run_homophily_rule(
     prototype_links = fallback_links = rejections = orphans = 0
 
     for a1 in turns:
-        box, index, compat, cdf = row(a1_class[a1])
+        box, index, compat, cdf = tables.rows[a1_class[a1]]
         # Only a1's own links change its demand during its turn.
         for _ in range(demand[a1] if counts_a1 else 1):
             available, taken = available_of([a1, *partners_of(a1)], index)

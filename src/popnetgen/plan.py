@@ -50,13 +50,14 @@ class PlanSyntaxError(PlanError):
 
 @dataclass
 class HomophilyPlanRule:
-    """A homophily line; its matching file is read when the rule runs.
-    ``options`` holds the counts, retries and small_set the line sets, the
-    matching file loader's defaults."""
+    """A homophily line; its matching file is read by validate_plan, or
+    else when the rule runs.  ``options`` holds the counts, retries and
+    small_set the line sets, the matching file loader's defaults."""
 
     link_type: str
     bn_path: Path
     options: dict[str, object] = field(default_factory=dict)
+    loaded: HomophilyRule | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -69,6 +70,7 @@ class GenerationPlan:
     interaction_weights: dict[str, float] = field(default_factory=dict)
     output_dir: Path | None = None
     base_dir: Path = Path(".")
+    attribute_bn: BayesianNetwork | None = field(default=None, repr=False, compare=False)
 
 
 def _options(tokens: list[str], lineno: int, allowed: set[str]) -> dict[str, str]:
@@ -217,7 +219,8 @@ class PlanIssue:
 
 
 def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
-    """Static consistency checks; a dry run without any generation."""
+    """Static consistency checks; a dry run without any generation.  The
+    networks it parses stay on the plan, for the run."""
     issues: list[PlanIssue] = []
 
     def error(msg):
@@ -234,7 +237,7 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
 
     attribute_bn: BayesianNetwork | None = None
     try:
-        attribute_bn = load_bn(plan.attribute_bn_path)
+        attribute_bn = plan.attribute_bn = load_bn(plan.attribute_bn_path)
     except FileNotFoundError:
         error(f"attribute network file not found: {plan.attribute_bn_path}")
     except BnError as exc:
@@ -266,7 +269,7 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
         if isinstance(rule, HomophilyPlanRule):
             loaded = None
             try:
-                loaded = load_matching_bn_file(rule.bn_path, defaults=rule.options)
+                loaded = rule.loaded = load_matching_bn_file(rule.bn_path, defaults=rule.options)
             except FileNotFoundError:
                 error(f"{where}: matching network file not found: {rule.bn_path}")
             except (BnError, MatchingError) as exc:
@@ -307,5 +310,5 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
 
 
 def build_homophily_rule(rule: HomophilyPlanRule) -> HomophilyRule:
-    loaded = load_matching_bn_file(rule.bn_path, defaults=rule.options)
+    loaded = rule.loaded or load_matching_bn_file(rule.bn_path, defaults=rule.options)
     return replace(loaded, link_type=rule.link_type)

@@ -2,18 +2,23 @@
 
 The oracles here deliberately avoid the package's elimination machinery:
 posteriors come from materializing the full joint by enumeration, graph
-statistics from cubic triangle scans and plain BFS.
+statistics from cubic triangle scans and plain BFS.  The one exception is
+dense_class_tables, the matcher's former class tables over every class
+pair, kept as the reference the pair-by-pair tables must equal.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from popnetgen.bn import BayesianNetwork, Cpt, Variable
 from popnetgen.inference import Engine, ZeroEvidenceError
+from popnetgen.matching import _class_ids
 from popnetgen.population import RC_PREFIX, PopulationStore
 
 
@@ -129,6 +134,57 @@ def scan_pick_law(compat: list[float]) -> list[float]:
         return tuple(out)
 
     return list(law(frozenset(range(len(compat)))))
+
+
+class DenseClassTables(NamedTuple):
+    """A homophily rule's tables over every class pair (see dense_class_tables)."""
+
+    a1_class: np.ndarray
+    a2_class: np.ndarray
+    compat: np.ndarray
+    members: np.ndarray
+    box: np.ndarray
+    cdf: np.ndarray
+
+
+def dense_class_tables(rule, engine: Engine, store: PopulationStore) -> DenseClassTables:
+    """Reference for matching.class_tables, from one elimination that keeps
+    every copied variable and the link variable: n1 x n2 x 2 cells.
+
+    ``compat[c1, c2]`` is p(link = yes | both classes' labels), 0 where those
+    labels have probability 0 together; ``members[c1]`` holds when each
+    label of c1 is possible with link = yes; ``box[c1, c2]`` when each label
+    of c2 is possible with c1's labels and link = yes; ``cdf[c1]`` is the
+    running sum over c2 of p(c1's labels, c2's labels, link = yes).  The
+    extra last class of each side admits nothing."""
+    a1, a2 = rule.a1_map(), rule.a2_map()
+    joint = engine.joint((*a1, *a2, rule.link_variable))
+    yes = joint[..., engine.value_index[rule.link_variable]["yes"]]
+    n1 = math.prod(yes.shape[:len(a1)])
+    cdf = np.cumsum(yes.reshape(n1, -1), axis=1)
+    compat = joint.sum(axis=-1)
+    np.divide(yes, compat, out=compat, where=compat > 0.0)
+    possible = compat > 0.0
+    side1, side2 = range(len(a1)), range(len(a1), possible.ndim)
+
+    def support(axis: int, keep=()) -> np.ndarray:
+        others = [a for a in range(possible.ndim) if a != axis and a not in keep]
+        return possible.any(axis=tuple(others))
+
+    members = functools.reduce(np.logical_and.outer, [support(a) for a in side1]).ravel()
+    codes2 = np.unravel_index(np.arange(possible.size // n1), possible.shape[len(a1):])
+    box = functools.reduce(np.logical_and, [
+        support(a, side1).reshape(n1, -1)[:, codes] for a, codes in zip(side2, codes2)
+    ])
+    outside = ((0, 1), (0, 1))
+    return DenseClassTables(
+        _class_ids(store, engine, a1),
+        _class_ids(store, engine, a2),
+        np.pad(compat.reshape(n1, -1), outside),
+        np.append(members, False),
+        np.pad(box, outside),
+        cdf,
+    )
 
 
 # -- joint enumeration oracle -------------------------------------------------

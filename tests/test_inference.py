@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from popnetgen import inference
 from popnetgen.bn import parse_bn
 from popnetgen.inference import (
     Engine,
@@ -212,6 +213,25 @@ class TestEngineJoint:
             got = Engine(bn).joint(tuple(keep))
             assert got.shape == expected.shape
             assert float(np.max(np.abs(got - expected))) <= TOL
+
+    @pytest.mark.parametrize("block", [4, inference._BLOCK])
+    def test_rows_match_the_joint_at_their_codes(self, block, monkeypatch):
+        # joint_at reads p(coded variables, keep) at each row, a block of
+        # rows at a time; the joint over the same variables, with keep's
+        # axis last, at the rows' codes
+        monkeypatch.setattr(inference, "_BLOCK", block)
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            bn = make_random_bn(rng, max_vars=7, min_domain=1)
+            names = [str(n) for n in rng.permutation(list(bn.names))]
+            coded, keep = names[:int(rng.integers(1, len(names)))], names[-1]
+            joint = Engine(bn).joint((*coded, keep))
+            rows = int(rng.integers(0, 20))
+            codes = {v: rng.integers(0, len(bn.domain(v)), rows) for v in coded}
+            got = Engine(bn).joint_at(codes, keep)
+            expected = joint[tuple(codes[v] for v in coded)]
+            assert got.shape == (rows, len(bn.domain(keep)))
+            np.testing.assert_allclose(got, expected, rtol=0, atol=TOL)
 
 
 def _ask(engine: Engine, query: str, args: tuple):

@@ -1,14 +1,21 @@
 """Homophily matching: class tables (compatibility and candidate boxes), rule execution."""
 import dataclasses
+import functools
 import hashlib
+import importlib.util
 import itertools
+import math
+import shutil
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popnetgen.bn import BayesianNetwork, BnSyntaxError, Cpt, Variable, parse_bn
+from popnetgen.bn import BayesianNetwork, BnSyntaxError, Cpt, Variable, load_bn, parse_bn
+from popnetgen.cli import EXIT_OK, main
 from popnetgen.inference import Engine
 from popnetgen.matching import (
     COUNTS_CHOICES,
@@ -21,10 +28,22 @@ from popnetgen.matching import (
     vacuous,
     validate_rule,
 )
-from popnetgen.population import LinkType, UnknownAttributeError, query_candidates
+from popnetgen.population import (
+    LinkType,
+    UnknownAttributeError,
+    distinct,
+    generate_population,
+    query_candidates,
+)
 from popnetgen.sampling import substream
 
-from helpers import build_store, enum_joint_items, link_probability, scan_pick_law
+from helpers import (
+    build_store,
+    dense_class_tables,
+    enum_joint_items,
+    link_probability,
+    scan_pick_law,
+)
 
 SPOUSES_MATCHING = """
 matching spouses link=linkSpouses a1=a1_ a2=a2_ counts=both
@@ -123,12 +142,39 @@ def tables_for(rule, store):
     return class_tables(rule, Engine(rule.bn), store)
 
 
-def compat_of(tables, a1, a2):
-    return float(tables.compat[tables.a1_class[a1], tables.a2_class[a2]])
-
-
 def in_box(tables, a1, a2):
-    return bool(tables.box[tables.a1_class[a1], tables.a2_class[a2]])
+    """From the kept supports: each a2 copy's label of a2's class is
+    possible with a1's class and link = yes; the extra classes admit none."""
+    c1, c2 = tables.a1_class[a1], tables.a2_class[a2]
+    dims2 = [support.shape[1] for support in tables.supports]
+    if c1 == len(tables.supports[0]) or c2 == math.prod(dims2):
+        return False
+    return all(s[c1, code] for s, code in zip(tables.supports, np.unravel_index(c2, dims2)))
+
+
+def compat_of(tables, a1, a2):
+    """The value in a1's row inside its box, and 0 outside it, where
+    p(both classes' labels, link = yes) is 0."""
+    if not in_box(tables, a1, a2):
+        return 0.0
+    _, index, compat, _ = tables.rows[tables.a1_class[a1]]
+    return compat[index[tables.a2_class[a2]]]
+
+
+def box_table(tables):
+    """Every class pair's box bit, from the kept supports."""
+    box = np.ones((len(tables.supports[0]), 1), dtype=bool)
+    for support in tables.supports:
+        box = (box[:, :, None] & support[:, None, :]).reshape(len(box), -1)
+    return np.pad(box, ((0, 1), (0, 1)))
+
+
+def compat_table(tables):
+    """Every class pair's compatibility: the rows' values, 0 elsewhere."""
+    compat = np.zeros(box_table(tables).shape)
+    for c1, (box, _, values, _) in tables.rows.items():
+        compat[c1, box] = values
+    return compat
 
 
 def make_random_matching_rule(rng) -> HomophilyRule:
@@ -255,7 +301,7 @@ class TestMemberBox:
         rule = load_matching_bn(ALWAYS_YES_MATCHING)
         tables = tables_for(rule, class_store(rule))
         assert tables.members[tables.a1_class].all()
-        assert tables.box[np.ix_(tables.a1_class, tables.a2_class)].all()
+        assert box_table(tables)[np.ix_(tables.a1_class, tables.a2_class)].all()
 
     @pytest.mark.parametrize("counts, rc, links", [
         ("both", [1, 0], 0),  # the female has no demand of her own
@@ -277,8 +323,8 @@ class TestMemberBox:
         assert vacuous(rule, Engine(rule.bn))
         assert not vacuous(spouses_rule(), Engine(spouses_rule().bn))
         tables = tables_for(rule, class_store(rule))
-        assert not tables.members.any() and not tables.box.any()
-        assert not tables.compat.any()
+        assert not tables.members.any() and not box_table(tables).any()
+        assert not compat_table(tables).any()
 
     def test_matches_bruteforce_support_on_random_rules(self):
         rng = np.random.default_rng(41)
@@ -334,7 +380,7 @@ class TestBaseBox:
         ])
         tables = tables_for(spouses_rule(), store)
         assert not tables.members[tables.a1_class[0]]
-        assert not tables.box[tables.a1_class[0]].any()
+        assert not box_table(tables)[tables.a1_class[0]].any()
 
     def test_matches_bruteforce_on_random_rules(self):
         rng = np.random.default_rng(43)
@@ -415,6 +461,78 @@ class TestCompatTable:
                     den = sum(w for _, w in agree)
                     expected = num / den if den > 0 else 0.0
                     assert compat_of(tables, i, j) == pytest.approx(expected, abs=1e-9)
+
+
+def make_layered_matching_rule(rng, deterministic: bool) -> HomophilyRule:
+    """Random matching network with internal nodes between the copies and
+    the link: each side copies a random subset of three attributes, with
+    domains of 1 to 3 labels that differ between the sides, zero entries,
+    and a copy sometimes conditioned on the side's previous one; up to two
+    internal nodes read one copy of each side, deterministically when
+    ``deterministic``; the link reads the internal nodes and some copies,
+    with p(yes) 0 in about a third of its rows, and in all of them one time
+    in ten."""
+    variables, cpts = [], {}
+
+    def add(name, domain, parents, row):
+        domains = [next(v.domain for v in variables if v.name == p) for p in parents]
+        variables.append(Variable(name, domain))
+        cpts[name] = Cpt(name, tuple(parents), {c: row() for c in itertools.product(*domains)})
+
+    def weights(size, zero=0.3):
+        w = rng.random(size)
+        w[rng.random(size) < zero] = 0.0
+        if not w.any():
+            w[rng.integers(size)] = 1.0
+        return tuple(float(x) for x in w / w.sum())
+
+    sides = []
+    for prefix in ("a1_", "a2_"):
+        names = [f"{prefix}p{k}" for k in range(3) if rng.random() < 0.6] or [f"{prefix}p0"]
+        for k, name in enumerate(names):
+            size = int(rng.integers(1, 4))
+            parents = names[k - 1:k] if k and rng.random() < 0.4 else []
+            add(name, tuple(f"x{j}" for j in range(size)), parents, lambda size=size: weights(size))
+        sides.append(names)
+    internal = [f"ok{k}" for k in range(int(rng.integers(0, 3)))]
+    for name in internal:
+        parents = [names[int(rng.integers(len(names)))] for names in sides]
+        add(name, ("yes", "no"), parents, lambda: (
+            ((1.0, 0.0), (0.0, 1.0))[int(rng.random() < 0.4)] if deterministic else weights(2)
+        ))
+    parents = internal + [name for names in sides for name in names if rng.random() < 0.3]
+    never = rng.random() < 0.1
+
+    def link_row():
+        p_yes = 0.0 if never or rng.random() < 0.3 else float(rng.random())
+        return p_yes, 1.0 - p_yes
+
+    add("link", ("yes", "no"), parents, link_row)
+    return HomophilyRule("pair", BayesianNetwork(tuple(variables), cpts), "link")
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), deterministic=st.booleans())
+def test_class_tables_match_the_dense_tables(seed, deterministic):
+    """Members, the supports' box of every class pair, and each row's box,
+    compatibility and running sum against the dense tables over every
+    class pair.  With deterministic internal nodes each sum over them has
+    one nonzero term and the values are equal bit for bit; with
+    probabilistic ones the pairwise query sums its terms in another order
+    than the dense elimination, so they may differ in the last bits."""
+    rule = make_layered_matching_rule(np.random.default_rng(seed), deterministic)
+    engine, store = Engine(rule.bn), class_store(rule)
+    tables, dense = class_tables(rule, engine, store), dense_class_tables(rule, engine, store)
+    assert np.array_equal(tables.members, dense.members)
+    assert np.array_equal(box_table(tables), dense.box)
+    turns = distinct(tables.a1_class)
+    assert sorted(tables.rows) == turns[tables.members[turns]].tolist()
+    rtol = 64 * np.finfo(np.float64).eps
+    same = np.array_equal if deterministic else functools.partial(np.allclose, rtol=rtol, atol=0)
+    for c1, (box, index, compat, cdf) in tables.rows.items():
+        assert box == np.flatnonzero(dense.box[c1]).tolist()
+        assert index == {c2: k for k, c2 in enumerate(box)}
+        assert same(compat, dense.compat[c1, box]) and same(cdf, dense.cdf[c1, box])
 
 
 def audit_links(store, rule):
@@ -916,3 +1034,51 @@ def test_available_counts_match_bruteforce_pool(seed, counts):
         for c in range(classes):
             picked = [buckets.pick(c, k, in_buckets) for k in range(available[c])]
             assert sorted(picked) == pool[a2_class[pool] == c].tolist()
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def similarity_plan(directory: Path, attributes: list[str]) -> Path:
+    """A plan in ``directory`` with one friendship rule that copies
+    ``attributes`` of the Kenya attribute network, written by the fixture
+    tool's similarity_bn."""
+    spec = importlib.util.spec_from_file_location(
+        "make_kenya_fixtures", REPO / "tools" / "make_kenya_fixtures.py")
+    fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixtures)
+    shutil.copy(REPO / "plans" / "kenya" / "attributes.bn", directory)
+    (directory / "friendship.bn").write_text(fixtures.similarity_bn(attributes))
+    plan = directory / "friendship.plan"
+    plan.write_text(
+        "population N=2000 seed=1 attributes=attributes.bn\n"
+        "linktype friendship undirected\n"
+        "rule homophily friendship bn=friendship.bn\n"
+    )
+    return plan
+
+
+def test_class_tables_memory_follows_the_linkable_pairs(tmp_path):
+    # 1,540 classes a side: the dense class x class tables took 95 MB here.
+    similarity_plan(tmp_path, ["gender", "ageDetail", "spatialLocation"])
+    rule = load_matching_bn((tmp_path / "friendship.bn").read_text())
+    store = generate_population(
+        load_bn(tmp_path / "attributes.bn"), 2000, substream(1, "population"),
+        [LinkType("friendship", False)],
+    )
+    engine = Engine(rule.bn)
+    tracemalloc.start()
+    try:
+        class_tables(rule, engine, store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak
+
+
+def test_six_attribute_rule_generates(tmp_path):
+    # 12,320 classes a side: a dense class x class joint would need 2.4 GB.
+    plan = similarity_plan(tmp_path, [
+        "gender", "ageDetail", "spatialLocation", "maritalStatus", "workWater", "workMarket",
+    ])
+    assert main(["generate", str(plan), "--out", str(tmp_path / "out")]) == EXIT_OK

@@ -15,6 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 KENYA = ROOT / "plans" / "kenya"
 INCONSISTENT = ROOT / "plans" / "inconsistent"
+WIDE = ROOT / "plans" / "wide"
 
 SLICES = ["0-14", "15-19", "20-24", "25-29", "30-34", "35-39", "40-44", "45-49", "50-54"]
 SLICE_BOUNDS = [(0, 14), (15, 19), (20, 24), (25, 29), (30, 34), (35, 39), (40, 44), (45, 49), (50, 54)]
@@ -51,6 +52,20 @@ SLICE_MARGINAL = {
 }
 
 LOCATION_PRIOR = {loc: (0.14 if loc.startswith("village") else 0.06) for loc in LOCATIONS}
+
+
+def marginal_yes(rate):
+    """p(yes) of an attribute whose p(yes | gender, age slice) is ``rate``."""
+    return sum(0.5 * SLICE_MARGINAL[s] * rate(g, s) for g in ("male", "female") for s in SLICES)
+
+
+def work_rate(male_rate, female_rate):
+    return lambda g, s: 0.02 if s == "0-14" else (male_rate if g == "male" else female_rate)
+
+
+MARRIED = marginal_yes(lambda g, s: MARITAL[(g, s)][1])
+WATER = marginal_yes(work_rate(0.40, 0.25))
+MARKET = marginal_yes(work_rate(0.25, 0.40))
 
 
 def fmt(values):
@@ -238,12 +253,7 @@ def copies(attrs, prefix):
             lines.append(root_cpt(f"{prefix}spatialLocation", [LOCATION_PRIOR[l] for l in LOCATIONS]))
         elif attr in ("workWater", "workMarket"):
             # marginal over gender and age of the corresponding attribute CPT
-            yes = 0.0
-            male_rate, female_rate = (0.40, 0.25) if attr == "workWater" else (0.25, 0.40)
-            for g, rate in (("male", male_rate), ("female", female_rate)):
-                for s in SLICES:
-                    r = 0.02 if s == "0-14" else rate
-                    yes += 0.5 * SLICE_MARGINAL[s] * r
+            yes = WATER if attr == "workWater" else MARKET
             lines.append(root_cpt(f"{prefix}{attr}", [yes, 1.0 - yes]))
     return lines
 
@@ -387,6 +397,71 @@ def colleagues_bn() -> str:
     return "\n".join(parts) + "\n"
 
 
+# The attributes a similarity rule may copy: domain and marginal of each in
+# the attribute network.
+SIMILARITY_ATTRIBUTES = {
+    "gender": (["male", "female"], [0.5, 0.5]),
+    "ageDetail": ([str(a) for a in AGES], [PYRAMID[a] for a in AGES]),
+    "spatialLocation": (LOCATIONS, [LOCATION_PRIOR[l] for l in LOCATIONS]),
+    "maritalStatus": (["no", "yes"], [1.0 - MARRIED, MARRIED]),
+    "workWater": (["yes", "no"], [WATER, 1.0 - WATER]),
+    "workMarket": (["yes", "no"], [MARKET, 1.0 - MARKET]),
+}
+AGE_GAP = 2  # friends' ages differ by at most two years
+REQUIRED = ("gender", "ageDetail", "spatialLocation")
+
+
+def alike(attr, x, y):
+    return abs(int(x) - int(y)) <= AGE_GAP if attr == "ageDetail" else x == y
+
+
+def similarity_bn(attrs) -> str:
+    """A friendship rule that copies ``attrs`` on both sides.  One
+    deterministic node per attribute says whether the two agents are alike
+    in it.  Friends are alike in each copied attribute of REQUIRED; each
+    other attribute they share adds to p(link = yes), which is 1 when they
+    share them all."""
+    parts = ["matching friendship link=linkFriendship a1=a1_ a2=a2_ counts=both"]
+    nodes = [f"alike_{attr}" for attr in attrs]
+    for prefix in ("a1_", "a2_"):
+        parts += [variable_line(prefix + attr, SIMILARITY_ATTRIBUTES[attr][0]) for attr in attrs]
+    parts += [variable_line(name, ["yes", "no"]) for name in nodes + ["linkFriendship"]]
+    for prefix in ("a1_", "a2_"):
+        parts += [root_cpt(prefix + attr, SIMILARITY_ATTRIBUTES[attr][1]) for attr in attrs]
+    for attr, name in zip(attrs, nodes):
+        domain = SIMILARITY_ATTRIBUTES[attr][0]
+        parts.append(bool_node(
+            name, [f"a1_{attr}", f"a2_{attr}"], [domain, domain],
+            lambda x, y, attr=attr: alike(attr, x, y),
+        ))
+    optional = [attr not in REQUIRED for attr in attrs]
+    rows = []
+    for combo in itertools.product(["yes", "no"], repeat=len(attrs)):
+        shared = [x == "yes" for x in combo]
+        if all(same or opt for same, opt in zip(shared, optional)):
+            yes = (1 + sum(s for s, opt in zip(shared, optional) if opt)) / (1 + sum(optional))
+        else:
+            yes = 0.0
+        rows.append((combo, (yes, 1.0 - yes)))
+    parts.append(table_cpt("linkFriendship", nodes, rows))
+    return "\n".join(parts) + "\n"
+
+
+WIDE_ATTRIBUTES = [
+    "gender", "ageDetail", "spatialLocation", "maritalStatus", "workWater", "workMarket",
+]
+
+WIDE_PLAN = """\
+# Friendship over six copied attributes: 12,320 classes a side, more than
+# any rule of the Kenya plan, on the Kenya attribute network.
+population N=2000 seed=42 attributes=../kenya/attributes.bn
+
+linktype friendship undirected
+
+rule homophily friendship bn=friendship.bn counts=both
+"""
+
+
 KENYA_PLAN = """\
 # Demonstration plan: family, friendship and workplace layers.
 population N=10000 seed=42 attributes=attributes.bn
@@ -459,6 +534,7 @@ rule homophily spouses bn=spouses.bn counts=both
 def main():
     KENYA.mkdir(parents=True, exist_ok=True)
     INCONSISTENT.mkdir(parents=True, exist_ok=True)
+    WIDE.mkdir(parents=True, exist_ok=True)
     (KENYA / "attributes.bn").write_text(attributes_bn())
     (KENYA / "spouses.bn").write_text(spouses_bn())
     (KENYA / "motherOf.bn").write_text(mother_bn())
@@ -468,7 +544,9 @@ def main():
     (INCONSISTENT / "attributes.bn").write_text(inconsistent_attributes())
     (INCONSISTENT / "spouses.bn").write_text(inconsistent_spouses_bn())
     (INCONSISTENT / "inconsistent.plan").write_text(INCONSISTENT_PLAN)
-    for path in sorted(KENYA.iterdir()) + sorted(INCONSISTENT.iterdir()):
+    (WIDE / "friendship.bn").write_text(similarity_bn(WIDE_ATTRIBUTES))
+    (WIDE / "wide.plan").write_text(WIDE_PLAN)
+    for path in sorted(KENYA.iterdir()) + sorted(INCONSISTENT.iterdir()) + sorted(WIDE.iterdir()):
         print(f"wrote {path.relative_to(ROOT)} ({path.stat().st_size} bytes)")
 
 
