@@ -1,16 +1,77 @@
-"""Plain CSV files parsed as bytes with numpy, a block at a time.
+"""Both directions of the CSV byte format, with numpy, a block at a time.
 
-A file is plain when every line ends in '\\n' or '\\r\\n' and every id field
-is written as ``str`` writes an int of at most 18 digits.  The readers in
-``export`` send any other file to their line-by-line tier.
+Writing: ``format_rows`` turns rows of int columns, categorical columns and
+literal separators into UTF-8 bytes, ``WRITE_BLOCK`` rows per block, with
+no Python object per row.  Reading: ``scan`` parses a plain file, one whose
+every line ends in '\\n' or '\\r\\n' and whose every id field is written as
+``str`` writes an int of at most 18 digits.  The readers in ``export`` send
+any other file to their line-by-line tier.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 READ_BLOCK = 1 << 18  # characters per block
+WRITE_BLOCK = 1 << 14  # rows per block
+_POWERS = 10 ** np.arange(1, 19, dtype=np.int64)  # an int64 has at most 19 digits
+
+
+def _padded(labels: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """The labels as the rows of a zero-padded uint8 table, and their lengths."""
+    table = np.array(labels, "S")
+    sizes = np.array([len(label) for label in labels], np.int64)
+    return table.view(np.uint8).reshape(len(labels), table.itemsize), sizes
+
+
+def format_rows(parts: Sequence) -> Iterator[np.ndarray]:
+    """The rows made of ``parts`` as uint8 arrays of UTF-8 bytes, up to
+    ``WRITE_BLOCK`` rows each.  A part is a column of non-negative int64
+    values, written in decimal; a (codes, labels) column, each row's code
+    picking one of the byte strings ``labels``; or bytes, the same in every
+    row.  Each row places a part right after the one before it.  The column
+    parts all hold one value per row."""
+    columns = [  # (values, label table); None values for bytes, no table for decimal
+        (None, _padded([part])) if isinstance(part, bytes)
+        else (part[0], _padded(part[1])) if isinstance(part, tuple) else (part, None)
+        for part in parts
+    ]
+    rows = len(next(values for values, _ in columns if values is not None))
+    for lo in range(0, rows, WRITE_BLOCK):
+        cells = []
+        for values, table in columns:
+            values = 0 if values is None else values[lo:lo + WRITE_BLOCK]
+            if table is None:
+                cells.append((values, 1 + np.searchsorted(_POWERS, values, "right"), table))
+            else:
+                cells.append((values, table[1][values], table))
+        width = sum(size for _, size, _ in cells)
+        at = np.cumsum(width) - width  # where each row starts
+        block = np.empty(int(width.sum()), np.uint8)
+        for values, size, table in cells:
+            _place(block, at, values, size, table)
+            at += size
+        yield block
+
+
+def _place(block: np.ndarray, at: np.ndarray, values, size, table) -> None:
+    """Write one part of every row, ``size`` bytes from ``at``: without a
+    label table the values in decimal, one digit position per pass from the
+    last; with one the codes' labels, one byte position per pass."""
+    if table is None:
+        at = at + size - 1
+        while len(at):
+            values, digit = np.divmod(values, 10)
+            block[at] = digit + ord("0")
+            keep = values > 0
+            at, values = at[keep] - 1, values[keep]
+        return
+    for k in range(table[0].shape[1]):
+        keep = size > k
+        if not keep.all():
+            at, values, size = at[keep], values[keep], size[keep]
+        block[at + k] = table[0][values, k]
 
 
 class _NotPlain(Exception):

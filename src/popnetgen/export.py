@@ -3,20 +3,26 @@
 All outputs are canonically ordered (type, then source, then target), so a
 rerun with the same plan and seed is byte-identical.  Edge files carry the
 declared direction semantics; undirected links are stored lowest-id first.
+
+Every file goes through one write point, ``_write``, which opens it once and
+writes its bytes as they come.  The CSV and dot files come from
+``csvscan.format_rows`` a block of rows at a time, so that no file is ever
+held whole, nor any row as a Python object.
 """
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .bn import BayesianNetwork, read_text, serialize_bn
-from .csvscan import _NotPlain, plain_header, scan
+from .csvscan import _NotPlain, format_rows, plain_header, scan
 from .matching import RuleReport
 from .metrics import ErrorReport, NetworkStats, stats_report_entries
-from .population import PopulationStore, agents_csv
+from .population import RC_PREFIX, PopulationStore
 
 DOT_NODE_LIMIT = 2_000
 MANIFEST = "manifest.txt"
@@ -30,11 +36,14 @@ class MissingWeightError(ExportError):
     pass
 
 
-def _write(path: Path, text: str) -> Path:
-    """Write ``text`` to ``path``; an OSError that names the path on failure."""
+def _write(path: Path, *chunks: Iterable) -> Path:
+    """Write the bytes-like items of each of ``chunks`` to ``path``, in
+    order, each as it comes; an OSError that names the path on failure."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        with path.open("wb") as fh:
+            for chunk in chain.from_iterable(chunks):
+                fh.write(chunk)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
@@ -59,30 +68,40 @@ def output_names(link_types: Iterable[str], agents: int, interaction: bool) -> l
     return [*names, MANIFEST]
 
 
+def _agents(store: PopulationStore) -> tuple[list[bytes], Iterator[np.ndarray]]:
+    """Header and rows of the agent table: id, attribute columns, then RC_
+    columns, one row per agent.  RC_ columns print the required count,
+    ``str(int(label))``."""
+    order = sorted(range(len(store.columns)), key=lambda j: store.columns[j].startswith(RC_PREFIX))
+    header = ",".join(["id", *(store.columns[j] for j in order)]) + "\n"
+    parts = [np.arange(len(store))]
+    for j in order:
+        rc = store.columns[j].startswith(RC_PREFIX)
+        labels = [str(int(label)) if rc else label for label in store.labels[j]]
+        parts.append((store.codes[:, j], [f",{label}".encode() for label in labels]))
+    return [header.encode()], format_rows([*parts, b"\n"])
+
+
 def export_network(store: PopulationStore, out_dir) -> list[Path]:
     """Write the agent table, one edge list per declared type, the collapsed
     edge list, and (for small networks) a dot-style description."""
     out = Path(out_dir)
-    written: list[Path] = []
-
-    written.append(_write(out / "agents.csv", agents_csv(store)))
-
-    layers = {name: _sorted(store.edges(name)).tolist() for name in sorted(store.link_types)}
+    written = [_write(out / "agents.csv", *_agents(store))]
+    layers = {name: _sorted(store.edges(name)) for name in sorted(store.link_types)}
     for name, ends in layers.items():
-        lines = ["source,target", *(f"{s},{t}" for s, t in ends)]
-        written.append(_write(out / f"edges_{name}.csv", "\n".join(lines) + "\n"))
-
-    lines = ["source,target,type"]
-    for name, ends in layers.items():
-        lines += (f"{s},{t},{name}" for s, t in ends)
-    written.append(_write(out / "edges_all.csv", "\n".join(lines) + "\n"))
-
+        rows = format_rows([ends[:, 0], b",", ends[:, 1], b"\n"])
+        written.append(_write(out / f"edges_{name}.csv", [b"source,target\n"], rows))
+    written.append(_write(out / "edges_all.csv", [b"source,target,type\n"], *(
+        format_rows([ends[:, 0], b",", ends[:, 1], f",{name}\n".encode()])
+        for name, ends in layers.items()
+    )))
     if len(store) <= DOT_NODE_LIMIT:
-        dot = [f"// multiplex network: {len(store)} agents"]
-        for name, ends in layers.items():
-            arrow = "->" if store.link_types[name].directed else "--"
-            dot += (f"{s} {arrow} {t} [type={name}]" for s, t in ends)
-        written.append(_write(out / "network.dot", "\n".join(dot) + "\n"))
+        header = f"// multiplex network: {len(store)} agents\n".encode()
+        written.append(_write(out / "network.dot", [header], *(
+            format_rows([ends[:, 0], b" -> " if store.link_types[name].directed else b" -- ",
+                         ends[:, 1], f" [type={name}]\n".encode()])
+            for name, ends in layers.items()
+        )))
     return written
 
 
@@ -104,11 +123,10 @@ def export_interaction_network(
     # No two links share a dyad, so (source, target) orders every row.
     ends = np.concatenate([np.empty((0, 2), np.int64), *per_type])
     order = np.lexsort((ends[:, 1], ends[:, 0]))
-    kinds = np.repeat(np.arange(len(names)), counts)[order].tolist()
-    probability = [repr(weights.get(name)) for name in names]
-    lines = ["source,target,probability"]
-    lines += (f"{s},{t},{probability[k]}" for (s, t), k in zip(ends[order].tolist(), kinds))
-    return _write(Path(out_dir) / "interaction.csv", "\n".join(lines) + "\n")
+    kinds = np.repeat(np.arange(len(names)), counts)[order]
+    probability = [f",{weights.get(name)!r}\n".encode() for name in names]
+    rows = format_rows([ends[order, 0], b",", ends[order, 1], (kinds, probability)])
+    return _write(Path(out_dir) / "interaction.csv", [b"source,target,probability\n"], rows)
 
 
 def _format_value(value) -> str:
@@ -158,16 +176,20 @@ def export_reports(text: str, learned_bn: BayesianNetwork | None, out_dir) -> li
     """Write the key-value report ``text`` (see ``report_text``) and the
     re-learned attribute network."""
     out = Path(out_dir)
-    written = [_write(out / "report.txt", text)]
+    written = [_write(out / "report.txt", [text.encode()])]
     if learned_bn is not None:
-        written.append(_write(out / "learned_attributes.bn", serialize_bn(learned_bn)))
+        written.append(_write(out / "learned_attributes.bn", [serialize_bn(learned_bn).encode()]))
     return written
 
 
 def _digest(path: Path) -> str:
     if path.is_dir():
         raise ExportError(f"{path}: Is a directory")
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def read_manifest(out_dir) -> dict[str, str] | None:
@@ -190,7 +212,7 @@ def export_manifest(files: Sequence[Path], out_dir) -> Path:
     out = Path(out_dir)
     names = sorted(path.relative_to(out).as_posix() for path in files)
     lines = [f"{_digest(out / name)}  {name}" for name in names]
-    return _write(out / MANIFEST, "".join(line + "\n" for line in lines))
+    return _write(out / MANIFEST, ["".join(line + "\n" for line in lines).encode()])
 
 
 def manifest_link_types(directory) -> set[str]:

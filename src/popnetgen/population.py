@@ -310,19 +310,3 @@ def learn_marginals(store: PopulationStore, attribute_bn: BayesianNetwork) -> Le
         learned_cpts[variable.name] = Cpt(variable.name, cpt.parents, rows)
     learned = BayesianNetwork(attribute_bn.variables, learned_cpts)
     return LearnedMarginals(learned, sorted(unobserved))
-
-
-def agents_csv(store: PopulationStore) -> str:
-    """Agent table: id, attribute columns, then RC_ columns, one row per agent.
-
-    RC_ columns print the required count, ``str(int(label))``."""
-    order = sorted(range(len(store.columns)), key=lambda j: store.columns[j].startswith(RC_PREFIX))
-    table = [[str(i) for i in range(len(store))]]
-    for j in order:
-        labels = store.labels[j]
-        if store.columns[j].startswith(RC_PREFIX):
-            labels = [str(int(label)) for label in labels]
-        table.append(np.array(labels, dtype=object)[store.codes[:, j]].tolist())
-    lines = [",".join(("id",) + tuple(store.columns[j] for j in order))]
-    lines += [",".join(row) for row in zip(*table)]
-    return "\n".join(lines) + "\n"

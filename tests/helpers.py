@@ -4,7 +4,9 @@ The oracles here deliberately avoid the package's elimination machinery:
 posteriors come from materializing the full joint by enumeration, graph
 statistics from cubic triangle scans and plain BFS.  The one exception is
 dense_class_tables, the matcher's former class tables over every class
-pair, kept as the reference the pair-by-pair tables must equal.
+pair, kept as the reference the pair-by-pair tables must equal.  The
+f-string writers (``oracle_network_files``, ``oracle_interaction``) are the
+exporter's former line-by-line code, the reference its bytes must equal.
 """
 from __future__ import annotations
 
@@ -314,6 +316,61 @@ def read_edge_file(path) -> np.ndarray:
     assert lines[0] == "source,target"
     ends = [tuple(map(int, raw.split(","))) for raw in lines[1:] if raw]
     return np.array(ends, dtype=np.int64).reshape(-1, 2)
+
+
+# -- f-string writers ---------------------------------------------------------
+
+
+def agents_csv(store: PopulationStore) -> str:
+    """Agent table: id, attribute columns, then RC_ columns, one row per agent.
+
+    RC_ columns print the required count, ``str(int(label))``."""
+    order = sorted(range(len(store.columns)), key=lambda j: store.columns[j].startswith(RC_PREFIX))
+    table = [[str(i) for i in range(len(store))]]
+    for j in order:
+        labels = store.labels[j]
+        if store.columns[j].startswith(RC_PREFIX):
+            labels = [str(int(label)) for label in labels]
+        table.append(np.array(labels, dtype=object)[store.codes[:, j]].tolist())
+    lines = [",".join(("id",) + tuple(store.columns[j] for j in order))]
+    lines += [",".join(row) for row in zip(*table)]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_network_files(store: PopulationStore, dot_limit: int = 2_000) -> dict[str, str]:
+    """Text of each file ``export_network`` writes, by name."""
+    files = {"agents.csv": agents_csv(store)}
+    layers = {}
+    for name in sorted(store.link_types):
+        ends = store.edges(name)
+        layers[name] = ends[np.lexsort((ends[:, 1], ends[:, 0]))].tolist()
+    for name, ends in layers.items():
+        lines = ["source,target", *(f"{s},{t}" for s, t in ends)]
+        files[f"edges_{name}.csv"] = "\n".join(lines) + "\n"
+    lines = ["source,target,type"]
+    for name, ends in layers.items():
+        lines += (f"{s},{t},{name}" for s, t in ends)
+    files["edges_all.csv"] = "\n".join(lines) + "\n"
+    if len(store) <= dot_limit:
+        dot = [f"// multiplex network: {len(store)} agents"]
+        for name, ends in layers.items():
+            arrow = "->" if store.link_types[name].directed else "--"
+            dot += (f"{s} {arrow} {t} [type={name}]" for s, t in ends)
+        files["network.dot"] = "\n".join(dot) + "\n"
+    return files
+
+
+def oracle_interaction(store: PopulationStore, weights) -> str:
+    """Text of the ``interaction.csv`` that ``export_interaction_network`` writes."""
+    names = list(store.link_types)
+    per_type = [store.edges(name) for name in names]
+    ends = np.concatenate([np.empty((0, 2), np.int64), *per_type])
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    kinds = np.repeat(np.arange(len(names)), list(map(len, per_type)))[order].tolist()
+    probability = [repr(weights.get(name)) for name in names]
+    lines = ["source,target,probability"]
+    lines += (f"{s},{t},{probability[k]}" for (s, t), k in zip(ends[order].tolist(), kinds))
+    return "\n".join(lines) + "\n"
 
 
 # -- graph oracles ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """File exports: canonical ordering, round-trips, interaction weights."""
 import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from popnetgen import csvscan, export
 from popnetgen.bn import parse_bn, serialize_bn
+from popnetgen.cli import run
 from popnetgen.export import (
     ExportError,
     MissingWeightError,
@@ -21,6 +23,7 @@ from popnetgen.export import (
 )
 from popnetgen.matching import RuleReport
 from popnetgen.metrics import ErrorReport, stats_for_edges
+from popnetgen.plan import load_plan
 from popnetgen.population import (
     LinkType,
     PopulationStore,
@@ -29,7 +32,13 @@ from popnetgen.population import (
 )
 from popnetgen.sampling import substream
 
-from helpers import build_store, parse_report, read_edge_file
+from helpers import (
+    build_store,
+    oracle_interaction,
+    oracle_network_files,
+    parse_report,
+    read_edge_file,
+)
 
 
 def demo_store():
@@ -97,6 +106,100 @@ class TestExportNetwork:
         lines = (tmp_path / "agents.csv").read_text().splitlines()
         assert lines[:2] == ["id,color,RC_friendship", "0,red,1"]
         assert read_agents(tmp_path / "agents.csv") == len(demo_store())
+
+    def test_kenya_export_holds_no_python_object_per_line(self, tmp_path):
+        # At N=40000 (72,378 links) the f-string writers peaked at 18.3 MiB
+        # of traced memory; a block of rows at a time stays far below.
+        plan = load_plan(Path(__file__).resolve().parent.parent / "plans" / "kenya" / "kenya.plan")
+        store = run(plan, seed=1, population=40_000, write=False).store
+        tracemalloc.start()
+        try:
+            export_network(store, tmp_path)
+            export_interaction_network(store, plan.interaction_weights, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
+
+
+# Ids at each change of digit count, the largest int64 among them.
+WRITTEN_IDS = st.one_of(
+    st.sampled_from(sorted({0, 2**63 - 1, *(10**k + d for k in range(1, 19) for d in (-1, 0))})),
+    st.integers(0, 2**63 - 1),
+)
+LABELS = ["red", "\u00e9", "\u0663", "", "long label", "\u00e9t\u00e9"]
+PROBABILITIES = [0.0, 1.0, 0.1, 1e-05, 5e-324]
+WRITE_BLOCKS = st.sampled_from([1, 3, csvscan.WRITE_BLOCK])
+
+
+def formatted(parts, block) -> bytes:
+    with patch.object(csvscan, "WRITE_BLOCK", block):
+        blocks = list(csvscan.format_rows(parts))
+    assert all(len(b) for b in blocks) and len(blocks) <= -(-len(parts[0]) // block)
+    return b"".join(blocks)
+
+
+class TestFormatRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(WRITTEN_IDS, WRITTEN_IDS, st.integers(0, len(LABELS) - 1),
+                                st.integers(0, len(PROBABILITIES) - 1)), max_size=12),
+        directed=st.booleans(),
+        block=WRITE_BLOCKS,
+    )
+    def test_writes_what_the_f_string_writers_write(self, rows, directed, block):
+        source, target, label, weight = np.array(rows, np.int64).reshape(-1, 4).T
+        labels = [f",{name}".encode() for name in LABELS]
+        got = formatted([source, b",", target, (label, labels), b"\n"], block)
+        assert got == "".join(f"{s},{t},{LABELS[k]}\n" for s, t, k, _ in rows).encode()
+        probability = [f",{p!r}\n".encode() for p in PROBABILITIES]
+        got = formatted([source, b",", target, (weight, probability)], block)
+        assert got == "".join(f"{s},{t},{PROBABILITIES[k]!r}\n" for s, t, _, k in rows).encode()
+        arrow = "->" if directed else "--"
+        got = formatted([source, f" {arrow} ".encode(), target, " [type=\u00e9]\n".encode()], block)
+        assert got == "".join(f"{s} {arrow} {t} [type=\u00e9]\n" for s, t, _, _ in rows).encode()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True),
+        agents=st.integers(0, 30),
+        links=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29), st.integers(0, 2)),
+                       max_size=40),
+        weights=st.lists(st.sampled_from(PROBABILITIES), min_size=3, max_size=3),
+        block=WRITE_BLOCKS,
+    )
+    def test_export_matches_the_f_string_writers(
+        self, tmp_path_factory, labels, agents, links, weights, block
+    ):
+        types = [LinkType("b\u00e9", True), LinkType("a", False), LinkType("\u0663", False)]
+        store = build_store(
+            types,
+            [{"color": labels[i % len(labels)], "size": str(i % 3)} for i in range(agents)],
+            [{"a": i % 4} for i in range(agents)],
+        )
+        for source, target, kind in links:
+            if source < agents and target < agents and source != target \
+                    and target not in store.partners_of(source):
+                store.record_link(source, target, types[kind].name,
+                                  count_source=False, count_target=False)
+        weights = dict(zip((t.name for t in types), weights))
+        out = tmp_path_factory.mktemp("out")
+        with patch.object(csvscan, "WRITE_BLOCK", block):
+            files = export_network(store, out)
+            files.append(export_interaction_network(store, weights, out))
+        expected = {**oracle_network_files(store), "interaction.csv": oracle_interaction(store, weights)}
+        assert {path.name: path.read_bytes() for path in files} == {
+            name: text.encode() for name, text in expected.items()
+        }
+        assert read_agents(out / "agents.csv") == agents
+        ends, kinds, names = read_edges_all(out / "edges_all.csv")
+        assert sorted(zip(map(tuple, ends.tolist()), (names[k] for k in kinds))) == sorted(
+            (tuple(pair), t.name) for t in types for pair in store.edges(t.name).tolist()
+        )
+        for t in types:
+            assert read_edge_file(out / f"edges_{t.name}.csv").tolist() == sorted(
+                store.edges(t.name).tolist()
+            )
 
 
 ID_TOKENS = st.one_of(

@@ -14,7 +14,7 @@ import pytest
 
 import popnetgen
 from popnetgen import bn as bn_module
-from popnetgen import cli, metrics
+from popnetgen import cli, csvscan, metrics
 from popnetgen import matching as matching_module
 from popnetgen import plan as plan_module
 from popnetgen.bn import BnCycleError, BnSyntaxError, BnValidationError, parse_bn
@@ -508,19 +508,20 @@ class TestCli:
         earlier = {path.name: path.read_bytes() for path in out.iterdir()}
         report = earlier["report.txt"].decode().splitlines(keepends=True)
         stats = "".join(line for line in report if line.startswith("stats."))
-        write_text = Path.write_text
+        open_ = Path.open
         for k in range(1, len(earlier) + 1):
             written = []
 
-            def failing(path, *rest, **options):
-                written.append(path)
-                if len(written) == k:
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return write_text(path, *rest, **options)
+            def failing(path, mode="r", *rest, **options):
+                if mode == "wb":
+                    written.append(path)
+                    if len(written) == k:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                return open_(path, mode, *rest, **options)
 
             capsys.readouterr()
             with monkeypatch.context() as patch:
-                patch.setattr(Path, "write_text", failing)
+                patch.setattr(Path, "open", failing)
                 assert main([*args, "--population", "400", "--seed", "2"]) == EXIT_RUNTIME
             err = capsys.readouterr().err
             assert f"runtime failure: cannot write {out / written[-1].name}: No space left" in err
@@ -529,6 +530,54 @@ class TestCli:
             assert main(["stats", str(out)]) == EXIT_OK
             assert capsys.readouterr().out == stats
         assert written[-1].name == "manifest.txt"
+
+    def test_write_failing_on_a_later_block_is_runtime_exit(self, tmp_path, monkeypatch, capsys):
+        # One row per block: agents.csv fails on its third write, after its
+        # header and first row reached the staged file.  The half-written
+        # file stays out of the directory, which holds the earlier run.
+        out = tmp_path / "o"
+        args = ["generate", str(REPO / "plans" / "inconsistent" / "inconsistent.plan"),
+                "--out", str(out)]
+        assert main([*args, "--population", "300", "--seed", "1"]) == EXIT_OK
+        earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+        report = earlier["report.txt"].decode().splitlines(keepends=True)
+        stats = "".join(line for line in report if line.startswith("stats."))
+        open_, staged = Path.open, []
+
+        class FailingFile:
+            def __init__(self, path, fh):
+                self.path, self.fh, self.writes = path, fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                self.writes += 1
+                if self.writes == 3:
+                    self.fh.flush()
+                    staged.append(self.path.read_bytes())
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(chunk)
+
+        def opening(path, mode="r", *rest, **options):
+            fh = open_(path, mode, *rest, **options)
+            return FailingFile(path, fh) if mode == "wb" and path.name == "agents.csv" else fh
+
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "open", opening)
+            patch.setattr(csvscan, "WRITE_BLOCK", 1)
+            assert main([*args, "--population", "400", "--seed", "2"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"runtime failure: cannot write {out / 'agents.csv'}: No space left" in err
+        assert "Traceback" not in err and ".staging-" not in err
+        assert staged[0].startswith(b"id,") and staged[0].count(b"\n") == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
+        assert main(["stats", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == stats
 
     def test_dangling_symlink_at_an_output_name_is_replaced(self, tmp_path, capsys):
         # the files are moved into place, so the link itself gives way to

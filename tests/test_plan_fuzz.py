@@ -164,15 +164,16 @@ def test_validate_agrees_with_generate_and_stats_with_report(files, failing_writ
         # k is uniform over the files: hypothesis favours small integers.
         earlier = {path.name: path.read_bytes() for path in out.iterdir()}
         k = 1 + int(np.random.default_rng(failing_write).integers(len(earlier)))
-        written, write_text = [], Path.write_text
+        written, open_ = [], Path.open
 
-        def failing(path, *rest, **options):
-            written.append(path)
-            if len(written) == k:
-                raise OSError(28, "No space left on device")
-            return write_text(path, *rest, **options)
+        def failing(path, mode="r", *rest, **options):
+            if mode == "wb":
+                written.append(path)
+                if len(written) == k:
+                    raise OSError(28, "No space left on device")
+            return open_(path, mode, *rest, **options)
 
-        with mock.patch.object(Path, "write_text", failing):
+        with mock.patch.object(Path, "open", failing):
             code, _, err = run_cli("generate", plan, "--out", out)
         assert code == EXIT_RUNTIME, err
         assert f"cannot write {out / written[-1].name}: No space left" in err

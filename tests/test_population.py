@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popnetgen.bn import BayesianNetwork, Cpt, parse_bn
+from popnetgen.export import export_network
 from popnetgen.inference import Engine
 from popnetgen.population import (
     DemandExceededError,
@@ -13,7 +14,6 @@ from popnetgen.population import (
     PopulationError,
     SelfLinkError,
     UnknownLinkTypeError,
-    agents_csv,
     check_population_size,
     generate_population,
     learn_marginals,
@@ -369,9 +369,10 @@ class TestLearnMarginals:
 
 
 class TestAgentsCsv:
-    def test_header_and_rows(self, attribute_bn):
+    def test_header_and_rows(self, attribute_bn, tmp_path):
         store = generate_population(attribute_bn, 3, substream(6, "p"))
-        text = agents_csv(store)
+        export_network(store, tmp_path)
+        text = (tmp_path / "agents.csv").read_text(encoding="utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == "id,gender,ageSlices,location,RC_friendship"
         assert len(lines) == 4
