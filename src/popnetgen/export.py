@@ -49,9 +49,10 @@ def _write(path: Path, *chunks: Iterable) -> Path:
     return path
 
 
-def _sorted(ends: np.ndarray) -> np.ndarray:
-    """Rows ordered by source, then target."""
-    return ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+def _order(ends: np.ndarray, agents: int) -> np.ndarray:
+    """The order of link rows by source, then target: no two links share a
+    dyad, so each row's ``source * agents + target`` key is unique."""
+    return np.argsort(ends[:, 0] * agents + ends[:, 1])
 
 
 def output_names(link_types: Iterable[str], agents: int, interaction: bool) -> list[str]:
@@ -87,7 +88,8 @@ def export_network(store: PopulationStore, out_dir) -> list[Path]:
     edge list, and (for small networks) a dot-style description."""
     out = Path(out_dir)
     written = [_write(out / "agents.csv", *_agents(store))]
-    layers = {name: _sorted(store.edges(name)) for name in sorted(store.link_types)}
+    layers = {name: store.edges(name) for name in sorted(store.link_types)}
+    layers = {name: ends[_order(ends, len(store))] for name, ends in layers.items()}
     for name, ends in layers.items():
         rows = format_rows([ends[:, 0], b",", ends[:, 1], b"\n"])
         written.append(_write(out / f"edges_{name}.csv", [b"source,target\n"], rows))
@@ -120,9 +122,8 @@ def export_interaction_network(
         raise MissingWeightError(
             "no interaction probability for link types: " + ", ".join(missing)
         )
-    # No two links share a dyad, so (source, target) orders every row.
     ends = np.concatenate([np.empty((0, 2), np.int64), *per_type])
-    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    order = _order(ends, len(store))
     kinds = np.repeat(np.arange(len(names)), counts)[order]
     probability = [f",{weights.get(name)!r}\n".encode() for name in names]
     rows = format_rows([ends[order, 0], b",", ends[order, 1], (kinds, probability)])

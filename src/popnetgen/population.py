@@ -7,7 +7,8 @@ of spouses links an agent needs); the store turns each into a list of open
 demand for its link type, one Python int per agent, that counted links
 decrement.  Each link type keeps its links as one flat int64 buffer of
 (source, target) pairs, undirected ones lowest id first.  Any unordered pair
-of agents carries at most one link across all types.
+of agents carries at most one link across all types; the registry that
+enforces it holds, per agent, its partners in link order as one int64 buffer.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +47,10 @@ class UnknownAttributeError(PopulationError, KeyError):
 
 
 class DemandExceededError(PopulationError):
+    pass
+
+
+class UnknownAgentError(PopulationError):
     pass
 
 
@@ -108,7 +113,8 @@ class PopulationStore:
         self.link_types: dict[str, LinkType] = {}
         self.demand: dict[str, list[int]] = {}
         self._links: dict[str, array] = {}
-        self._partners: dict[int, set[int]] = {}
+        # Per agent: () until its first link, then its partners in link order.
+        self._partners: list[Sequence[int]] = [()] * len(self)
         for j, name in enumerate(self.columns):
             if name.startswith(RC_PREFIX):
                 counts = link_counts(name, self.labels[j])[self.codes[:, j]]
@@ -150,10 +156,11 @@ class PopulationStore:
         views = [np.frombuffer(self._links[name], dtype=np.int64) for name in names]
         return np.concatenate([np.empty(0, dtype=np.int64), *views]).reshape(-1, 2)
 
-    def partners_of(self, agent_id: int) -> AbstractSet[int]:
-        """Agents sharing a dyad with this one, across all link types.  The
-        store's own set, read in place: the caller must not change it."""
-        return self._partners.get(agent_id, frozenset())
+    def partners_of(self, agent_id: int) -> Sequence[int]:
+        """Agents sharing a dyad with this one, across all link types, in
+        link order.  The store's own buffer, read in place: the caller must
+        not change it."""
+        return self._partners[agent_id]
 
     def record_link(
         self,
@@ -171,12 +178,16 @@ class PopulationStore:
         with enforce_demand the insert refuses to take it below zero
         (matching rules rely on this as a hard stop).
         """
+        partners = self._partners
+        if not (0 <= source < len(partners) and 0 <= target < len(partners)):
+            agent = target if 0 <= source < len(partners) else source
+            raise UnknownAgentError(f"agent {agent} is not one of the {len(partners)} agents")
         if source == target:
             raise SelfLinkError(f"agent {source} cannot link to itself")
         kind = self.link_types.get(link_type)
         if kind is None:
             raise UnknownLinkTypeError(link_type)
-        if target in self._partners.get(source, ()):
+        if target in partners[source]:
             raise DyadOccupiedError(
                 f"agents {min(source, target)} and {max(source, target)} already linked"
             )
@@ -191,12 +202,61 @@ class PopulationStore:
         # goes down before the canonical storage order below.
         demand[source] -= count_source
         demand[target] -= count_target
+        if partners[source]:
+            partners[source].append(target)
+        else:
+            partners[source] = array("q", (target,))
+        if partners[target]:
+            partners[target].append(source)
+        else:
+            partners[target] = array("q", (source,))
         if not kind.directed and source > target:
             source, target = target, source
         self._links[link_type].extend((source, target))
-        self._partners.setdefault(source, set()).add(target)
-        self._partners.setdefault(target, set()).add(source)
         return source, target
+
+    def add_links(self, link_type: str, ends) -> None:
+        """Insert the (source, target) rows of ``ends`` as links of one type,
+        both ends counted, as a loop of record_link would: a refused row
+        raises that loop's first error once the rows before it are in.  The
+        checks are vectorised, so no row scans a partner buffer."""
+        ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
+        n = len(self)
+        source, target = ends[:, 0], ends[:, 1]
+        refused = ((ends < 0) | (ends >= n)).any(axis=1) | (source == target)
+        if link_type not in self.link_types:
+            refused[:1] = True  # the loop's first row raises, if there is one
+        # Each dyad's min * n + max key, against the links so far and the rows
+        # before it: the order of a stable sort puts a repeat after its first.
+        key = np.minimum(source, target) * n + np.maximum(source, target)
+        links = self.edges()
+        refused |= isin_sorted(key, np.sort(links.min(axis=1) * n + links.max(axis=1)))
+        order = np.argsort(key, kind="stable")
+        refused[order[1:][np.diff(key[order]) == 0]] = True
+        stop = int(np.argmax(refused)) if refused.any() else len(ends)
+        if stop:
+            self._insert(link_type, ends[:stop])
+        if stop < len(ends):
+            self.record_link(*ends[stop].tolist(), link_type)  # raises the row's error
+
+    def _insert(self, link_type: str, ends: np.ndarray) -> None:
+        """Append rows that pass every check of record_link, both ends counted."""
+        demand, partners = self.demand[link_type], self._partners
+        # Each end's (agent, partner) entry, grouped by agent in link order.
+        entries = np.stack([ends, ends[:, ::-1]], axis=1).reshape(-1, 2)
+        entries = entries[np.argsort(entries[:, 0], kind="stable")]
+        starts = np.flatnonzero(np.diff(entries[:, 0], prepend=-1))
+        bounds = np.append(starts, len(entries))
+        new = memoryview(entries[:, 1].tobytes())
+        for agent, start, end in zip(entries[starts, 0].tolist(), bounds[:-1].tolist(),
+                                     bounds[1:].tolist()):
+            demand[agent] -= end - start
+            if not partners[agent]:
+                partners[agent] = array("q")
+            partners[agent].frombytes(new[8 * start:8 * end])
+        if not self.link_types[link_type].directed:
+            ends = np.sort(ends, axis=1)
+        self._links[link_type].frombytes(ends.tobytes())
 
 
 def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

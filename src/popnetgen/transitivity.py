@@ -68,7 +68,12 @@ def _relation(store: PopulationStore, link_type: str, role: str) -> np.ndarray:
 
 
 def enumerate_open_triads(store: PopulationStore, rule: TransitivityRule) -> list[tuple[int, int]]:
-    """All closable (a1, a3) dyads, in ascending id order.
+    """All closable (a1, a3) dyads, in ascending id order."""
+    return [tuple(dyad) for dyad in _open_triads(store, rule).tolist()]
+
+
+def _open_triads(store: PopulationStore, rule: TransitivityRule) -> np.ndarray:
+    """The closable (a1, a3) dyads as int64 rows, in ascending id order.
 
     A dyad qualifies when some pivot a2 is linked to a1 by t1 and to a3 by
     t2 under the rule's roles, a1 != a3, and no link of any type occupies
@@ -93,7 +98,7 @@ def enumerate_open_triads(store: PopulationStore, rule: TransitivityRule) -> lis
     # Where both orientations qualify, drop the descending one (a1 > a3).
     a1, a3 = dyads // n, dyads % n
     keep = (a1 < a3) | ~isin_sorted(a3 * n + a1, dyads)
-    return list(zip(a1[keep].tolist(), a3[keep].tolist()))
+    return np.stack([a1[keep], a3[keep]], axis=1)
 
 
 def run_transitivity_rule(
@@ -101,11 +106,7 @@ def run_transitivity_rule(
 ) -> RuleReport:
     """One Bernoulli trial per closable dyad, regardless of how many pivots
     witness it; links pass the store's dyad checks."""
-    report = RuleReport(rule.t3, "transitive")
-    dyads = enumerate_open_triads(store, rule)
-    report.demand_total = len(dyads)
-    for (a1, a3), u in zip(dyads, rng.random(len(dyads)).tolist()):
-        if u < rule.probability:
-            store.record_link(a1, a3, rule.t3)
-            report.links_created += 1
-    return report
+    dyads = _open_triads(store, rule)
+    closed = dyads[rng.random(len(dyads)) < rule.probability]
+    store.add_links(rule.t3, closed)
+    return RuleReport(rule.t3, "transitive", len(dyads), len(closed))

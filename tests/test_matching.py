@@ -907,19 +907,24 @@ cpt link | genderOk, affinity {
 """
 
 
-def pinned_store(seed: int, n: int = 300):
+def pinned_store(seed: int, n: int = 300, reverse: bool = False):
     """n agents of random gender and x (a few with an x outside the
     matching domain), demand 0-3 for "pair", and some links of another type
-    made first, so partners are skipped from the start."""
+    made first, so partners are skipped from the start; with ``reverse``
+    the same links are recorded last one first."""
     rng = np.random.default_rng(seed)
     genders = rng.integers(0, 2, n).tolist()
     xs = rng.choice(4, n, p=[0.3, 0.3, 0.35, 0.05]).tolist()
     rows = [{"g": ("f", "m")[g], "x": ("u", "v", "w", "z")[x]} for g, x in zip(genders, xs)]
     required = [{"pair": r} for r in rng.integers(0, 4, n).tolist()]
     store = build_store([LinkType("pair", False), LinkType("other", True)], rows, required)
+    dyads, links = set(), []
     for a, b in rng.integers(0, n, (n, 2)).tolist():
-        if a != b and b not in store.partners_of(a):
-            store.record_link(a, b, "other")
+        if a != b and frozenset((a, b)) not in dyads:
+            dyads.add(frozenset((a, b)))
+            links.append((a, b))
+    for a, b in links[::-1] if reverse else links:
+        store.record_link(a, b, "other")
     return store
 
 
@@ -982,6 +987,27 @@ def test_rule_runs_match_pinned_digests(counts, small_set, retries):
     digest = hashlib.sha256(store.edges("pair").tobytes()).hexdigest()
     tallies = tuple(dataclasses.astuple(report)[2:-1])
     assert (digest, tallies) == PINNED_RUNS[counts, small_set, retries]
+
+
+@pytest.mark.parametrize("counts, small_set, retries", list(PINNED_RUNS))
+def test_partner_order_never_reaches_an_output(counts, small_set, retries):
+    """The store keeps each agent's partners in link order; the same earlier
+    links recorded in reverse give the rule the same links, demand and
+    report."""
+    defaults = {"counts": counts, "small_set": small_set, "retries": retries}
+    rule = load_matching_bn(FRACTIONAL_MATCHING, defaults={
+        name: value for name, value in defaults.items() if value is not None})
+    forward, backward = pinned_store(15), pinned_store(15, reverse=True)
+    agents = range(len(forward))
+    assert [set(forward.partners_of(a)) for a in agents] == \
+        [set(backward.partners_of(a)) for a in agents]
+    assert [list(forward.partners_of(a)) for a in agents] != \
+        [list(backward.partners_of(a)) for a in agents]
+    reports = [run_homophily_rule(store, rule, substream(15, "pinned"))
+               for store in (forward, backward)]
+    assert reports[0] == reports[1]
+    assert forward.edges("pair").tolist() == backward.edges("pair").tolist()
+    assert forward.demand == backward.demand
 
 
 @settings(max_examples=100, deadline=None)

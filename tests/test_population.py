@@ -1,18 +1,24 @@
 """Population store: generation, candidate queries, links, learned CPTs."""
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popnetgen.bn import BayesianNetwork, Cpt, parse_bn
+from popnetgen.cli import run
 from popnetgen.export import export_network
 from popnetgen.inference import Engine
+from popnetgen.plan import load_plan
 from popnetgen.population import (
     DemandExceededError,
     DyadOccupiedError,
     LinkType,
     PopulationError,
     SelfLinkError,
+    UnknownAgentError,
     UnknownLinkTypeError,
     check_population_size,
     generate_population,
@@ -194,6 +200,24 @@ class TestQueryCandidates:
             assert got == expected
 
 
+def refusal_store():
+    """Five agents, friendship demand (0, 1, 1, 0, 0), links 1 - 2 and 0 -> 3."""
+    store = build_store(
+        [LinkType("friendship", False), LinkType("motherOf", True)],
+        [{"x": "1"}] * 5,
+        [{"friendship": d} for d in (0, 1, 1, 0, 0)],
+    )
+    store.record_link(2, 1, "friendship", count_source=False, count_target=False)
+    store.record_link(0, 3, "motherOf", count_source=False, count_target=False)
+    return store
+
+
+def store_state(store):
+    """Demand, each agent's partners in link order, and every link."""
+    partners = [list(store.partners_of(a)) for a in range(len(store))]
+    return {t: list(d) for t, d in store.demand.items()}, partners, store.edges().tolist()
+
+
 class TestRecordLink:
     def test_fresh_dyad_inserted(self):
         store = small_store()
@@ -286,27 +310,19 @@ class TestRecordLink:
         (1, 3, "friendship", DemandExceededError, "agent 3 has no remaining 'friendship' demand"),
         (4, 0, "friendship", DemandExceededError, "agent 4 has no remaining"),
         (0, 4, "friendship", DemandExceededError, "agent 0 has no remaining"),
+        (-1, 0, "friendship", UnknownAgentError, "agent -1 is not one of the 5 agents"),
+        (1, 5, "friendship", UnknownAgentError, "agent 5 is not one of the 5 agents"),
+        (5, 5, "ghost", UnknownAgentError, "agent 5 "),
     ])
     def test_refusal_changes_nothing(self, source, target, link_type, error, message):
-        # Checks run self link, type, dyad, then demand, source before
-        # target; most cases also fail a later check, which must not be
-        # the one reported.
-        store = build_store(
-            [LinkType("friendship", False), LinkType("motherOf", True)],
-            [{"x": "1"}] * 5,
-            [{"friendship": d} for d in (0, 1, 1, 0, 0)],
-        )
-        store.record_link(2, 1, "friendship", count_source=False, count_target=False)
-        store.record_link(0, 3, "motherOf", count_source=False, count_target=False)
-
-        def state():
-            partners = {a: set(store.partners_of(a)) for a in range(len(store))}
-            return {t: list(d) for t, d in store.demand.items()}, partners, store.edges().tolist()
-
-        before = state()
+        # Checks run agent ids, self link, type, dyad, then demand, source
+        # before target; most cases also fail a later check, which must not
+        # be the one reported.  A negative id must not reach agent 4.
+        store = refusal_store()
+        before = store_state(store)
         with pytest.raises(error, match=message):
             store.record_link(source, target, link_type, enforce_demand=True)
-        assert state() == before
+        assert store_state(store) == before
 
     def test_edges_are_owned_copies(self):
         store = small_store()
@@ -318,6 +334,71 @@ class TestRecordLink:
         assert one_type.tolist() == every_type.tolist() == [[0, 1]]
         one_type[0] = every_type[0] = (2, 2)
         assert store.edges().tolist() == [[0, 1], [1, 2], [2, 0]]
+
+
+class TestAddLinks:
+    @pytest.mark.parametrize("rows, error, message", [
+        ([(0, 5)], UnknownAgentError, "agent 5 is not one of the 5 agents"),
+        ([(2, 4), (-1, 4)], UnknownAgentError, "agent -1 is not one of"),
+        ([(2, 4), (3, 3)], SelfLinkError, "agent 3 cannot link to itself"),
+        ([(2, 4), (1, 2)], DyadOccupiedError, "agents 1 and 2 already linked"),
+        ([(2, 4), (4, 2)], DyadOccupiedError, "agents 2 and 4 already linked"),
+        ([(2, 4)], UnknownLinkTypeError, "ghost"),
+    ])
+    def test_refused_last_row_raises_after_the_rows_before_it(self, rows, error, message):
+        store, loop = refusal_store(), refusal_store()
+        link_type = "ghost" if error is UnknownLinkTypeError else "friendship"
+        for source, target in rows[:-1]:
+            loop.record_link(source, target, link_type)
+        with pytest.raises(error, match=message):
+            store.add_links(link_type, rows)
+        assert store_state(store) == store_state(loop)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_record_link_loop(self, data):
+        """Same links, demand, partners in link order and error, with the
+        same rows inserted first, for ids one past either end too."""
+        n = data.draw(st.integers(0, 7))
+        required = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        earlier = data.draw(st.lists(st.tuples(
+            st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)),
+            st.sampled_from(("friendship", "motherOf")),
+        ), max_size=2 * n))
+        link_type = data.draw(st.sampled_from(("friendship", "motherOf", "ghost")))
+        agent = st.integers(-1, n)
+        rows = data.draw(st.lists(st.tuples(agent, agent), max_size=12))
+
+        def outcome(insert):
+            store = build_store(
+                [LinkType("friendship", False), LinkType("motherOf", True)],
+                [{"x": "1"}] * n, [{"friendship": r, "motherOf": r} for r in required],
+            )
+            for source, target, name in earlier:
+                if source != target and target not in store.partners_of(source):
+                    store.record_link(source, target, name)
+            try:
+                insert(store)
+                error = None
+            except PopulationError as exc:
+                error = type(exc), str(exc)
+            return error, store_state(store)
+
+        def loop(store):
+            for source, target in rows:
+                store.record_link(source, target, link_type)
+
+        assert outcome(lambda store: store.add_links(link_type, rows)) == outcome(loop)
+
+    def test_registry_bytes_per_link_end(self):
+        # At Kenya N=10k, seed 1, the list and its int64 buffers take 35.1 B
+        # per link end (a dict of sets took 114.6 B); the bound leaves room
+        # for the growth policy of other Python versions.
+        plan = load_plan(Path(__file__).resolve().parent.parent / "plans/kenya/kenya.plan")
+        store = run(plan, seed=1, population=10_000, write=False).store
+        buffers = [store.partners_of(a) for a in range(len(store))]
+        size = sys.getsizeof(store._partners) + sum(sys.getsizeof(b) for b in buffers if b)
+        assert size <= 40 * 2 * len(store.edges())
 
 
 class TestLearnMarginals:

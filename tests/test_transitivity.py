@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popnetgen.population import LinkType, UnknownLinkTypeError
+from popnetgen.population import LinkType, PopulationStore, UnknownLinkTypeError
 from popnetgen.sampling import substream
 from popnetgen.transitivity import (
     PIVOT_ROLES,
@@ -220,3 +220,21 @@ class TestRunTransitivityRule:
         pairs = [(min(s, t), max(s, t)) for s, t in store.edges().tolist()]
         assert len(pairs) == len(set(pairs))
         assert store.edges("siblings").tolist() == [[2, 3]]
+
+    def test_dense_closure_inserts_in_bulk(self, monkeypatch):
+        # A star of 1,000 children closes into 499,500 sibling links; one
+        # record_link each would scan partner buffers up to 999 long.
+        children = 1000
+        store = build_store([LinkType("motherOf", True), LinkType("siblings", False)],
+                            [{}] * (children + 1))
+        for child in range(1, children + 1):
+            store.record_link(0, child, "motherOf", count_source=False, count_target=False)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closure inserted one dyad at a time")
+
+        monkeypatch.setattr(PopulationStore, "record_link", refuse)
+        report = run_transitivity_rule(store, SIBLING_RULE, substream(4, "t"))
+        assert report.links_created == report.demand_total == children * (children - 1) // 2
+        assert store.demand["siblings"][1:] == [-(children - 1)] * children
+        assert sorted(store.partners_of(1)) == [0, *range(2, children + 1)]
