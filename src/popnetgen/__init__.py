@@ -43,7 +43,7 @@ from .population import (
     query_candidates,
 )
 from .sampling import PrototypeSampler, substream
-from .transitivity import TransitivityRule, enumerate_open_triads, run_transitivity_rule
+from .transitivity import TransitivityRule, open_triads, run_transitivity_rule
 
 __version__ = "0.1.0"
 

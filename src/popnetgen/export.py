@@ -265,12 +265,12 @@ def read_edges_all(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
             return scan(text, start, 3, (0, 1), 2)
     except _NotPlain:
         pass
-    return _read_edges_all_by_line(path)
+    return _read_edges_all_by_line(path, text)
 
 
-def _read_edges_all_by_line(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """read_edges_all one line at a time, raising on the first bad line."""
-    lines = read_text(path, ExportError).splitlines()
+def _read_edges_all_by_line(path, text: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """read_edges_all on the text, line by line, raising on the first bad line."""
+    lines = text.splitlines()
     if not lines or lines[0] != "source,target,type":
         raise ExportError(f"{path}: expected 'source,target,type' header")
     ends, kinds, code = [], [], {}
@@ -295,12 +295,12 @@ def read_agents(path) -> int:
                 return len(ids)
     except _NotPlain:
         pass
-    return _read_agents_by_line(path)
+    return _read_agents_by_line(path, text)
 
 
-def _read_agents_by_line(path) -> int:
-    """read_agents one line at a time, raising on the first bad line."""
-    lines = read_text(path, ExportError).splitlines()
+def _read_agents_by_line(path, text: str) -> int:
+    """read_agents on the text, line by line, raising on the first bad line."""
+    lines = text.splitlines()
     if not lines:
         raise ExportError(f"{path}: empty agent table")
     columns = lines[0].split(",")

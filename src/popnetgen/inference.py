@@ -93,7 +93,11 @@ class Engine:
         """Exact p(variables, evidence), one axis per variable in the given
         order; every other variable is summed out.  Not memoised: it is read
         once."""
-        return self._eliminated(variables, evidence)
+        for name, value in evidence.items():
+            if value not in self.value_index.get(name, ()):
+                raise UnknownVariableError(f"{name}={value!r} is not a value of the network")
+        codes = {name: self.value_index[name][value] for name, value in evidence.items()}
+        return _eliminate(self._factors_at(codes, variables), variables)
 
     def joint_at(self, codes: Mapping[str, np.ndarray], keep: str) -> np.ndarray:
         """Exact p(the variables of ``codes`` at one row's codes, keep), one
@@ -101,25 +105,10 @@ class Engine:
         Each factor is gathered at a block of rows' codes along one shared
         batch axis before the rest is summed out, so no table spans the
         product of the coded variables' domains, nor more than _BLOCK rows."""
-        rows = len(next(iter(codes.values())))
-        relevant = {*codes, keep}
-        for name in tuple(relevant):
-            relevant |= self.ancestors[name]
-
-        def block(start: int) -> np.ndarray:
-            at, size = slice(start, start + _BLOCK), min(rows - start, _BLOCK)
-            factors = []
-            for name in sorted(relevant):
-                varnames, table = self._factors[name]
-                coded = [i for i, v in enumerate(varnames) if v in codes]
-                if coded:
-                    table = np.moveaxis(table, coded, range(len(coded)))[
-                        tuple(codes[varnames[i]][at] for i in coded)]
-                    varnames = (_BATCH, *(v for v in varnames if v not in codes))
-                factors.append((varnames, table))
-            return _eliminate(factors, (_BATCH, keep), {**self.domains, _BATCH: range(size)})
-
-        return np.concatenate([block(start) for start in range(0, max(rows, 1), _BLOCK)])
+        starts = range(0, max(len(next(iter(codes.values()))), 1), _BLOCK)
+        blocks = ({v: c[at:at + _BLOCK] for v, c in codes.items()} for at in starts)
+        return np.concatenate([
+            _eliminate(self._factors_at(block, (keep,)), (_BATCH, keep)) for block in blocks])
 
     def cpt_table(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
         """Parents of ``name`` and its dense CPT: one axis per parent, child last."""
@@ -133,20 +122,18 @@ class Engine:
         key = (keep, tuple(sorted(evidence.items())))
         value = self._memo.get(key)
         if value is None:
-            value = self._eliminated(keep, evidence)
+            value = self.joint(keep, evidence)
             if len(self._memo) >= _CACHE_MAX:
                 self._memo.clear()
             self._memo[key] = value
         return value
 
-    def _eliminated(self, keep: tuple[str, ...], evidence: Evidence) -> np.ndarray:
-        """p(keep, evidence), one axis per variable of ``keep``: the evidence
-        sliced out of the factors of keep, the evidence and their ancestors
-        (barren variables pruned), everything else summed out."""
-        for name, value in evidence.items():
-            if value not in self.value_index.get(name, ()):
-                raise UnknownVariableError(f"{name}={value!r} is not a value of the network")
-        relevant = {*keep, *evidence}
+    def _factors_at(self, codes: Mapping, keep: tuple[str, ...]) -> list[_Factor]:
+        """The factors of keep, the coded variables and their ancestors
+        (barren variables pruned), each read at its coded variables' codes:
+        a scalar code drops the variable's axis, an array of codes gathers
+        along one batch axis, in front."""
+        relevant = {*keep, *codes}
         for name in tuple(relevant):
             relevant |= self.ancestors[name]
         # Sorted so factor products associate identically in every process;
@@ -154,12 +141,14 @@ class Engine:
         factors = []
         for name in sorted(relevant):
             varnames, table = self._factors[name]
-            index = tuple(
-                self.value_index[v][evidence[v]] if v in evidence else slice(None)
-                for v in varnames
-            )
-            factors.append((tuple(v for v in varnames if v not in evidence), table[index]))
-        return _eliminate(factors, keep, self.domains)
+            coded = [i for i, v in enumerate(varnames) if v in codes]
+            if coded:
+                table = np.moveaxis(table, coded, range(len(coded)))[
+                    tuple(codes[varnames[i]] for i in coded)]
+                varnames = tuple(v for v in varnames if v not in codes)
+                varnames = (_BATCH, *varnames) if table.ndim > len(varnames) else varnames
+            factors.append((varnames, table))
+        return factors
 
 
 def _contract(factors: list[_Factor], out: tuple[str, ...]) -> np.ndarray:
@@ -182,13 +171,14 @@ def _contract(factors: list[_Factor], out: tuple[str, ...]) -> np.ndarray:
     return np.einsum(*operands, [label[v] for v in out], optimize="greedy")
 
 
-def _eliminate(factors: list[_Factor], keep: tuple[str, ...], domains) -> np.ndarray:
+def _eliminate(factors: list[_Factor], keep: tuple[str, ...]) -> np.ndarray:
     """Sum out every variable not in ``keep``; one axis per variable of ``keep``."""
-    to_go = {v for varnames, _ in factors for v in varnames} - set(keep)
+    size = {v: n for varnames, table in factors for v, n in zip(varnames, np.shape(table))}
+    to_go = size.keys() - set(keep)
 
     def cost(v: str) -> int:
         touched = {u for varnames, _ in factors if v in varnames for u in varnames}
-        return math.prod(len(domains[u]) for u in touched)
+        return math.prod(size[u] for u in touched)
 
     while to_go:
         # Greedy smallest-intermediate-table choice, ties to the first name;

@@ -65,18 +65,14 @@ class HomophilyRule:
 
     def a1_map(self) -> dict[str, str]:
         """Matching-network variable -> attribute name, for agent 1 copies."""
-        return {
-            v.name: v.name[len(self.a1_prefix):]
-            for v in self.bn.variables
-            if v.name.startswith(self.a1_prefix) and v.name != self.link_variable
-        }
+        return self._side_map(self.a1_prefix)
 
     def a2_map(self) -> dict[str, str]:
-        return {
-            v.name: v.name[len(self.a2_prefix):]
-            for v in self.bn.variables
-            if v.name.startswith(self.a2_prefix) and v.name != self.link_variable
-        }
+        return self._side_map(self.a2_prefix)
+
+    def _side_map(self, prefix: str) -> dict[str, str]:
+        names = (v.name for v in self.bn.variables if v.name != self.link_variable)
+        return {name: name[len(prefix):] for name in names if name.startswith(prefix)}
 
     @property
     def counts_a1(self) -> bool:
@@ -101,12 +97,15 @@ def validate_rule(rule: HomophilyRule, attribute_bn: BayesianNetwork | None = No
                 f"link variable {rule.link_variable!r} must have domain "
                 f"{{yes, no}}, got {sorted(domain)}"
             )
-    if not rule.a1_map():
+    a1, a2 = rule.a1_map(), rule.a2_map()
+    if not a1:
         problems.append(f"no variables carry the a1 prefix {rule.a1_prefix!r}")
-    if not rule.a2_map():
+    if not a2:
         problems.append(f"no variables carry the a2 prefix {rule.a2_prefix!r}")
+    for bn_var in sorted(a1.keys() & a2.keys()):
+        problems.append(f"{bn_var!r} carries both the a1 and the a2 prefix")
     if attribute_bn is not None:
-        for bn_var, attribute in {**rule.a1_map(), **rule.a2_map()}.items():
+        for bn_var, attribute in {**a1, **a2}.items():
             if attribute not in attribute_bn:
                 problems.append(
                     f"{bn_var!r} strips to {attribute!r}, which is not an "
@@ -250,11 +249,11 @@ class ClassTables(NamedTuple):
 
 
 def class_tables(
-    rule: HomophilyRule, engine: Engine, store: PopulationStore, seekers: np.ndarray | None = None
+    rule: HomophilyRule, engine: Engine, store: PopulationStore, seekers: np.ndarray
 ) -> ClassTables:
     """The rule's supports, from one small elimination per a2 copy, and a
-    row for each member class of an agent of ``seekers`` (all agents by
-    default), whose values come from one query at the rows' class pairs."""
+    row for each member class of an agent of ``seekers``, whose values come
+    from one query at the rows' class pairs."""
     a1, a2 = rule.a1_map(), rule.a2_map()
     dims1 = tuple(len(engine.domains[v]) for v in a1)
     dims2 = tuple(len(engine.domains[v]) for v in a2)
@@ -267,7 +266,7 @@ def class_tables(
         possible.any(axis=tuple(b for b in range(len(dims1)) if b != a)) for a in range(len(dims1))
     ]).ravel(), False)
     a1_class = _class_ids(store, engine, a1)
-    turns = distinct(a1_class if seekers is None else a1_class[seekers])
+    turns = distinct(a1_class[seekers])
     turns = turns[members[turns]]
     # Each row's box, class by class in ascending order: the partial class
     # numbers of the copies so far, each extended by the copy's labels.

@@ -67,12 +67,7 @@ def _relation(store: PopulationStore, link_type: str, role: str) -> np.ndarray:
     return ends[np.argsort(ends[:, 0])].T
 
 
-def enumerate_open_triads(store: PopulationStore, rule: TransitivityRule) -> list[tuple[int, int]]:
-    """All closable (a1, a3) dyads, in ascending id order."""
-    return [tuple(dyad) for dyad in _open_triads(store, rule).tolist()]
-
-
-def _open_triads(store: PopulationStore, rule: TransitivityRule) -> np.ndarray:
+def open_triads(store: PopulationStore, rule: TransitivityRule) -> np.ndarray:
     """The closable (a1, a3) dyads as int64 rows, in ascending id order.
 
     A dyad qualifies when some pivot a2 is linked to a1 by t1 and to a3 by
@@ -106,7 +101,7 @@ def run_transitivity_rule(
 ) -> RuleReport:
     """One Bernoulli trial per closable dyad, regardless of how many pivots
     witness it; links pass the store's dyad checks."""
-    dyads = _open_triads(store, rule)
+    dyads = open_triads(store, rule)
     closed = dyads[rng.random(len(dyads)) < rule.probability]
     store.add_links(rule.t3, closed)
     return RuleReport(rule.t3, "transitive", len(dyads), len(closed))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popnetgen import csvscan, export
-from popnetgen.bn import parse_bn, serialize_bn
+from popnetgen.bn import parse_bn, read_text, serialize_bn
 from popnetgen.cli import run
 from popnetgen.export import (
     ExportError,
@@ -227,7 +227,7 @@ def assert_reads_as_by_line(read, by_line, path, block):
     """``read`` at block size ``block`` returns what ``by_line`` returns,
     dtypes and shapes included, or raises the same ExportError."""
     try:
-        expected = by_line(path)
+        expected = by_line(path, read_text(path, ExportError))
     except ExportError as exc:
         with pytest.raises(ExportError) as got, patch.object(csvscan, "READ_BLOCK", block):
             read(path)

@@ -139,7 +139,7 @@ def class_store(rule, link_type="pair"):
 
 
 def tables_for(rule, store):
-    return class_tables(rule, Engine(rule.bn), store)
+    return class_tables(rule, Engine(rule.bn), store, np.arange(len(store)))
 
 
 def in_box(tables, a1, a2):
@@ -244,6 +244,18 @@ class TestLoadMatchingBn:
         with pytest.raises(MatchingError) as err:
             load_matching_bn(doc)
         assert str(err.value).startswith(f"line 2: {message}")
+
+    @pytest.mark.parametrize("prefixes, claimed", [
+        ("a1=a2_ a2=a2_", ["a2_gender", "a2_location"]),
+        ("a1=a a2=a2_", ["a2_gender", "a2_location"]),  # one prefix starts the other
+        ("a1=a2_g a2=a2_", ["a2_gender"]),
+    ])
+    def test_prefixes_that_claim_one_variable_are_refused(self, prefixes, claimed):
+        # each such variable would be named twice in the rule's class query
+        with pytest.raises(MatchingError) as err:
+            load_matching_bn(SPOUSES_MATCHING.replace("a1=a1_ a2=a2_", prefixes))
+        assert str(err.value) == "; ".join(
+            f"{name!r} carries both the a1 and the a2 prefix" for name in claimed)
 
     def test_body_error_names_the_file_line(self):
         # Header and body are one stream, so body lines count from the
@@ -522,7 +534,8 @@ def test_class_tables_match_the_dense_tables(seed, deterministic):
     than the dense elimination, so they may differ in the last bits."""
     rule = make_layered_matching_rule(np.random.default_rng(seed), deterministic)
     engine, store = Engine(rule.bn), class_store(rule)
-    tables, dense = class_tables(rule, engine, store), dense_class_tables(rule, engine, store)
+    tables = class_tables(rule, engine, store, np.arange(len(store)))
+    dense = dense_class_tables(rule, engine, store)
     assert np.array_equal(tables.members, dense.members)
     assert np.array_equal(box_table(tables), dense.box)
     turns = distinct(tables.a1_class)
@@ -755,7 +768,7 @@ class TestRunHomophilyRule:
             if vacuous(rule, engine):
                 continue
             store = class_store(rule)
-            tables = class_tables(rule, engine, store)
+            tables = class_tables(rule, engine, store, np.arange(len(store)))
             for i in range(len(store)):
                 for j in range(len(store)):
                     if i == j:
@@ -1092,10 +1105,10 @@ def test_class_tables_memory_follows_the_linkable_pairs(tmp_path):
         load_bn(tmp_path / "attributes.bn"), 2000, substream(1, "population"),
         [LinkType("friendship", False)],
     )
-    engine = Engine(rule.bn)
+    engine, everyone = Engine(rule.bn), np.arange(len(store))
     tracemalloc.start()
     try:
-        class_tables(rule, engine, store)
+        class_tables(rule, engine, store, everyone)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

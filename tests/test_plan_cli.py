@@ -637,6 +637,23 @@ class TestCli:
         assert "rule 1 (spouses): line 9, column 6: expected probability, got 'oops'" in captured.out
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("prefixes", ["a1=a2_ a2=a2_", "a1=a a2=a2_"])
+    def test_prefixes_that_claim_one_variable_are_invalid_exit(self, tmp_path, capsys, prefixes):
+        plan_dir = tmp_path / "inconsistent"
+        shutil.copytree(REPO / "plans" / "inconsistent", plan_dir)
+        path = plan_dir / "spouses.bn"
+        path.write_text(path.read_text().replace("a1=a1_ a2=a2_", prefixes, 1))
+        message = "rule 1 (spouses): 'a2_gender' carries both the a1 and the a2 prefix"
+        assert main(["validate", str(plan_dir / "inconsistent.plan")]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert message in captured.out and "Traceback" not in captured.err
+        out = plan_dir / "o"
+        assert main(["generate", str(plan_dir / "inconsistent.plan"), "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert message in err
+        assert "generating population" not in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_broken_bn_is_invalid_exit(self, plan_dir):
         (plan_dir / "attributes.bn").write_text("variable g { a, b }\ncpt g { 0.9, 0.9 }\n")
         code = main(["generate", str(plan_dir / "plan.txt"), "--out", str(plan_dir / "o")])

@@ -76,8 +76,9 @@ def plan_directories(draw) -> dict[str, str | None]:
         name = link_type()
         if rng.random() < 2 / 3:
             counts = draw(st.sampled_from(["both", "a1", "a2"]))
+            a1 = sometimes(rng, ["a1_"], ["a2_"], 1 / 8)  # both prefixes claim the a2 copies
             files[f"m{k}.bn"] = (
-                f"matching {name} link=link a1=a1_ a2=a2_ counts={counts}\n"
+                f"matching {name} link=link a1={a1} a2=a2_ counts={counts}\n"
                 + serialize_bn(make_random_matching_rule(rng).bn)
             )
             options = [
