@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 # Rows whose probabilities sum to within this of 1 are accepted; anything
 # further off is a validation failure.
@@ -159,6 +159,23 @@ def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def key_values(tokens: list[str], allowed: set[str], what: str, error: Callable) -> dict[str, str]:
+    """The ``key=value`` tokens of a plan line or a matching header, by key;
+    raises ``error(message)`` for a token without ``=``, a key outside
+    ``allowed`` or a key given twice.  ``what`` names the line in messages."""
+    out = {}
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise error(f"bad {what} token {token!r}")
+        if key not in allowed:
+            raise error(f"unknown {what} option {key!r}")
+        if key in out:
+            raise error(f"duplicate {what} option {key!r}")
+        out[key] = value
+    return out
 
 
 def _split_labels(text: str, lineno: int, what: str) -> list[str]:

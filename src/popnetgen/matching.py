@@ -3,9 +3,12 @@
 A matching network contains prefixed copies of both agents' attributes
 (``a1_age``, ``a2_age``, ...), any internal condition variables, and one
 boolean link variable whose posterior given both attribute sets is the
-probability that the pair may be linked.  One small elimination per a2
-copy gives its labels possible with each a1 class and link = yes; their
-product is the class's box of candidate a2 classes.  One batched query
+probability that the pair may be linked.  load_matching_bn checks the
+file once, validate_rule the copies against the attribute network.  From
+the network alone, rule_supports, which validate and run both call, gives
+by one small elimination per a2 copy its labels possible with each a1
+class and link = yes: their product is the class's box of candidate a2
+classes, and a rule with no member a1 class is vacuous.  One batched query
 then gives that probability, and the weights a prototype's a2 class is
 drawn from, at the box pairs of the a1 classes that take turns only.
 Pairing works on classes: the fallback scans the classes with available
@@ -24,7 +27,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .bn import BayesianNetwork, numbered_lines, read_network, read_text
+from .bn import BayesianNetwork, key_values, numbered_lines, read_network, read_text
 from .inference import Engine
 from .population import PopulationStore, distinct
 from .sampling import Draws
@@ -83,42 +86,18 @@ class HomophilyRule:
         return self.counts in ("both", "a2")
 
 
-def validate_rule(rule: HomophilyRule, attribute_bn: BayesianNetwork | None = None) -> list[str]:
-    """Problems with the rule itself; empty list when well formed."""
+def validate_rule(rule: HomophilyRule, attribute_bn: BayesianNetwork) -> list[str]:
+    """Problems of the rule's copies against the attribute network: each
+    must strip to an attribute variable and carry only labels of its
+    domain.  Empty when they fit; load_matching_bn checked the rest."""
     problems = []
-    if rule.counts not in COUNTS_CHOICES:
-        problems.append(f"counts must be one of {COUNTS_CHOICES}, got {rule.counts!r}")
-    if rule.link_variable not in rule.bn:
-        problems.append(f"link variable {rule.link_variable!r} not in matching network")
-    else:
-        domain = set(rule.bn.domain(rule.link_variable))
-        if domain != {LINK_YES, LINK_NO}:
+    for bn_var, attribute in {**rule.a1_map(), **rule.a2_map()}.items():
+        if attribute not in attribute_bn:
             problems.append(
-                f"link variable {rule.link_variable!r} must have domain "
-                f"{{yes, no}}, got {sorted(domain)}"
+                f"{bn_var!r} strips to {attribute!r}, which is not an attribute variable"
             )
-    a1, a2 = rule.a1_map(), rule.a2_map()
-    if not a1:
-        problems.append(f"no variables carry the a1 prefix {rule.a1_prefix!r}")
-    if not a2:
-        problems.append(f"no variables carry the a2 prefix {rule.a2_prefix!r}")
-    for bn_var in sorted(a1.keys() & a2.keys()):
-        problems.append(f"{bn_var!r} carries both the a1 and the a2 prefix")
-    if attribute_bn is not None:
-        for bn_var, attribute in {**a1, **a2}.items():
-            if attribute not in attribute_bn:
-                problems.append(
-                    f"{bn_var!r} strips to {attribute!r}, which is not an "
-                    "attribute variable"
-                )
-            elif set(rule.bn.domain(bn_var)) - set(attribute_bn.domain(attribute)):
-                problems.append(
-                    f"{bn_var!r} carries values outside the domain of {attribute!r}"
-                )
-    if rule.retries < 1:
-        problems.append("retries must be at least 1")
-    if rule.small_set < 0:
-        problems.append("small_set must be non-negative")
+        elif set(rule.bn.domain(bn_var)) - set(attribute_bn.domain(attribute)):
+            problems.append(f"{bn_var!r} carries values outside the domain of {attribute!r}")
     return problems
 
 
@@ -131,48 +110,53 @@ def load_matching_bn(text: str, *, defaults: Mapping[str, object] | None = None)
 
     The rest of the file uses the plain network grammar.  ``defaults`` may
     carry retries/small_set/counts overrides from the generation plan.
-    Header errors name the header's line, body errors their own.
+    Each problem the header causes names the header's line, body errors
+    their own, and problems with the plan's overrides none.
     """
     lines = numbered_lines(text)
     lineno, header = next(lines, (1, ""))
+    at = f"line {lineno}: "
 
     def header_error(message: str) -> MatchingError:
-        return MatchingError(f"line {lineno}: {message}")
+        return MatchingError(at + message)
 
     if not header.startswith("matching "):
         raise header_error("matching network must start with a 'matching ...' header")
     tokens = header.split()
-    link_type = tokens[1]
-    options = {"link": None, "a1": "a1_", "a2": "a2_", "counts": "both"}
-    given: set[str] = set()
-    for token in tokens[2:]:
-        if "=" not in token:
-            raise header_error(f"bad matching header token {token!r}")
-        key, _, value = token.partition("=")
-        if key not in options:
-            raise header_error(f"unknown matching header option {key!r}")
-        if key in given:
-            raise header_error(f"duplicate matching header option {key!r}")
-        given.add(key)
-        options[key] = value
-    if not options["link"]:
+    options = {"a1": "a1_", "a2": "a2_", "counts": "both"}
+    options |= key_values(tokens[2:], {"link", *options}, "matching header", header_error)
+    if not options.get("link"):
         raise header_error("matching header misses link=<variable>")
     if options["counts"] not in COUNTS_CHOICES:
         raise header_error(f"counts must be one of {COUNTS_CHOICES}")
 
-    defaults = dict(defaults or {})
-    bn = read_network(lines)
+    defaults, link = defaults or {}, options["link"]
     rule = HomophilyRule(
-        link_type=link_type,
-        bn=bn,
-        link_variable=options["link"],
-        a1_prefix=options["a1"],
-        a2_prefix=options["a2"],
+        tokens[1], read_network(lines), link, options["a1"], options["a2"],
         counts=str(defaults.get("counts", options["counts"])),
         retries=int(defaults.get("retries", DEFAULT_RETRIES)),
         small_set=int(defaults.get("small_set", DEFAULT_SMALL_SET)),
     )
-    problems = validate_rule(rule)
+    problems = []
+    if rule.counts not in COUNTS_CHOICES:
+        problems.append(f"counts must be one of {COUNTS_CHOICES}, got {rule.counts!r}")
+    if link not in rule.bn:
+        problems.append(f"{at}link variable {link!r} not in matching network")
+    elif set(rule.bn.domain(link)) != {LINK_YES, LINK_NO}:
+        problems.append(
+            f"{at}link variable {link!r} must have domain {{yes, no}}, "
+            f"got {sorted(rule.bn.domain(link))}"
+        )
+    a1, a2 = rule.a1_map(), rule.a2_map()
+    for side, prefix, copies in (("a1", rule.a1_prefix, a1), ("a2", rule.a2_prefix, a2)):
+        if not copies:
+            problems.append(f"{at}no variables carry the {side} prefix {prefix!r}")
+    for bn_var in sorted(a1.keys() & a2.keys()):
+        problems.append(f"{at}{bn_var!r} carries both the a1 and the a2 prefix")
+    if rule.retries < 1:
+        problems.append("retries must be at least 1")
+    if rule.small_set < 0:
+        problems.append("small_set must be non-negative")
     if problems:
         raise MatchingError("; ".join(problems))
     return rule
@@ -201,11 +185,6 @@ class RuleReport:
     fallback_rejections: int = 0
     orphan_agents: int = 0
     vacuous: bool = False
-
-
-def vacuous(rule: HomophilyRule, engine: Engine) -> bool:
-    """The link variable can never be yes: the rule links no pair."""
-    return engine.probability_of_evidence({rule.link_variable: LINK_YES}) <= 0.0
 
 
 def _class_ids(store: PopulationStore, engine: Engine, copies: Mapping[str, str]) -> np.ndarray:
@@ -248,23 +227,35 @@ class ClassTables(NamedTuple):
     rows: dict[int, tuple[list[int], dict[int, int], list[float], list[float]]]
 
 
-def class_tables(
-    rule: HomophilyRule, engine: Engine, store: PopulationStore, seekers: np.ndarray
-) -> ClassTables:
-    """The rule's supports, from one small elimination per a2 copy, and a
-    row for each member class of an agent of ``seekers``, whose values come
-    from one query at the rows' class pairs."""
-    a1, a2 = rule.a1_map(), rule.a2_map()
+def rule_supports(rule: HomophilyRule, engine: Engine) -> tuple[tuple, np.ndarray]:
+    """What the rule can link, from its network alone: ClassTables'
+    ``supports``, one small elimination per a2 copy, and ``members``.  No
+    a1 class is a member exactly when the rule is vacuous: p(link = yes) =
+    0.  validate and run both read vacuity off this."""
+    a1 = rule.a1_map()
     dims1 = tuple(len(engine.domains[v]) for v in a1)
-    dims2 = tuple(len(engine.domains[v]) for v in a2)
     yes = {rule.link_variable: LINK_YES}
     supports = tuple(
-        (engine.joint((*a1, copy), yes) > 0.0).reshape(-1, size) for copy, size in zip(a2, dims2)
+        (engine.joint((*a1, copy), yes) > 0.0).reshape(-1, len(engine.domains[copy]))
+        for copy in rule.a2_map()
     )
     possible = supports[0].any(axis=1).reshape(dims1)
     members = np.append(functools.reduce(np.logical_and.outer, [
         possible.any(axis=tuple(b for b in range(len(dims1)) if b != a)) for a in range(len(dims1))
     ]).ravel(), False)
+    return supports, members
+
+
+def class_tables(
+    rule: HomophilyRule, engine: Engine, store: PopulationStore, seekers: np.ndarray
+) -> ClassTables:
+    """The rule's supports and members (rule_supports), and a row for each
+    member class of an agent of ``seekers``, whose values come from one
+    query at the rows' class pairs."""
+    a1, a2 = rule.a1_map(), rule.a2_map()
+    dims1 = tuple(len(engine.domains[v]) for v in a1)
+    supports, members = rule_supports(rule, engine)
+    dims2 = tuple(support.shape[1] for support in supports)
     a1_class = _class_ids(store, engine, a1)
     turns = distinct(a1_class[seekers])
     turns = turns[members[turns]]
@@ -366,7 +357,8 @@ def run_homophily_rule(
     buckets = ClassBuckets(tables.a2_class, classes, open_ids)
     members = seekers[tables.members[tables.a1_class[seekers]]]
     demand = store.demand[link_type]
-    demand_total = int(left[members].sum()) if counts_a1 else len(members)
+    # Summed as Python ints: an int64 sum of large demands wraps.
+    demand_total = sum(left[members].tolist()) if counts_a1 else len(members)
     turns = members[rng.permutation(len(members))].tolist()
     draws = Draws(rng)  # the rule's later draws: rng is not used again
     random, integers = draws.random, draws.integers
@@ -422,7 +414,7 @@ def run_homophily_rule(
 
     # Without side 1 counted a turn has one slot: an orphan is exactly an
     # agent left without a link.
-    unfulfilled = int(store.remaining(link_type, members).sum()) if counts_a1 else orphans
+    unfulfilled = sum(store.remaining(link_type, members).tolist()) if counts_a1 else orphans
     return RuleReport(
         link_type, "homophily", demand_total, prototype_links + fallback_links, unfulfilled,
         prototype_links, fallback_links, rejections, orphans,

@@ -18,13 +18,13 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .bn import BayesianNetwork, BnError, load_bn, numbered_lines, read_text
+from .bn import BayesianNetwork, BnError, key_values, load_bn, numbered_lines, read_text
 from .inference import Engine
 from .matching import (
     HomophilyRule,
     MatchingError,
     load_matching_bn_file,
-    vacuous,
+    rule_supports,
     validate_rule,
 )
 from .population import RC_PREFIX, LinkType, PopulationError, check_population_size, link_counts
@@ -73,20 +73,6 @@ class GenerationPlan:
     attribute_bn: BayesianNetwork | None = field(default=None, repr=False, compare=False)
 
 
-def _options(tokens: list[str], lineno: int, allowed: set[str]) -> dict[str, str]:
-    out = {}
-    for token in tokens:
-        if "=" not in token:
-            raise PlanSyntaxError(f"expected key=value, got {token!r}", lineno)
-        key, _, value = token.partition("=")
-        if key not in allowed:
-            raise PlanSyntaxError(f"unknown option {key!r}", lineno)
-        if key in out:
-            raise PlanSyntaxError(f"duplicate option {key!r}", lineno)
-        out[key] = value
-    return out
-
-
 def _to_int(value: str, what: str, lineno: int) -> int:
     try:
         return int(value)
@@ -109,6 +95,9 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
     weights: dict[str, float] = {}
     output_dir: Path | None = None
 
+    def syntax_error(message: str) -> PlanSyntaxError:
+        return PlanSyntaxError(message, lineno)
+
     for lineno, line in numbered_lines(text):
         tokens = line.split()
         head = tokens[0]
@@ -116,7 +105,7 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
         if head == "population":
             if population is not None:
                 raise PlanSyntaxError("duplicate population line", lineno)
-            opts = _options(tokens[1:], lineno, {"N", "seed", "attributes"})
+            opts = key_values(tokens[1:], {"N", "seed", "attributes"}, "population", syntax_error)
             for required in ("N", "seed", "attributes"):
                 if required not in opts:
                     raise PlanSyntaxError(f"population line misses {required}=", lineno)
@@ -145,7 +134,8 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
                 raise PlanSyntaxError("incomplete rule line", lineno)
             kind = tokens[1]
             if kind == "homophily":
-                opts = _options(tokens[3:], lineno, {"bn", "counts", "retries", "smallset"})
+                allowed = {"bn", "counts", "retries", "smallset"}
+                opts = key_values(tokens[3:], allowed, "homophily rule", syntax_error)
                 if "bn" not in opts:
                     raise PlanSyntaxError("homophily rule misses bn=<file>", lineno)
                 loader_key = {"counts": "counts", "retries": "retries", "smallset": "small_set"}
@@ -159,7 +149,7 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
                         "expected 'rule transitive <t3> from <t1> <t2> p=<prob> pattern=<spec>'",
                         lineno,
                     )
-                opts = _options(tokens[6:], lineno, {"p", "pattern"})
+                opts = key_values(tokens[6:], {"p", "pattern"}, "transitive rule", syntax_error)
                 if "p" not in opts:
                     raise PlanSyntaxError("transitive rule misses p=<prob>", lineno)
                 try:
@@ -175,7 +165,7 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
         elif head == "interact":
             if len(tokens) != 3:
                 raise PlanSyntaxError("expected 'interact <linktype> p=<prob>'", lineno)
-            opts = _options(tokens[2:], lineno, {"p"})
+            opts = key_values(tokens[2:], {"p"}, "interact", syntax_error)
             if "p" not in opts:
                 raise PlanSyntaxError("interact line misses p=<prob>", lineno)
             if tokens[1] in weights:
@@ -267,14 +257,13 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
         if rule.link_type not in declared:
             error(f"{where}: link type not declared")
         if isinstance(rule, HomophilyPlanRule):
-            loaded = None
             try:
                 loaded = rule.loaded = load_matching_bn_file(rule.bn_path, defaults=rule.options)
             except FileNotFoundError:
                 error(f"{where}: matching network file not found: {rule.bn_path}")
             except (BnError, MatchingError) as exc:
                 error(f"{where}: {exc}")
-            if loaded is not None:
+            else:
                 if loaded.link_type != rule.link_type:
                     warning(
                         f"{where}: matching file header names {loaded.link_type!r}"
@@ -282,7 +271,7 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
                 if attribute_bn is not None:
                     for problem in validate_rule(loaded, attribute_bn):
                         error(f"{where}: {problem}")
-                if vacuous(loaded, Engine(loaded.bn)):
+                if not rule_supports(loaded, Engine(loaded.bn))[1].any():  # no member a1 class
                     warning(f"{where}: link variable can never be yes (vacuous rule)")
         else:
             for needed in (rule.t1, rule.t2):

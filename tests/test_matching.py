@@ -24,8 +24,8 @@ from popnetgen.matching import (
     MatchingError,
     class_tables,
     load_matching_bn,
+    rule_supports,
     run_homophily_rule,
-    vacuous,
     validate_rule,
 )
 from popnetgen.population import (
@@ -142,6 +142,11 @@ def tables_for(rule, store):
     return class_tables(rule, Engine(rule.bn), store, np.arange(len(store)))
 
 
+def vacuous(rule, engine):
+    """No a1 class is a member: what validate and run both read."""
+    return not rule_supports(rule, engine)[1].any()
+
+
 def in_box(tables, a1, a2):
     """From the kept supports: each a2 copy's label of a2's class is
     possible with a1's class and link = yes; the extra classes admit none."""
@@ -237,6 +242,13 @@ class TestLoadMatchingBn:
         ("counts=both", "colour=red", "unknown matching header option 'colour'"),
         (" link=linkSpouses", "", "matching header misses link=<variable>"),
         ("matching spouses", "variable spouses", "matching network must start"),
+        # problems the header causes in the network below it
+        ("a1=a1_", "a1=b1_", "no variables carry the a1 prefix 'b1_'"),
+        ("a2=a2_", "a2=b2_", "no variables carry the a2 prefix 'b2_'"),
+        ("link=linkSpouses", "link=linkKin", "link variable 'linkKin' not in matching network"),
+        ("link=linkSpouses", "link=a1_gender",
+         "link variable 'a1_gender' must have domain {yes, no}, got ['female', 'male']"),
+        ("a1=a1_ a2=a2_", "a1=a2_ a2=a2_", "'a2_gender' carries both the a1 and the a2 prefix"),
     ])
     def test_header_error_names_the_header_line(self, option, header, message):
         # a comment line sits above the header
@@ -254,8 +266,9 @@ class TestLoadMatchingBn:
         # each such variable would be named twice in the rule's class query
         with pytest.raises(MatchingError) as err:
             load_matching_bn(SPOUSES_MATCHING.replace("a1=a1_ a2=a2_", prefixes))
+        # the header, on line 2, causes each problem
         assert str(err.value) == "; ".join(
-            f"{name!r} carries both the a1 and the a2 prefix" for name in claimed)
+            f"line 2: {name!r} carries both the a1 and the a2 prefix" for name in claimed)
 
     def test_body_error_names_the_file_line(self):
         # Header and body are one stream, so body lines count from the
@@ -271,6 +284,16 @@ class TestLoadMatchingBn:
     def test_defaults_override(self):
         rule = load_matching_bn(SPOUSES_MATCHING, defaults={"retries": 5, "small_set": 2})
         assert rule.retries == 5 and rule.small_set == 2
+
+    def test_bad_defaults_name_no_line(self):
+        # the plan gives these, not the header
+        defaults = {"counts": "none", "retries": 0, "small_set": -1}
+        with pytest.raises(MatchingError) as err:
+            load_matching_bn(SPOUSES_MATCHING, defaults=defaults)
+        assert str(err.value) == (
+            f"counts must be one of {COUNTS_CHOICES}, got 'none'; "
+            "retries must be at least 1; small_set must be non-negative"
+        )
 
     def test_link_domain_must_be_yes_no(self):
         doc = """

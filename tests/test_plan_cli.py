@@ -357,20 +357,27 @@ class TestCli:
         report = (out / "report.txt").read_text().splitlines()
         assert stats_out.splitlines() == [l for l in report if l.startswith("stats.")]
 
-    def test_generate_tests_vacuity_only_in_validation(self, tmp_path, monkeypatch):
-        # validate warns from p(link = yes) of each of Kenya's four homophily
-        # rules; run reads vacuity off each rule's class tables instead.
-        from_validate = []
-        probability_of_evidence = Engine.probability_of_evidence
+    def test_generate_reads_vacuity_off_the_shared_supports(self, tmp_path, monkeypatch):
+        # validate and run read vacuity off one function: it runs once per
+        # Kenya homophily rule in each, and p(link = yes) is never asked.
+        sites = [("validate_plan", "plan.py"), ("run", "cli.py")]
+        callers = []
+        rule_supports = matching_module.rule_supports
 
-        def counted(engine, evidence):
-            from_validate.append(any(f.function == "validate_plan" for f in inspect.stack(0)))
-            return probability_of_evidence(engine, evidence)
+        def counted(rule, engine):
+            frames = {(f.function, Path(f.filename).name) for f in inspect.stack(0)}
+            callers.extend(name for name, module in sites if (name, module) in frames)
+            return rule_supports(rule, engine)
 
-        monkeypatch.setattr(Engine, "probability_of_evidence", counted)
+        def refused(engine, evidence):
+            raise AssertionError("generate asked for p(evidence)")
+
+        monkeypatch.setattr(matching_module, "rule_supports", counted)
+        monkeypatch.setattr(plan_module, "rule_supports", counted)
+        monkeypatch.setattr(Engine, "probability_of_evidence", refused)
         args = ["generate", str(KENYA_PLAN), "--population", "300", "--out", str(tmp_path / "o")]
         assert main(args) == EXIT_OK
-        assert from_validate == [True] * 4
+        assert callers == ["validate_plan"] * 4 + ["run"] * 4
 
     def test_generate_reads_each_network_once(self, tmp_path, monkeypatch):
         # run takes the networks validate parsed: the attribute network and
@@ -445,6 +452,44 @@ class TestCli:
         code = main(["generate", str(plan_dir / "plan.txt"), "--out", str(plan_dir / "o")])
         assert code == EXIT_RUNTIME
         assert "runtime failure: MemoryError" in capsys.readouterr().err
+
+    def test_validate_out_of_memory_is_runtime_exit(self, plan_dir, capsys, monkeypatch):
+        # the rule's supports are eliminations that may run out of memory
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(Engine, "joint", exhausted)
+        assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "runtime failure: MemoryError" in err and "Traceback" not in err
+
+    def test_demand_beyond_int64_is_summed_exactly(self, tmp_path, capsys):
+        # four agents that each want 2**62 links: the demand, 2**64, and
+        # what stays open overflow int64
+        (tmp_path / "attributes.bn").write_text(
+            "variable g { x }\nvariable RC_pair { 4611686018427387904 }\n"
+            "cpt g { 1.0 }\ncpt RC_pair { 1.0 }\n"
+        )
+        (tmp_path / "pair.bn").write_text(
+            "matching pair link=link a1=a1_ a2=a2_ counts=both\n"
+            "variable a1_g { x }\nvariable a2_g { x }\nvariable link { yes, no }\n"
+            "cpt a1_g { 1.0 }\ncpt a2_g { 1.0 }\ncpt link { 1.0, 0.0 }\n"
+        )
+        plan = tmp_path / "plan.txt"
+        plan.write_text(
+            "population N=4 seed=1 attributes=attributes.bn\nlinktype pair undirected\n"
+            "rule homophily pair bn=pair.bn\n"
+        )
+        assert main(["validate", str(plan)]) == EXIT_OK
+        assert "plan ok" in capsys.readouterr().out
+        assert main(["generate", str(plan), "--out", str(tmp_path / "o")]) == EXIT_OK
+        report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+        assert {
+            "rule.0.demand = 18446744073709551616",
+            "rule.0.links = 6",
+            "rule.0.unfulfilled = 18446744073709551604",
+            "error.matching.pair = 1.0",
+        } <= set(report)
 
     @pytest.mark.parametrize("labels", ["-1, 0, 1", "0, 1, 99999999999999999999"])
     def test_rc_label_that_is_not_a_count_is_invalid(self, plan_dir, capsys, labels):
@@ -643,7 +688,8 @@ class TestCli:
         shutil.copytree(REPO / "plans" / "inconsistent", plan_dir)
         path = plan_dir / "spouses.bn"
         path.write_text(path.read_text().replace("a1=a1_ a2=a2_", prefixes, 1))
-        message = "rule 1 (spouses): 'a2_gender' carries both the a1 and the a2 prefix"
+        # the header, on the file's first line, causes the problem
+        message = "rule 1 (spouses): line 1: 'a2_gender' carries both the a1 and the a2 prefix"
         assert main(["validate", str(plan_dir / "inconsistent.plan")]) == EXIT_INVALID
         captured = capsys.readouterr()
         assert message in captured.out and "Traceback" not in captured.err
@@ -662,12 +708,15 @@ class TestCli:
     def test_matching_options_refused_by_validate_and_generate(self, plan_dir, capsys):
         text = MINIMAL_PLAN.replace("counts=both", "counts=both retries=0 smallset=-1")
         (plan_dir / "plan.txt").write_text(text)
+        # the plan's options, not the matching file's header, cause these:
+        # they name no line
+        message = "error: rule 1 (pair): retries must be at least 1; small_set must be non-negative"
         assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_INVALID
-        assert "retries must be at least 1" in capsys.readouterr().out
+        assert message in capsys.readouterr().out.splitlines()
         out = plan_dir / "o"
         assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_INVALID
         err = capsys.readouterr().err
-        assert "small_set must be non-negative" in err
+        assert message in err.splitlines()
         assert "generating population" not in err
         assert not out.exists()
 

@@ -1,5 +1,6 @@
-"""Whole-plan fuzzing: what validate accepts, generate runs, and stats on the
-run's files prints the report's statistics."""
+"""Whole-plan fuzzing: what validate accepts, generate runs, a rule validate
+calls vacuous is the one the run reports vacuous, and stats on the run's
+files prints the report's statistics."""
 import contextlib
 import io
 import re
@@ -11,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popnetgen.bn import serialize_bn
+from popnetgen.bn import BayesianNetwork, Cpt, serialize_bn
 from popnetgen.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
 
 from helpers import make_random_bn
@@ -77,9 +78,13 @@ def plan_directories(draw) -> dict[str, str | None]:
         if rng.random() < 2 / 3:
             counts = draw(st.sampled_from(["both", "a1", "a2"]))
             a1 = sometimes(rng, ["a1_"], ["a2_"], 1 / 8)  # both prefixes claim the a2 copies
+            bn = make_random_matching_rule(rng).bn
+            if rng.random() < 1 / 6:  # vacuous: link = yes has probability 0 in every row
+                link = bn.cpts["link"]
+                link = Cpt("link", link.parents, dict.fromkeys(link.rows, (0.0, 1.0)))
+                bn = BayesianNetwork(bn.variables, {**bn.cpts, "link": link})
             files[f"m{k}.bn"] = (
-                f"matching {name} link=link a1={a1} a2=a2_ counts={counts}\n"
-                + serialize_bn(make_random_matching_rule(rng).bn)
+                f"matching {name} link=link a1={a1} a2=a2_ counts={counts}\n" + serialize_bn(bn)
             )
             options = [
                 sometimes(rng, HOMOPHILY_OPTIONS[:8], HOMOPHILY_OPTIONS[8:])
@@ -145,7 +150,7 @@ def test_validate_agrees_with_generate_and_stats_with_report(files, failing_writ
             write_files(base, files)
             assert run_cli("validate", plan) == unmarked
         write_files(base, files)
-        verdict, _, _ = run_cli("validate", plan)
+        verdict, checked, _ = run_cli("validate", plan)
         assert verdict in (EXIT_OK, EXIT_INVALID)
         if None in files.values() or any("\udcff" in text for text in texts):
             assert verdict == EXIT_INVALID
@@ -158,6 +163,10 @@ def test_validate_agrees_with_generate_and_stats_with_report(files, failing_writ
         code, stats_out, err = run_cli("stats", out)
         assert code == EXIT_OK, err
         report = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+        # validate warns of rule k exactly when the run reports rule.<k-1> vacuous
+        warned = re.findall(r"^warning: rule (\d+) \(.*\): .*\(vacuous rule\)$", checked, re.M)
+        reported = re.findall(r"^rule\.(\d+)\.vacuous = true$", "\n".join(report), re.M)
+        assert [int(k) for k in warned] == [int(i) + 1 for i in reported]
         assert stats_out.splitlines() == [line for line in report if line.startswith("stats.")]
 
         # The run again into the same directory, with the writer failing on
