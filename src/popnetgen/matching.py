@@ -5,23 +5,24 @@ A matching network contains prefixed copies of both agents' attributes
 boolean link variable whose posterior given both attribute sets is the
 probability that the pair may be linked.  load_matching_bn checks the
 file once, validate_rule the copies against the attribute network.  From
-the network alone, rule_supports, which validate and run both call, gives
-by one small elimination per a2 copy its labels possible with each a1
+the network alone, rule_supports, which validate calls and the run reuses,
+gives by one small elimination per a2 copy its labels possible with each a1
 class and link = yes: their product is the class's box of candidate a2
 classes, and a rule with no member a1 class is vacuous.  One batched query
 then gives that probability, and the weights a prototype's a2 class is
 drawn from, at the box pairs of the a1 classes that take turns only.
 Pairing works on classes: the fallback scans the classes with available
 agents, and the agents a rule may still pick sit in one bucket per a2
-class.  A link slot reads its class's row as Python lists and draws from
-sampling.Draws, so it costs O(box + degree) with no numpy call at all.
+class.  A link slot reads int64 arrays and its class's row as Python lists
+and draws from sampling.Draws: O(box + degree) with no numpy call at all.
 """
 from __future__ import annotations
 
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Mapping, NamedTuple
 
@@ -55,6 +56,7 @@ class HomophilyRule:
     counts names the endpoints whose open demand governs the rule ("both",
     "a1" or "a2").  retries bounds prototype draws per link slot; below
     small_set candidates the matcher goes straight to the fallback scan.
+    supports, when set, is rule_supports' result, which the run reuses.
     """
 
     link_type: str
@@ -65,6 +67,7 @@ class HomophilyRule:
     counts: str = "both"
     retries: int = DEFAULT_RETRIES
     small_set: int = DEFAULT_SMALL_SET
+    supports: tuple | None = field(default=None, repr=False, compare=False)
 
     def a1_map(self) -> dict[str, str]:
         """Matching-network variable -> attribute name, for agent 1 copies."""
@@ -231,7 +234,7 @@ def rule_supports(rule: HomophilyRule, engine: Engine) -> tuple[tuple, np.ndarra
     """What the rule can link, from its network alone: ClassTables'
     ``supports``, one small elimination per a2 copy, and ``members``.  No
     a1 class is a member exactly when the rule is vacuous: p(link = yes) =
-    0.  validate and run both read vacuity off this."""
+    0.  validate and run both read vacuity off this, computed once."""
     a1 = rule.a1_map()
     dims1 = tuple(len(engine.domains[v]) for v in a1)
     yes = {rule.link_variable: LINK_YES}
@@ -249,12 +252,12 @@ def rule_supports(rule: HomophilyRule, engine: Engine) -> tuple[tuple, np.ndarra
 def class_tables(
     rule: HomophilyRule, engine: Engine, store: PopulationStore, seekers: np.ndarray
 ) -> ClassTables:
-    """The rule's supports and members (rule_supports), and a row for each
-    member class of an agent of ``seekers``, whose values come from one
-    query at the rows' class pairs."""
+    """The rule's supports and members (rule_supports, or the rule's own),
+    and a row for each member class of an agent of ``seekers``, whose
+    values come from one query at the rows' class pairs."""
     a1, a2 = rule.a1_map(), rule.a2_map()
     dims1 = tuple(len(engine.domains[v]) for v in a1)
-    supports, members = rule_supports(rule, engine)
+    supports, members = rule.supports or rule_supports(rule, engine)
     dims2 = tuple(support.shape[1] for support in supports)
     a1_class = _class_ids(store, engine, a1)
     turns = distinct(a1_class[seekers])
@@ -283,18 +286,20 @@ def class_tables(
 class ClassBuckets:
     """The agents a homophily rule may still pick, grouped by a2 class.
 
-    One list holds them all: class c owns ``ids[start[c]:start[c] +
+    One buffer holds them all: class c owns ``ids[start[c]:start[c] +
     size[c]]``, in no particular order, and ``where[agent]`` is the agent's
-    index in ``ids``, or -1 when it is in no bucket.  They are Python lists:
-    a slot reads a few entries, cheaper than the fixed cost of a numpy call.
+    index in ``ids``, or -1 when it is in no bucket.  Per agent they are
+    int64 arrays, per class lists: a slot reads a few entries, cheaper than
+    the fixed cost of a numpy call.
     """
 
     def __init__(self, a2_class: np.ndarray, classes: int, open_ids: np.ndarray):
         ids = open_ids[np.argsort(a2_class[open_ids], kind="stable")]
         size = np.bincount(a2_class[ids], minlength=classes)
-        where = np.full(len(a2_class), -1, dtype=np.intp)
+        where = np.full(len(a2_class), -1, dtype=np.int64)
         where[ids] = np.arange(len(ids))
-        self.a2_class, self.ids, self.where = a2_class.tolist(), ids.tolist(), where.tolist()
+        self.a2_class, self.ids, self.where = (
+            array("q", x.astype(np.int64, copy=False).tobytes()) for x in (a2_class, ids, where))
         self.size, self.start = size.tolist(), (np.cumsum(size) - size).tolist()
 
     def remove(self, agent: int) -> None:
@@ -359,10 +364,11 @@ def run_homophily_rule(
     demand = store.demand[link_type]
     # Summed as Python ints: an int64 sum of large demands wraps.
     demand_total = sum(left[members].tolist()) if counts_a1 else len(members)
-    turns = members[rng.permutation(len(members))].tolist()
+    turns = array("q", members[rng.permutation(len(members))].tobytes())
     draws = Draws(rng)  # the rule's later draws: rng is not used again
     random, integers = draws.random, draws.integers
-    a1_class, retries, small_set = tables.a1_class.tolist(), rule.retries, max(rule.small_set, 1)
+    a1_class = array("q", tables.a1_class.tobytes())
+    retries, small_set = rule.retries, max(rule.small_set, 1)
     partners_of, record_link = store.partners_of, store.record_link
     available_of, pick, remove = buckets.available, buckets.pick, buckets.remove
     prototype_links = fallback_links = rejections = orphans = 0

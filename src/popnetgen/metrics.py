@@ -29,6 +29,7 @@ from .sampling import substream
 
 EXACT_PATH_LIMIT = 20_000
 PATH_SAMPLE_SOURCES = 1_000
+TRIANGLE_BLOCK = 1 << 20  # wedges probed at a time by _triangle_count
 BITSET_BLOCK_SOURCES = 2_048  # sources per bitset traversal, whole words: 32 uint64 a row
 # Deepest bitset traversal allowed.  On grids with node 0 moved to the centre,
 # whose corner sources really take about 2e levels, the bitset search ran in
@@ -179,14 +180,21 @@ def stats_for_edges(
 def _triangle_count(n, keys, rows, cols, degrees) -> int:
     """Triangles of the symmetric CSR graph: each link points from the lower
     to the higher (degree, id) end, and a triangle is the one wedge of two
-    out-links of its lowest end that the third link closes."""
+    out-links of its lowest end that the third link closes, probed by blocks
+    of out-links of at most TRIANGLE_BLOCK wedges (or one out-link)."""
     up = (degrees[rows] < degrees[cols]) | ((degrees[rows] == degrees[cols]) & (rows < cols))
     out_rows, out_cols = rows[up], cols[up]
     out_end = np.cumsum(np.bincount(out_rows, minlength=n))[out_rows]
     later = out_end - np.arange(len(out_rows)) - 1  # out-links of the row after this one
-    wanted = np.repeat(out_cols, later) * n + out_cols[ranges(out_end - later, later)]
-    wanted.sort()  # probes in key order stay in cache; only their count is used
-    return int(np.count_nonzero(isin_sorted(wanted, keys)))
+    wedges, triangles, lo = np.cumsum(later), 0, 0
+    while lo < len(later):
+        hi = max(lo + 1, np.searchsorted(wedges, wedges[lo] - later[lo] + TRIANGLE_BLOCK, "right"))
+        count, first = later[lo:hi], out_end[lo:hi] - later[lo:hi]
+        wanted = np.repeat(out_cols[lo:hi], count) * n + out_cols[ranges(first, count)]
+        wanted.sort()  # probes in key order stay in cache; only their count is used
+        triangles += int(np.count_nonzero(isin_sorted(wanted, keys)))
+        lo = hi
+    return triangles
 
 
 def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -50,9 +50,9 @@ class PlanSyntaxError(PlanError):
 
 @dataclass
 class HomophilyPlanRule:
-    """A homophily line; its matching file is read by validate_plan, or
-    else when the rule runs.  ``options`` holds the counts, retries and
-    small_set the line sets, the matching file loader's defaults."""
+    """A homophily line; validate_plan reads its matching file and its
+    supports, or else the rule does when it runs.  ``options`` holds the
+    counts, retries and small_set the line sets, the loader's defaults."""
 
     link_type: str
     bn_path: Path
@@ -258,7 +258,7 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
             error(f"{where}: link type not declared")
         if isinstance(rule, HomophilyPlanRule):
             try:
-                loaded = rule.loaded = load_matching_bn_file(rule.bn_path, defaults=rule.options)
+                loaded = load_matching_bn_file(rule.bn_path, defaults=rule.options)
             except FileNotFoundError:
                 error(f"{where}: matching network file not found: {rule.bn_path}")
             except (BnError, MatchingError) as exc:
@@ -271,7 +271,9 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
                 if attribute_bn is not None:
                     for problem in validate_rule(loaded, attribute_bn):
                         error(f"{where}: {problem}")
-                if not rule_supports(loaded, Engine(loaded.bn))[1].any():  # no member a1 class
+                supports = rule_supports(loaded, Engine(loaded.bn))
+                rule.loaded = replace(loaded, supports=supports)  # the run reuses them
+                if not supports[1].any():  # no member a1 class
                     warning(f"{where}: link variable can never be yes (vacuous rule)")
         else:
             for needed in (rule.t1, rule.t2):

@@ -1,14 +1,15 @@
 """Agent population as integer codes, and the dyad-unique multiplex link registry.
 
-Agent i is row i of an N x V integer matrix whose column j holds the index
-of the agent's label in the label tuple of variable j.  Variables named with
-the ``RC_`` prefix hold required link counts (``RC_spouses`` is the number
-of spouses links an agent needs); the store turns each into a list of open
-demand for its link type, one Python int per agent, that counted links
-decrement.  Each link type keeps its links as one flat int64 buffer of
-(source, target) pairs, undirected ones lowest id first.  Any unordered pair
-of agents carries at most one link across all types; the registry that
-enforces it holds, per agent, its partners in link order as one int64 buffer.
+Agent i is row i of an N x V matrix, in the smallest unsigned integer type
+that holds its entries, whose column j holds the index of the agent's label
+in the label tuple of variable j.  Variables named with the ``RC_`` prefix
+hold required link counts (``RC_spouses`` is the number of spouses links
+an agent needs); the store turns each into a list of open demand for its
+link type, one Python int per agent, that counted links decrement.  Each
+link type keeps its links as one flat int64 buffer of (source, target)
+pairs, undirected ones lowest id first.  Any unordered pair of agents
+carries at most one link across all types; the registry that enforces it
+holds, per agent, its partners in link order as one int64 buffer.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .bn import BayesianNetwork, Cpt
 from .inference import Engine
 
 RC_PREFIX = "RC_"
+POPULATION_BLOCK = 1 << 16  # agents drawn per block by generate_population
 
 
 class PopulationError(Exception):
@@ -71,9 +73,9 @@ def link_counts(name: str, labels: Sequence[str]) -> np.ndarray:
 
 
 def check_population_size(size: int, variables: int) -> None:
-    """PopulationError unless numpy can shape the (size, variables) arrays of
-    8-byte codes and uniforms that generate_population allocates.  Allocates
-    nothing, so validate runs it too."""
+    """PopulationError unless numpy could shape (size, variables) 8-byte
+    values, more than generate_population's codes or block of uniforms
+    take.  Allocates nothing, so validate runs it too."""
     # numpy counts a zero-length axis as one when it checks an array's size
     if not 0 <= size * max(variables, 1) * 8 <= np.iinfo(np.intp).max:
         raise PopulationError(
@@ -108,7 +110,7 @@ class PopulationStore:
         self.labels: tuple[tuple[str, ...], ...] = tuple(tuple(l) for l in columns.values())
         # Column-major: queries scan one variable over all agents at a time.
         self.codes = np.asfortranarray(
-            np.zeros((0, len(self.columns))) if codes is None else codes, dtype=np.intp
+            np.zeros((0, len(self.columns)), np.uint8) if codes is None else codes
         )
         self.link_types: dict[str, LinkType] = {}
         self.demand: dict[str, list[int]] = {}
@@ -294,36 +296,36 @@ def generate_population(
 ) -> PopulationStore:
     """Sample ``size`` agents from the attribute network, one variable at a time.
 
-    Ancestral sampling over all agents at once: variables are drawn in
-    topological order, each agent reading its CPT row off its parents'
-    codes and inverting the cumulative row with its own uniform.  The
-    uniforms are laid out as one draw per (agent, variable) in agent-major
-    order, exactly as drawing the agents one after another would consume
-    them.  A uniform past the row's last cumulative sum (float undershoot)
-    takes the last positive value.  RC_ variables become the per-type
-    required link counts (their labels must parse as integers).
+    Ancestral sampling, ``POPULATION_BLOCK`` agents at a time: variables
+    are drawn in topological order, each agent reading its CPT row off its
+    parents' codes and inverting the cumulative row with its own uniform.
+    The uniforms are laid out as one draw per (agent, variable) in
+    agent-major order, exactly as drawing the agents one after another
+    would consume them.  A uniform past the row's last cumulative sum
+    (float undershoot) takes the last positive value.  RC_ variables become
+    the per-type required link counts (their labels must parse as integers).
     """
     engine = Engine(attribute_bn)
     column = {name: j for j, name in enumerate(attribute_bn.names)}
     check_population_size(size, len(column))
-    codes = np.empty((size, len(column)), dtype=np.intp, order="F")  # the store's layout
-    uniforms = rng.random((size, len(column)))
-    for step, name in enumerate(engine.order):
-        parents, table = engine.cpt_table(name)
-        rows = table.reshape(-1, table.shape[-1])
-        cumulative = np.cumsum(rows, axis=1)
-        last_positive = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
-        if parents:
-            row = np.ravel_multi_index(
-                tuple(codes[:, column[p]] for p in parents), table.shape[:-1]
-            )
-        else:
-            row = np.zeros(size, dtype=np.intp)
-        drawn = (cumulative[row] <= uniforms[:, step, None]).sum(axis=1)
-        past = drawn == rows.shape[1]
-        drawn[past] = last_positive[row[past]]
-        codes[:, column[name]] = drawn
     columns = {v.name: v.domain for v in attribute_bn.variables}
+    largest = max(map(len, columns.values()), default=1) - 1  # codes in the smallest dtype
+    codes = np.empty((size, len(column)), dtype=np.min_scalar_type(largest), order="F")
+    for lo in range(0, size, POPULATION_BLOCK):
+        block = codes[lo:lo + POPULATION_BLOCK]  # a view: the store's dtype and layout
+        uniforms = rng.random((len(block), len(column)))
+        for step, name in enumerate(engine.order):
+            parents, table = engine.cpt_table(name)
+            rows = table.reshape(-1, table.shape[-1])
+            cumulative = np.cumsum(rows, axis=1)
+            last_positive = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+            row = np.ravel_multi_index(
+                tuple(block[:, column[p]] for p in parents), table.shape[:-1]
+            ) if parents else np.zeros(len(block), dtype=np.intp)
+            drawn = (cumulative[row] <= uniforms[:, step, None]).sum(axis=1)
+            past = drawn == rows.shape[1]
+            drawn[past] = last_positive[row[past]]
+            block[:, column[name]] = drawn
     return PopulationStore(link_types, columns, codes)
 
 

@@ -7,6 +7,9 @@ dense_class_tables, the matcher's former class tables over every class
 pair, kept as the reference the pair-by-pair tables must equal.  The
 f-string writers (``oracle_network_files``, ``oracle_interaction``) are the
 exporter's former line-by-line code, the reference its bytes must equal.
+So are ``oneshot_population_codes`` and ``oneshot_triangle_count``, the
+former all-at-once population draw and triangle count, which the
+block-at-a-time ones must equal.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 from popnetgen.bn import BayesianNetwork, Cpt, Variable
 from popnetgen.inference import Engine, ZeroEvidenceError
 from popnetgen.matching import _class_ids
-from popnetgen.population import RC_PREFIX, PopulationStore
+from popnetgen.population import RC_PREFIX, PopulationStore, isin_sorted, ranges
 
 
 def make_random_bn(
@@ -94,6 +97,33 @@ def build_store(link_types, rows, required=None) -> PopulationStore:
     return PopulationStore(
         link_types, columns, np.array(codes, dtype=np.intp).reshape(len(rows), len(columns))
     )
+
+
+def oneshot_population_codes(
+    attribute_bn: BayesianNetwork, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The codes generate_population drew when it drew every agent at once:
+    one (size, variables) block of uniforms, intp codes."""
+    engine = Engine(attribute_bn)
+    column = {name: j for j, name in enumerate(attribute_bn.names)}
+    codes = np.empty((size, len(column)), dtype=np.intp, order="F")
+    uniforms = rng.random((size, len(column)))
+    for step, name in enumerate(engine.order):
+        parents, table = engine.cpt_table(name)
+        rows = table.reshape(-1, table.shape[-1])
+        cumulative = np.cumsum(rows, axis=1)
+        last_positive = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+        if parents:
+            row = np.ravel_multi_index(
+                tuple(codes[:, column[p]] for p in parents), table.shape[:-1]
+            )
+        else:
+            row = np.zeros(size, dtype=np.intp)
+        drawn = (cumulative[row] <= uniforms[:, step, None]).sum(axis=1)
+        past = drawn == rows.shape[1]
+        drawn[past] = last_positive[row[past]]
+        codes[:, column[name]] = drawn
+    return codes
 
 
 def link_probability(engine: Engine, rule, a1: dict[str, str], a2: dict[str, str]) -> float:
@@ -383,6 +413,16 @@ def gnp_edges(rng: np.random.Generator, n: int, p: float) -> list[tuple[int, int
             if rng.random() < p:
                 edges.append((a, b))
     return edges
+
+
+def oneshot_triangle_count(n, keys, rows, cols, degrees) -> int:
+    """metrics._triangle_count as it probed every wedge at once."""
+    up = (degrees[rows] < degrees[cols]) | ((degrees[rows] == degrees[cols]) & (rows < cols))
+    out_rows, out_cols = rows[up], cols[up]
+    out_end = np.cumsum(np.bincount(out_rows, minlength=n))[out_rows]
+    later = out_end - np.arange(len(out_rows)) - 1
+    wanted = np.repeat(out_cols, later) * n + out_cols[ranges(out_end - later, later)]
+    return int(np.count_nonzero(isin_sorted(np.sort(wanted), keys)))
 
 
 def brute_graph_stats(n: int, edges: list[tuple[int, int]]):

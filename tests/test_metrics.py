@@ -1,4 +1,7 @@
 """Graph statistics against brute force; generation error measures."""
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 
 from popnetgen import metrics
 from popnetgen.bn import parse_bn
+from popnetgen.cli import run
 from popnetgen.matching import RuleReport
 from popnetgen.metrics import (
     build_error_report,
@@ -14,14 +18,16 @@ from popnetgen.metrics import (
     stats_for_edges,
     graph_statistics,
 )
+from popnetgen.plan import load_plan
 from popnetgen.population import (
     LinkType,
+    distinct,
     generate_population,
     learn_marginals,
 )
 from popnetgen.sampling import substream
 
-from helpers import brute_graph_stats, build_store, gnp_edges
+from helpers import brute_graph_stats, build_store, gnp_edges, oneshot_triangle_count
 
 
 def complete_graph_edges(n):
@@ -219,6 +225,64 @@ def record_calls(monkeypatch, names):
             return wrapped(*args)
         monkeypatch.setattr(metrics, name, wrapper)
     return calls
+
+
+def triangle_inputs(n, edges):
+    """_triangle_count's arguments as stats_for_edges builds them."""
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    keys = distinct((ends[ends[:, 0] != ends[:, 1]] @ np.array([[n, 1], [1, n]])).ravel())
+    rows, cols = np.divmod(keys, n)
+    return n, keys, rows, cols, np.bincount(rows, minlength=n)
+
+
+class TestTriangleBlocks:
+    """_triangle_count probes at most TRIANGLE_BLOCK wedges at a time (or
+    one out-link's); its count equals that of every wedge probed at once."""
+
+    @staticmethod
+    def graphs():
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            n = int(rng.integers(20, 150))
+            yield triangle_inputs(n, gnp_edges(rng, n, float(rng.uniform(0.05, 0.3))))
+        # a hub whose out-links outnumber a small block; 29 triangles
+        yield triangle_inputs(60, [(0, b) for b in range(1, 60)] + [
+            (b, b + 1) for b in range(1, 59, 2)
+        ])
+        yield triangle_inputs(5, [])
+
+    @pytest.mark.parametrize("block", [1, 7, "split"])
+    def test_blocks_match_the_oneshot_count(self, monkeypatch, block):
+        counts = []
+        for inputs in self.graphs():
+            size = block
+            if block == "split":  # three or four blocks
+                n, keys, rows, cols, degrees = inputs
+                up = (degrees[rows] < degrees[cols]) | (
+                    (degrees[rows] == degrees[cols]) & (rows < cols)
+                )
+                out = np.bincount(rows[up], minlength=n)
+                size = max(int((out * (out - 1) // 2).sum()) // 3, 1)
+            monkeypatch.setattr(metrics, "TRIANGLE_BLOCK", size)
+            counts.append(metrics._triangle_count(*inputs))
+            assert counts[-1] == oneshot_triangle_count(*inputs)
+        assert min(counts[:6]) > 0 and counts[6:] == [29, 0]
+
+
+def test_stats_for_edges_peak_memory_at_kenya_40k():
+    # 72,378 collapsed links (1.16 MB of int64 ends): keys and their rows
+    # and columns, the triangle probes and the components' labels peak at
+    # about 8.2 times the ends.
+    plan = load_plan(Path(__file__).resolve().parent.parent / "plans" / "kenya" / "kenya.plan")
+    store = run(plan, seed=1, population=40_000, write=False).store
+    ends = store.edges()
+    tracemalloc.start()
+    try:
+        stats_for_edges(len(store), ends)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * ends.nbytes, peak
 
 
 class TestPathLengthKernel:

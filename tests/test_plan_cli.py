@@ -359,7 +359,8 @@ class TestCli:
 
     def test_generate_reads_vacuity_off_the_shared_supports(self, tmp_path, monkeypatch):
         # validate and run read vacuity off one function: it runs once per
-        # Kenya homophily rule in each, and p(link = yes) is never asked.
+        # Kenya homophily rule, in validate, whose result the run reuses,
+        # and p(link = yes) is never asked.
         sites = [("validate_plan", "plan.py"), ("run", "cli.py")]
         callers = []
         rule_supports = matching_module.rule_supports
@@ -377,7 +378,7 @@ class TestCli:
         monkeypatch.setattr(Engine, "probability_of_evidence", refused)
         args = ["generate", str(KENYA_PLAN), "--population", "300", "--out", str(tmp_path / "o")]
         assert main(args) == EXIT_OK
-        assert callers == ["validate_plan"] * 4 + ["run"] * 4
+        assert callers == ["validate_plan"] * 4
 
     def test_generate_reads_each_network_once(self, tmp_path, monkeypatch):
         # run takes the networks validate parsed: the attribute network and

@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from popnetgen.bn import BayesianNetwork, Cpt, serialize_bn
@@ -114,6 +114,31 @@ def plan_directories(draw) -> dict[str, str | None]:
     return files
 
 
+def vacuous_plan(position: int) -> dict[str, str | None]:
+    """Two homophily rules of one type, the one at ``position`` vacuous.  The
+    other cannot link two men, so it is not vacuous although its first
+    support cell (a1 male, a2 male) is empty."""
+    combos = ("male, male", "male, female", "female, male", "female, female")
+    linked, vacuous = ("0.0, 1.0", "1.0, 0.0", "0.5, 0.5", "0.0, 1.0"), ("0.0, 1.0",) * 4
+    files = {
+        "attributes.bn": "variable gender { male, female }\nvariable RC_pair { 0, 1, 2 }\n"
+        "cpt gender { 0.5, 0.5 }\ncpt RC_pair { 0.2, 0.4, 0.4 }\n",
+    }
+    lines = ["population N=60 seed=3 attributes=attributes.bn", "linktype pair undirected"]
+    for k in range(2):
+        rows = vacuous if k == position else linked
+        files[f"m{k}.bn"] = (
+            "matching pair link=link a1=a1_ a2=a2_ counts=both\n"
+            "variable a1_gender { male, female }\nvariable a2_gender { male, female }\n"
+            "variable link { yes, no }\ncpt a1_gender { 0.5, 0.5 }\ncpt a2_gender { 0.5, 0.5 }\n"
+            "cpt link | a1_gender, a2_gender {\n"
+            + "".join(f"  {c}: {p}\n" for c, p in zip(combos, rows)) + "}\n"
+        )
+        lines.append(f"rule homophily pair bn=m{k}.bn")
+    files["plan.txt"] = "\n".join(lines) + "\n"
+    return files
+
+
 def write_files(base: Path, files: dict[str, str | None], marks: bool = True) -> None:
     """The plan directory on disk; ``marks=False`` drops the byte-order marks."""
     for name, text in files.items():
@@ -136,6 +161,9 @@ def run_cli(*args) -> tuple[int, str, str]:
 
 @settings(max_examples=60, deadline=None)
 @given(plan_directories(), st.integers(0, 2**32 - 1))
+# Hypothesis repeats seeds, so a run may draw no vacuous rule at all.
+@example(vacuous_plan(0), 0)
+@example(vacuous_plan(1), 5)
 def test_validate_agrees_with_generate_and_stats_with_report(files, failing_write):
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)

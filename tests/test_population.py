@@ -1,5 +1,6 @@
 """Population store: generation, candidate queries, links, learned CPTs."""
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,16 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popnetgen.bn import BayesianNetwork, Cpt, parse_bn
+from popnetgen import population
+from popnetgen.bn import BayesianNetwork, Cpt, load_bn, parse_bn, serialize_bn
 from popnetgen.cli import run
 from popnetgen.export import export_network
 from popnetgen.inference import Engine
+from popnetgen.matching import load_matching_bn, run_homophily_rule
 from popnetgen.plan import load_plan
 from popnetgen.population import (
     DemandExceededError,
     DyadOccupiedError,
     LinkType,
     PopulationError,
+    PopulationStore,
     SelfLinkError,
     UnknownAgentError,
     UnknownLinkTypeError,
@@ -27,7 +31,9 @@ from popnetgen.population import (
 )
 from popnetgen.sampling import PrototypeSampler, substream
 
-from helpers import build_store, make_random_bn
+from helpers import build_store, make_random_bn, oneshot_population_codes
+
+KENYA_ATTRIBUTES = Path(__file__).resolve().parent.parent / "plans" / "kenya" / "attributes.bn"
 
 ATTR_DOC = """
 variable gender { male, female }
@@ -118,6 +124,78 @@ class TestGeneratePopulation:
         bn = parse_bn(f"variable RC_x {{ 1, {label} }}\ncpt RC_x {{ 1.0, 0.0 }}")
         with pytest.raises(PopulationError, match="not a count"):
             generate_population(bn, 1, substream(0, "p"))
+
+
+class TestBlockDraw:
+    """generate_population draws POPULATION_BLOCK agents at a time into codes
+    of the smallest unsigned dtype; the codes equal the all-at-once draw's."""
+
+    @pytest.mark.parametrize("block, size", [(1, 300), (7, 1003), (2048, 5003)])
+    def test_kenya_codes_match_the_oneshot_draw(self, monkeypatch, block, size):
+        bn = load_bn(KENYA_ATTRIBUTES)
+        monkeypatch.setattr(population, "POPULATION_BLOCK", block)
+        store = generate_population(bn, size, substream(1, "population"))
+        assert store.codes.dtype == np.uint8  # 55 ageDetail labels at most
+        assert store.codes.flags.f_contiguous
+        expected = oneshot_population_codes(bn, size, substream(1, "population"))
+        assert np.array_equal(store.codes, expected)
+
+    def test_300_labels_take_uint16_with_the_oneshot_outputs(self, monkeypatch, tmp_path):
+        # Codes above 255, through every reader of the codes: the CPT row of
+        # a child, the learned CPTs, a rule's classes and the agent table.
+        rng = np.random.default_rng(5)
+        weights = np.full(300, 0.4 / 298)
+        weights[[0, 299]] = 0.3
+        labels = ", ".join(f"l{k}" for k in range(300))
+        rows = "\n".join(
+            f"  l{k}: " + ", ".join(map(repr, rng.dirichlet(np.ones(3)).tolist()))
+            for k in range(300)
+        )
+        bn = parse_bn(
+            f"variable big {{ {labels} }}\nvariable RC_pair {{ 0, 1, 2 }}\n"
+            f"cpt big {{ {', '.join(map(repr, weights.tolist()))} }}\n"
+            f"cpt RC_pair | big {{\n{rows}\n}}\n"
+        )
+        rule = load_matching_bn(
+            "matching pair link=link a1=a1_ a2=a2_ counts=both\n"
+            "variable a1_big { l0, l299 }\nvariable a2_big { l0, l299 }\n"
+            "variable link { yes, no }\ncpt a1_big { 0.5, 0.5 }\ncpt a2_big { 0.5, 0.5 }\n"
+            "cpt link | a1_big, a2_big {\n  l0, l0: 0.0, 1.0\n  l0, l299: 0.9, 0.1\n"
+            "  l299, l0: 0.9, 0.1\n  l299, l299: 0.2, 0.8\n}\n"
+        )
+        types = [LinkType("pair", False)]
+        monkeypatch.setattr(population, "POPULATION_BLOCK", 7)
+        store = generate_population(bn, 2000, substream(2, "population"), types)
+        assert store.codes.dtype == np.uint16
+        columns = {v.name: v.domain for v in bn.variables}
+        codes = oneshot_population_codes(bn, 2000, substream(2, "population"))
+        oracle = PopulationStore(types, columns, codes)
+        assert oracle.codes.dtype == np.intp and np.array_equal(store.codes, codes)
+        outputs = []
+        for side, generated in (("uint16", store), ("intp", oracle)):
+            report = run_homophily_rule(generated, rule, substream(3, "rule"))
+            export_network(generated, tmp_path / side)
+            files = {path.name: path.read_bytes() for path in (tmp_path / side).iterdir()}
+            learned = serialize_bn(learn_marginals(generated, bn).bn)
+            outputs.append((report, files, learned))
+        assert outputs[0][0].links_created > 0
+        assert outputs[0] == outputs[1]
+
+    def test_peak_memory_follows_the_codes(self, monkeypatch):
+        # Kenya at N=40000 in blocks of 4,096 agents.  Drawn all at once
+        # into intp codes, the population peaked at 27.2 MB of traced
+        # memory, 62 times these codes; the store's four demand lists take
+        # about 3 times.
+        bn = load_bn(KENYA_ATTRIBUTES)
+        monkeypatch.setattr(population, "POPULATION_BLOCK", 4096)
+        tracemalloc.start()
+        try:
+            store = generate_population(bn, 40_000, substream(1, "population"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert store.codes.nbytes == 40_000 * 11
+        assert peak <= 8 * store.codes.nbytes, peak
 
 
 @pytest.mark.parametrize(
