@@ -19,6 +19,7 @@ import numpy as np
 
 from .bn import BnError, load_bn
 from .export import (
+    RUN_FILE,
     ExportError,
     export_interaction_network,
     export_manifest,
@@ -179,7 +180,7 @@ def run(
                 os.replace(path, out_dir / path.name)
         result.files = [out_dir / path.name for path in files]
         for name in set(earlier) - {path.name for path in files}:  # left by an earlier run
-            if (out_dir / name).is_file():
+            if RUN_FILE.fullmatch(name) and (out_dir / name).is_file():
                 (out_dir / name).unlink()
         print(text, end="")
     return result

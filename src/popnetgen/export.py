@@ -12,6 +12,7 @@ held whole, nor any row as a Python object.
 from __future__ import annotations
 
 import hashlib
+import re
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -21,7 +22,8 @@ import numpy as np
 from .bn import BayesianNetwork, read_text, serialize_bn
 from .csvscan import _NotPlain, format_rows, plain_header, scan
 from .matching import RuleReport
-from .metrics import ErrorReport, NetworkStats, stats_report_entries
+from .metrics import ErrorReport, NetworkStats
+from .plan import LINK_TYPE_NAME, RESERVED_LINK_TYPES
 from .population import RC_PREFIX, PopulationStore
 
 DOT_NODE_LIMIT = 2_000
@@ -53,6 +55,14 @@ def _order(ends: np.ndarray, agents: int) -> np.ndarray:
     """The order of link rows by source, then target: no two links share a
     dyad, so each row's ``source * agents + target`` key is unique."""
     return np.argsort(ends[:, 0] * agents + ends[:, 1])
+
+
+# The names of the files a run writes, manifest.txt aside (see output_names);
+# an earlier run's manifest can remove no other file.
+RUN_FILE = re.compile(
+    r"agents\.csv|edges_all\.csv|network\.dot|interaction\.csv|report\.txt|learned_attributes\.bn"
+    rf"|edges_(?P<type>(?!(?i:{'|'.join(RESERVED_LINK_TYPES)})\.){LINK_TYPE_NAME.pattern})\.csv"
+)
 
 
 def output_names(link_types: Iterable[str], agents: int, interaction: bool) -> list[str]:
@@ -130,24 +140,16 @@ def export_interaction_network(
     return _write(Path(out_dir) / "interaction.csv", [b"source,target,probability\n"], rows)
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def report_text(
     error_report: ErrorReport | None,
     stats: Sequence[NetworkStats],
     rule_reports: Sequence[RuleReport],
     header: Mapping[str, object] | None = None,
 ) -> str:
-    """Flat ``key = value`` report; floats use repr so parsing is lossless."""
-    entries: list[tuple[str, object]] = []
-    for key, value in (header or {}).items():
-        entries.append((key, value))
+    """Flat ``key = value`` report, booleans as ``true``/``false``; floats
+    print as repr, so parsing is lossless.  A scope's path length is written
+    only where it is defined."""
+    entries: list[tuple[str, object]] = list((header or {}).items())
     for i, report in enumerate(rule_reports):
         prefix = f"rule.{i}"
         entries += [
@@ -169,8 +171,12 @@ def report_text(
         for name in sorted(error_report.matching_errors):
             entries.append((f"error.matching.{name}", error_report.matching_errors[name]))
     for s in stats:
-        entries += stats_report_entries(s)
-    return "".join(f"{k} = {_format_value(v)}\n" for k, v in entries)
+        keys = ["nodes", "links", "density", "average_degree", "clustering", "components",
+                "largest_component"]
+        if s.average_path_length is not None:
+            keys += ["average_path_length", "path_length_estimated"]
+        entries += [(f"stats.{s.scope}.{key}", getattr(s, key)) for key in keys]
+    return "".join(f"{k} = {str(v).lower() if isinstance(v, bool) else v}\n" for k, v in entries)
 
 
 def export_reports(text: str, learned_bn: BayesianNetwork | None, out_dir) -> list[Path]:
@@ -194,17 +200,14 @@ def _digest(path: Path) -> str:
 
 
 def read_manifest(out_dir) -> dict[str, str] | None:
-    """Digest by bare file name from the directory's manifest; None without
-    one.  Entries with a directory part are left out."""
+    """Digest by name from the directory's manifest; None without one.  Only
+    names that ``RUN_FILE`` matches are ever acted on."""
     try:
         text = read_text(Path(out_dir) / MANIFEST, ExportError)
     except FileNotFoundError:
         return None
     entries = (line.partition("  ") for line in text.splitlines())
-    return {
-        name: digest for digest, _, name in entries
-        if name == Path(name).name and name not in ("", "..")
-    }
+    return {name: digest for digest, _, name in entries}
 
 
 def export_manifest(files: Sequence[Path], out_dir) -> Path:
@@ -226,10 +229,8 @@ def manifest_link_types(directory) -> set[str]:
     for name in ("agents.csv", "edges_all.csv"):
         if manifest.get(name) != _digest(Path(directory) / name):
             raise ExportError(f"{Path(directory) / name}: does not match its digest in {MANIFEST}")
-    return {
-        name[len("edges_"):-len(".csv")] for name in manifest
-        if name.startswith("edges_") and name.endswith(".csv") and name != "edges_all.csv"
-    }
+    matches = filter(None, map(RUN_FILE.fullmatch, manifest))
+    return {match["type"] for match in matches if match["type"]}
 
 
 # ---------------------------------------------------------------------------

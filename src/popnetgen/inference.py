@@ -2,15 +2,18 @@
 
 Variable elimination in the module's greedy order, each step one np.einsum
 contraction of the factors it touches; the last step, which sums nothing,
-folds the remaining factors pairwise, one two-operand einsum each.  Every
-query is a marginal p(variables, evidence), memoised per Engine in one dict
-keyed by (variables, evidence).  Results are exact: they match full joint
+folds the remaining factors pairwise, one two-operand einsum each.
+``posterior`` and ``probability_of_evidence`` read a marginal p(variables,
+evidence) from one least-recently-used cache per Engine, keyed by
+(variables, evidence); ``joint`` and ``joint_at`` are read once by their
+callers and are not cached.  Results are exact: they match full joint
 enumeration to floating-point accuracy, which the test suite pins at 1e-9.
 Posteriors under zero-probability evidence raise ZeroEvidenceError so
 callers can tell "no candidates exist" apart from numeric noise.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Mapping
@@ -66,7 +69,9 @@ class Engine:
             table = np.array([cpt.rows[combo] for combo in combos], dtype=np.float64).reshape(shape)
             table.setflags(write=False)  # einsum may hand out a view of a lone factor
             self._factors[name] = (cpt.parents + (name,), table)
-        self._memo: dict[tuple, np.ndarray] = {}
+        # Per instance, so that the cache goes with its engine.
+        self._marginal = functools.lru_cache(maxsize=_CACHE_MAX)(
+            lambda keep, items: self.joint(keep, dict(items)))
 
     # -- public queries ------------------------------------------------------
 
@@ -75,7 +80,7 @@ class Engine:
         if query not in self.domains:
             raise UnknownVariableError(query)
         keep = () if query in evidence else (query,)
-        vec = self._marginal(keep, evidence)
+        vec = self._marginal(keep, tuple(sorted(evidence.items())))
         total = vec.sum()
         if total <= 0.0:
             raise ZeroEvidenceError(f"evidence has probability 0: {dict(evidence)}")
@@ -87,7 +92,7 @@ class Engine:
 
     def probability_of_evidence(self, evidence: Evidence) -> float:
         """Exact p(evidence); 1.0 for empty evidence."""
-        return float(self._marginal((), evidence)) if evidence else 1.0
+        return float(self._marginal((), tuple(sorted(evidence.items())))) if evidence else 1.0
 
     def joint(self, variables: tuple[str, ...], evidence: Evidence = {}) -> np.ndarray:
         """Exact p(variables, evidence), one axis per variable in the given
@@ -116,17 +121,6 @@ class Engine:
         return varnames[:-1], table
 
     # -- internals -------------------------------------------------------------
-
-    def _marginal(self, keep: tuple[str, ...], evidence: Evidence) -> np.ndarray:
-        """p(keep, evidence), memoised; a query that raises stores nothing."""
-        key = (keep, tuple(sorted(evidence.items())))
-        value = self._memo.get(key)
-        if value is None:
-            value = self.joint(keep, evidence)
-            if len(self._memo) >= _CACHE_MAX:
-                self._memo.clear()
-            self._memo[key] = value
-        return value
 
     def _factors_at(self, codes: Mapping, keep: tuple[str, ...]) -> list[_Factor]:
         """The factors of keep, the coded variables and their ancestors

@@ -61,26 +61,6 @@ class ErrorReport:
     matching_errors: dict[str, float]
 
 
-def distribution_error_details(
-    learned: LearnedMarginals, attribute_bn: BayesianNetwork
-) -> tuple[float, int]:
-    """(mean absolute error, unobserved row count) of the marginals learned
-    from a population against the network it came from."""
-    unobserved = set(learned.unobserved)
-    total = 0.0
-    entries = 0
-    for variable in attribute_bn.variables:
-        theory = attribute_bn.cpts[variable.name]
-        estimate = learned.bn.cpts[variable.name]
-        for combo, probs in theory.rows.items():
-            if (variable.name, combo) in unobserved:
-                continue
-            for p, q in zip(probs, estimate.rows[combo]):
-                total += abs(p - q)
-                entries += 1
-    return (total / entries if entries else 0.0), len(unobserved)
-
-
 def matching_error(reports: Iterable[RuleReport]) -> dict[str, float]:
     """Unfulfilled demand over total demand, aggregated per homophily type."""
     demand: dict[str, int] = {}
@@ -102,8 +82,22 @@ def build_error_report(
     attribute_bn: BayesianNetwork,
     reports: Iterable[RuleReport],
 ) -> ErrorReport:
-    error, unobserved = distribution_error_details(learned, attribute_bn)
-    return ErrorReport(error, unobserved, matching_error(reports))
+    """The mean absolute error of the marginals learned from a population
+    against the network it came from, summed one entry at a time over the
+    observed CPT rows (variables, then each CPT's rows in file order); the
+    unobserved row count; and the matching error per homophily type."""
+    unobserved = set(learned.unobserved)
+    total = 0.0
+    entries = 0
+    for variable in attribute_bn.variables:
+        estimate = learned.bn.cpts[variable.name].rows
+        for combo, probs in attribute_bn.cpts[variable.name].rows.items():
+            if (variable.name, combo) not in unobserved:
+                for p, q in zip(probs, estimate[combo]):
+                    total += abs(p - q)
+                    entries += 1
+    error = total / entries if entries else 0.0
+    return ErrorReport(error, len(unobserved), matching_error(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -331,21 +325,3 @@ def _dijkstra_distance_sum(indptr, indices, sources, weight) -> int:
         total += int(weight[batch] @ dist.astype(np.int64) @ weight)
     return total
 
-
-def stats_report_entries(stats: NetworkStats) -> list[tuple[str, object]]:
-    """Flat key-value pairs for the text report, path length omitted when
-    undefined."""
-    prefix = f"stats.{stats.scope}"
-    entries: list[tuple[str, object]] = [
-        (f"{prefix}.nodes", stats.nodes),
-        (f"{prefix}.links", stats.links),
-        (f"{prefix}.density", stats.density),
-        (f"{prefix}.average_degree", stats.average_degree),
-        (f"{prefix}.clustering", stats.clustering),
-        (f"{prefix}.components", stats.components),
-        (f"{prefix}.largest_component", stats.largest_component),
-    ]
-    if stats.average_path_length is not None:
-        entries.append((f"{prefix}.average_path_length", stats.average_path_length))
-        entries.append((f"{prefix}.path_length_estimated", stats.path_length_estimated))
-    return entries

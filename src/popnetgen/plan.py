@@ -73,18 +73,13 @@ class GenerationPlan:
     attribute_bn: BayesianNetwork | None = field(default=None, repr=False, compare=False)
 
 
-def _to_int(value: str, what: str, lineno: int) -> int:
+def _number(cast, value: str, what: str, lineno: int):
+    """``cast(value)``, int or float; a syntax error at ``lineno`` otherwise."""
     try:
-        return int(value)
+        return cast(value)
     except ValueError:
-        raise PlanSyntaxError(f"{what} must be an integer, got {value!r}", lineno) from None
-
-
-def _to_float(value: str, what: str, lineno: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise PlanSyntaxError(f"{what} must be a number, got {value!r}", lineno) from None
+        kind = "an integer" if cast is int else "a number"
+        raise PlanSyntaxError(f"{what} must be {kind}, got {value!r}", lineno) from None
 
 
 def parse_plan(text: str, base_dir) -> GenerationPlan:
@@ -110,8 +105,8 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
                 if required not in opts:
                     raise PlanSyntaxError(f"population line misses {required}=", lineno)
             population = (
-                _to_int(opts["N"], "N", lineno),
-                _to_int(opts["seed"], "seed", lineno),
+                _number(int, opts["N"], "N", lineno),
+                _number(int, opts["seed"], "seed", lineno),
                 base / opts["attributes"],
             )
             if population[0] < 0:
@@ -140,7 +135,7 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
                     raise PlanSyntaxError("homophily rule misses bn=<file>", lineno)
                 loader_key = {"counts": "counts", "retries": "retries", "smallset": "small_set"}
                 rules.append(HomophilyPlanRule(tokens[2], base / opts.pop("bn"), {
-                    loader_key[key]: value if key == "counts" else _to_int(value, key, lineno)
+                    loader_key[key]: value if key == "counts" else _number(int, value, key, lineno)
                     for key, value in opts.items()
                 }))
             elif kind == "transitive":
@@ -154,7 +149,7 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
                     raise PlanSyntaxError("transitive rule misses p=<prob>", lineno)
                 try:
                     rules.append(TransitivityRule(
-                        tokens[4], tokens[5], tokens[2], _to_float(opts["p"], "p", lineno),
+                        tokens[4], tokens[5], tokens[2], _number(float, opts["p"], "p", lineno),
                         *parse_pattern(opts.get("pattern", "any-any")),
                     ))
                 except ValueError as exc:
@@ -170,7 +165,7 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
                 raise PlanSyntaxError("interact line misses p=<prob>", lineno)
             if tokens[1] in weights:
                 raise PlanSyntaxError(f"duplicate interact line for {tokens[1]!r}", lineno)
-            weights[tokens[1]] = _to_float(opts["p"], "p", lineno)
+            weights[tokens[1]] = _number(float, opts["p"], "p", lineno)
 
         elif head == "output":
             if len(tokens) != 2:

@@ -9,7 +9,8 @@ f-string writers (``oracle_network_files``, ``oracle_interaction``) are the
 exporter's former line-by-line code, the reference its bytes must equal.
 So are ``oneshot_population_codes`` and ``oneshot_triangle_count``, the
 former all-at-once population draw and triangle count, which the
-block-at-a-time ones must equal.
+block-at-a-time ones must equal, and ``distribution_error_details``, the
+error report's loop, whose summation order the report must keep.
 """
 from __future__ import annotations
 
@@ -124,6 +125,25 @@ def oneshot_population_codes(
         drawn[past] = last_positive[row[past]]
         codes[:, column[name]] = drawn
     return codes
+
+
+def distribution_error_details(learned, attribute_bn: BayesianNetwork) -> tuple[float, int]:
+    """(mean absolute error, unobserved row count) of the marginals learned
+    from a population against the network it came from: variables in order,
+    then the theory CPT's rows in file order, then entries, added one by one."""
+    unobserved = set(learned.unobserved)
+    total = 0.0
+    entries = 0
+    for variable in attribute_bn.variables:
+        theory = attribute_bn.cpts[variable.name]
+        estimate = learned.bn.cpts[variable.name]
+        for combo, probs in theory.rows.items():
+            if (variable.name, combo) in unobserved:
+                continue
+            for p, q in zip(probs, estimate.rows[combo]):
+                total += abs(p - q)
+                entries += 1
+    return (total / entries if entries else 0.0), len(unobserved)
 
 
 def link_probability(engine: Engine, rule, a1: dict[str, str], a2: dict[str, str]) -> float:

@@ -1,4 +1,7 @@
 """Exactness of posterior and evidence probability; the engine's graph closures."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -300,6 +303,25 @@ class TestEngineMemo:
                 engine.posterior(bad, "gender")
             with pytest.raises(UnknownVariableError):
                 engine.probability_of_evidence(bad)
+        assert engine._marginal.cache_info().currsize == 0  # a query that raises stores nothing
+
+    def test_an_equal_query_is_served_by_the_cache(self, marital_bn):
+        engine = Engine(marital_bn)
+        evidence = {"gender": "male", "ageSlices": "15-19"}
+        first = engine.posterior(evidence, "maritalStatus")
+        second = engine.posterior(dict(reversed(evidence.items())), "maritalStatus")
+        np.testing.assert_array_equal(first, second)
+        info = engine._marginal.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_each_engine_has_its_own_cache_freed_with_it(self, marital_bn):
+        engine, other = Engine(marital_bn), Engine(marital_bn)
+        engine.posterior({"gender": "male"}, "maritalStatus")
+        assert other._marginal.cache_info().currsize == 0
+        gone = weakref.ref(engine)
+        del engine
+        gc.collect()
+        assert gone() is None
 
 
 class TestEngineClosures:

@@ -8,12 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from popnetgen import metrics
-from popnetgen.bn import parse_bn
+from popnetgen.bn import BayesianNetwork, Cpt, parse_bn
 from popnetgen.cli import run
 from popnetgen.matching import RuleReport
 from popnetgen.metrics import (
     build_error_report,
-    distribution_error_details,
     matching_error,
     stats_for_edges,
     graph_statistics,
@@ -27,7 +26,14 @@ from popnetgen.population import (
 )
 from popnetgen.sampling import substream
 
-from helpers import brute_graph_stats, build_store, gnp_edges, oneshot_triangle_count
+from helpers import (
+    brute_graph_stats,
+    build_store,
+    distribution_error_details,
+    gnp_edges,
+    make_random_bn,
+    oneshot_triangle_count,
+)
 
 
 def complete_graph_edges(n):
@@ -395,11 +401,28 @@ class TestDistributionError:
     def test_deterministic_bn_error_zero(self):
         bn = parse_bn(DET_DOC)
         store = generate_population(bn, 20, substream(0, "p"))
-        learned = learn_marginals(store, bn)
-        error, unobserved = distribution_error_details(learned, bn)
-        assert error == 0.0
+        report = build_error_report(learn_marginals(store, bn), bn, [])
+        assert report.distribution_error == 0.0
         # the y-row of b can never be observed under p(a=y)=0
-        assert unobserved == 1
+        assert report.unobserved_rows == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 400))
+    def test_sums_in_the_order_the_cpt_rows_are_written(self, seed, size):
+        # Rows written out of product order: the error adds each entry in
+        # file order, so a sum in another order may differ in the last bits.
+        rng = np.random.default_rng(seed)
+        bn = make_random_bn(rng, max_vars=6, max_domain=4)
+        cpts = {}
+        for name, cpt in bn.cpts.items():
+            combos = list(cpt.rows)
+            order = rng.permutation(len(combos)).tolist()
+            cpts[name] = Cpt(name, cpt.parents, {combos[i]: cpt.rows[combos[i]] for i in order})
+        bn = BayesianNetwork(bn.variables, cpts)
+        learned = learn_marginals(generate_population(bn, size, substream(seed, "p")), bn)
+        report = build_error_report(learned, bn, [])
+        assert (report.distribution_error, report.unobserved_rows) == (
+            distribution_error_details(learned, bn))
 
     def test_fair_coin_bounded(self):
         bn = parse_bn(ATTR_DOC)

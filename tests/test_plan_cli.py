@@ -301,11 +301,14 @@ class TestRun:
         (plan_dir / "x").write_text("kept")
         (out / "sub").mkdir(parents=True)
         (out / "sub" / "y").write_text("kept")
-        entries = ("../x", "sub/y", "sub")  # the last names a directory
+        (out / "notes.txt").write_text("kept")
+        # "sub" names a directory; notes.txt is a bare name no run writes
+        entries = ("../x", "sub/y", "sub", "notes.txt")
         (out / "manifest.txt").write_text("".join(f"{'0' * 64}  {e}\n" for e in entries))
         run(load_plan(plan_dir / "plan.txt"), out=out)
         assert (plan_dir / "x").read_text() == "kept"
         assert (out / "sub" / "y").read_text() == "kept"
+        assert (out / "notes.txt").read_text() == "kept"
 
     def test_empty_population_run(self, plan_dir):
         plan = load_plan(plan_dir / "plan.txt")
