@@ -7,13 +7,13 @@ fixed number of seeded random sources (flagged as estimated).  The distance
 sum is an exact integer.  The exact branch first folds the trees hanging off
 the component's 2-core into weights on the core nodes, and a tree needs no
 search at all; the rest is a bit-parallel breadth-first search from up to
-2,048 sources at once, or one traversal per source when the core is too deep
-for that to pay.
+2,048 sources at once, the first block one word.  A block whose search runs
+past ``BITSET_MAX_LEVELS`` levels, in a core too deep for bitsets to pay,
+hands its sources and every later block's to one traversal per source.
 The kernels are numpy on CSR arrays of sorted ``row * n + col`` keys:
 triangles from degree-oriented wedges, components by root hooking and
-pointer jumping, the fold by rounds of leaf peeling, depth by a frontier
-search.  Only the per-source traversal uses scipy, imported when a core is
-that deep.
+pointer jumping, the fold by rounds of leaf peeling.  Only the per-source
+traversal uses scipy, imported when a core is that deep.
 """
 from __future__ import annotations
 
@@ -31,10 +31,11 @@ EXACT_PATH_LIMIT = 20_000
 PATH_SAMPLE_SOURCES = 1_000
 TRIANGLE_BLOCK = 1 << 20  # wedges probed at a time by _triangle_count
 BITSET_BLOCK_SOURCES = 2_048  # sources per bitset traversal, whole words: 32 uint64 a row
-# Deepest bitset traversal allowed.  On grids with node 0 moved to the centre,
-# whose corner sources really take about 2e levels, the bitset search ran in
-# 0.78 (2e = 372) and 1.11 (2e = 428) of the per-source CPU time at 5,000
-# nodes, and in 0.57 (412) and 0.70 (450) at 20,000 nodes.
+# Most levels a bitset block runs before it and the later blocks go one
+# traversal per source.  On grids whose corner sources take 372 and 428
+# levels, the bitset search ran in 0.78 and 1.11 of the per-source CPU time at
+# 5,000 nodes, and in 0.57 (412 levels) and 0.70 (450) at 20,000 nodes.  The
+# first block is one word, so a core too deep pays these levels on 64 sources.
 BITSET_MAX_LEVELS = 384
 
 
@@ -245,28 +246,8 @@ def _fold(indptr, indices):
 
 def _distance_sum(indptr, indices, sources, weight) -> int:
     """Sum of weight[u] * weight[v] * d(u, v) over each u of ``sources`` and
-    every node v of the connected undirected CSR graph ``indptr``,
-    ``indices``.
-
-    Any two nodes lie within 2e of each other, e the eccentricity of node 0,
-    so the bitset traversal takes at most 2e levels.  Its cost grows with
-    the level count, and past ``BITSET_MAX_LEVELS`` (long cycles and thin
-    grids) one traversal per source is the faster."""
-    degrees = np.diff(indptr)
-    seen = np.arange(len(degrees)) == 0
-    frontier, eccentricity = np.zeros(1, dtype=np.int64), -1
-    while len(frontier):
-        eccentricity += 1
-        reached = indices[ranges(indptr[frontier], degrees[frontier])]
-        frontier = distinct(reached[~seen[reached]])
-        seen[frontier] = True
-    if 2 * eccentricity <= BITSET_MAX_LEVELS:
-        return _bitset_distance_sum(indptr, indices, sources, weight)
-    return _dijkstra_distance_sum(indptr, indices, sources, weight)
-
-
-def _bitset_distance_sum(indptr, indices, sources, weight) -> int:
-    """Multi-source BFS on bitsets (Then et al., PVLDB 8(4), 2014): row r of
+    every node v of the connected undirected CSR graph ``indptr``, ``indices``,
+    by multi-source BFS on bitsets (Then et al., PVLDB 8(4), 2014): row r of
     ``reach`` holds one bit per source of the block, set once that source
     lies within the current level of node ``order[r]``.  A level ORs each
     node's neighbours' rows into its own, and the bits it sets are the
@@ -274,7 +255,9 @@ def _bitset_distance_sum(indptr, indices, sources, weight) -> int:
     the nodes with a k-th neighbour are a prefix and a level is one
     gather-OR per neighbour slot k.  Sources go by weight, each weight's
     run padded to whole words, so a level's weighted count is the rows'
-    popcounts times their word weights."""
+    popcounts times their word weights.  Once a block passes
+    ``BITSET_MAX_LEVELS`` levels, its sources and those of every later block
+    go to one traversal per source."""
     degree = np.diff(indptr)
     order = np.argsort(-degree, kind="stable")
     rank = np.argsort(order)
@@ -290,16 +273,19 @@ def _bitset_distance_sum(indptr, indices, sources, weight) -> int:
     word_weight = np.repeat(values, words)
     s = len(degree)
     total = 0
-    for start in range(0, 64 * len(word_weight), BITSET_BLOCK_SOURCES):
-        lo, hi = np.searchsorted(column, [start, start + BITSET_BLOCK_SOURCES])
+    bounds = [0, *range(64, 64 * len(word_weight), BITSET_BLOCK_SOURCES), 64 * len(word_weight)]
+    for start, stop in zip(bounds, bounds[1:]):
+        lo, hi = np.searchsorted(column, [start, stop])
         cols, own = column[lo:hi] - start, weight[sources[lo:hi]]
-        block_weight = word_weight[start // 64:(start + BITSET_BLOCK_SOURCES) // 64]
+        block_weight = word_weight[start // 64:stop // 64]
         reach = np.zeros((s, len(block_weight)), dtype=np.uint64)
         reach[rank[sources[lo:hi]], cols // 64] = np.uint64(1) << (cols % 64).astype(np.uint64)
         reached, full = int(own @ own), int(own.sum()) * int(weight.sum())
-        level = 0
+        level, before = 0, total
         while reached < full:
             level += 1
+            if level > BITSET_MAX_LEVELS:
+                return before + _dijkstra_distance_sum(indptr, indices, sources[lo:], weight)
             grown = reach.copy()
             for neighbours in slots:
                 grown[:len(neighbours)] |= reach[neighbours]

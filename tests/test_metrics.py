@@ -188,17 +188,21 @@ def component_graphs(draw):
 @st.composite
 def grafted_graphs(draw):
     """(node count, links) of one connected graph of up to 38 nodes: a
-    cycle, a clique, a star, a path or a single link, with random trees
-    grafted onto it or one long tail hanging off its last node.  Labels are
-    shuffled, so that the fold's tie between two leaves goes either way."""
+    cycle, a clique, a path with a chord at each end (whose nodes, unlike a
+    cycle's or a clique's, differ in eccentricity), a star, a path or a
+    single link, with random trees grafted onto it or one long tail hanging
+    off its last node.  Labels are shuffled, so that the fold's tie between
+    two leaves goes either way."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = draw(st.sampled_from(["cycle", "clique", "star", "path", "link"]))
+    shape = draw(st.sampled_from(["cycle", "clique", "chords", "star", "path", "link"]))
     k = 2 if shape == "link" else draw(st.integers(3, 8))
+    path = [(v, v + 1) for v in range(k - 1)]
     edges = {
         "cycle": [(v, (v + 1) % k) for v in range(k)],
         "clique": [(a, b) for a in range(k) for b in range(a + 1, k)],
+        "chords": path + [(0, 2), (k - 3, k - 1)],
         "star": [(0, v) for v in range(1, k)],
-    }.get(shape, [(v, v + 1) for v in range(k - 1)])
+    }.get(shape, path)
     tail = draw(st.booleans())
     n = k + draw(st.integers(0, 30))
     for v in range(k, n):
@@ -291,6 +295,14 @@ def test_stats_for_edges_peak_memory_at_kenya_40k():
     assert peak <= 10 * ends.nbytes, peak
 
 
+# A path 0..7 with the chords (0, 2) and (5, 7), one-node trees on 0, 1 and 6
+# and a two-node tree on 7: the core's nodes of weight 1 lie within 4 hops of
+# every node, the heavier ones do not.
+HEAVY_ENDS = (13, [(v, v + 1) for v in range(7)] + [
+    (0, 2), (5, 7), (0, 8), (1, 9), (6, 10), (7, 11), (11, 12)
+])
+
+
 class TestPathLengthKernel:
     @settings(max_examples=40, deadline=None)
     @given(graph=component_graphs(), block=st.sampled_from([64, 128]), sampled=st.booleans())
@@ -316,26 +328,31 @@ class TestPathLengthKernel:
             assert bitset.average_path_length == apl
 
     @settings(max_examples=150, deadline=None)
-    @given(graph=grafted_graphs(), block=st.sampled_from([64, 128]), bitset=st.booleans())
-    def test_fold_matches_bruteforce(self, graph, block, bitset):
-        # cores of one weight and of many, in one block of words or several,
-        # by bitsets or by one traversal per source
+    @given(graph=grafted_graphs(), block=st.sampled_from([64, 128]), limit=st.integers(0, 12))
+    @example(graph=HEAVY_ENDS, block=64, limit=4)
+    @example(graph=HEAVY_ENDS, block=128, limit=4)
+    def test_fold_matches_bruteforce(self, graph, block, limit):
+        # cores of one weight and of many, in one block of words or several;
+        # each weight's sources fill their own words, and no core runs more
+        # than 5 levels, so the search goes one traversal per source (limit
+        # 0), hands off in the first word or in a later block (as on
+        # HEAVY_ENDS at 4 levels), or stays on bitsets
         n, edges = graph
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(metrics, "BITSET_BLOCK_SOURCES", block)
-            patch.setattr(metrics, "BITSET_MAX_LEVELS", 10**9 if bitset else 0)
+            patch.setattr(metrics, "BITSET_MAX_LEVELS", limit)
             stats = stats_for_edges(n, edges)
         assert stats.largest_component == n
         assert stats.average_path_length == brute_graph_stats(n, edges)[3]
 
     def test_two_full_blocks_pinned(self, monkeypatch):
         # Every node has degree 2 or more, so the fold peels none: 6,000
-        # sources of weight 1 take two full blocks of 2,048 and one of
-        # 1,904.  The sum is the one the per-source traversal gives for this
-        # graph.
-        ran = record_calls(monkeypatch, ["_bitset_distance_sum"])
+        # sources of weight 1 take a first block of one word, two full
+        # blocks of 2,048 and one of 1,840.  The sum is the one the
+        # per-source traversal gives for this graph.
+        ran = record_calls(monkeypatch, ["_distance_sum", "_dijkstra_distance_sum"])
         stats = stats_for_edges(6000, small_world_edges(6000, 8))
-        assert ran == ["_bitset_distance_sum"] and stats.largest_component == 6000
+        assert ran == ["_distance_sum"] and stats.largest_component == 6000
         assert stats.average_path_length == 430_412_530 / (6000 * 5999)
 
     def test_tree_runs_no_traversal(self, monkeypatch):
@@ -347,7 +364,7 @@ class TestPathLengthKernel:
 
     @pytest.mark.parametrize("deep", [True, False])
     def test_deep_component_goes_per_source(self, monkeypatch, deep):
-        ran = record_calls(monkeypatch, ["_bitset_distance_sum", "_dijkstra_distance_sum"])
+        ran = record_calls(monkeypatch, ["_distance_sum", "_dijkstra_distance_sum"])
         if deep:
             # a 3,000-node cycle, and on every tenth node a tail of 1 to 4
             # nodes: core nodes of weights 1 to 5, 1,500 hops around
@@ -359,9 +376,19 @@ class TestPathLengthKernel:
         else:
             n, edges = 3000, small_world_edges(3000, 2)
         stats = stats_for_edges(n, edges)
-        assert ran == ["_dijkstra_distance_sum" if deep else "_bitset_distance_sum"]
+        assert ran == ["_distance_sum", "_dijkstra_distance_sum"][:1 + deep]
         if deep:
             assert stats.average_path_length == scipy_distance_sum(n, edges) / (n * (n - 1))
+
+    def test_long_grid_stays_on_bitsets(self, monkeypatch):
+        # a 25 x 200 grid, 223 hops from corner to corner: no block's search
+        # passes BITSET_MAX_LEVELS
+        ran = record_calls(monkeypatch, ["_distance_sum", "_dijkstra_distance_sum"])
+        edges = [(v, v + 1) for v in range(5000) if v % 200 < 199]
+        edges += [(v, v + 200) for v in range(4800)]
+        stats = stats_for_edges(5000, edges)
+        assert ran == ["_distance_sum"]
+        assert stats.average_path_length == 1_874_625_000 / (5000 * 4999) == 75.0
 
 
 class TestGraphStatistics:
