@@ -7,9 +7,9 @@ fixed number of seeded random sources (flagged as estimated).  The distance
 sum is an exact integer.  The exact branch first folds the trees hanging off
 the component's 2-core into weights on the core nodes, and a tree needs no
 search at all; the rest is a bit-parallel breadth-first search from up to
-2,048 sources at once, the first block one word.  A block whose search runs
-past ``BITSET_MAX_LEVELS`` levels, in a core too deep for bitsets to pay,
-hands its sources and every later block's to one traversal per source.
+2,048 sources at once, the first of several blocks one word.  A block whose
+search passes ``BITSET_MAX_LEVELS`` levels, in a core too deep for bitsets to
+pay, hands its sources and every later block's to one traversal per source.
 The kernels are numpy on CSR arrays of sorted ``row * n + col`` keys:
 triangles from degree-oriented wedges, components by root hooking and
 pointer jumping, the fold by rounds of leaf peeling.  Only the per-source
@@ -35,7 +35,7 @@ BITSET_BLOCK_SOURCES = 2_048  # sources per bitset traversal, whole words: 32 ui
 # traversal per source.  On grids whose corner sources take 372 and 428
 # levels, the bitset search ran in 0.78 and 1.11 of the per-source CPU time at
 # 5,000 nodes, and in 0.57 (412 levels) and 0.70 (450) at 20,000 nodes.  The
-# first block is one word, so a core too deep pays these levels on 64 sources.
+# first of several blocks is one word: a too-deep core pays them on 64 sources.
 BITSET_MAX_LEVELS = 384
 
 
@@ -273,7 +273,9 @@ def _distance_sum(indptr, indices, sources, weight) -> int:
     word_weight = np.repeat(values, words)
     s = len(degree)
     total = 0
-    bounds = [0, *range(64, 64 * len(word_weight), BITSET_BLOCK_SOURCES), 64 * len(word_weight)]
+    width = 64 * len(word_weight)
+    first = 64 if width > BITSET_BLOCK_SOURCES else width  # one block, or one word first
+    bounds = [0, *range(first, width, BITSET_BLOCK_SOURCES), width]
     for start, stop in zip(bounds, bounds[1:]):
         lo, hi = np.searchsorted(column, [start, stop])
         cols, own = column[lo:hi] - start, weight[sources[lo:hi]]
