@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -227,7 +227,10 @@ def _cmd_stats(args) -> int:
     all_stats = [stats_for_edges(n, ends, "collapsed")]
     code = {name: k for k, name in enumerate(names)}
     for name in sorted(declared.union(names)):  # a type with no links is coded -1
-        all_stats.append(stats_for_edges(n, ends[kinds == code.get(name, -1)], name))
+        mine = kinds == code.get(name, -1)  # every link: the collapsed graph again
+        same = mine.all() and not all_stats[0].path_length_estimated  # a sample is per scope
+        stats = replace(all_stats[0], scope=name) if same else stats_for_edges(n, ends[mine], name)
+        all_stats.append(stats)
     print(report_text(None, all_stats, []), end="")
     return EXIT_OK
 

@@ -298,12 +298,12 @@ def generate_population(
 
     Ancestral sampling, ``POPULATION_BLOCK`` agents at a time: variables
     are drawn in topological order, each agent reading its CPT row off its
-    parents' codes and inverting the cumulative row with its own uniform.
-    The uniforms are laid out as one draw per (agent, variable) in
-    agent-major order, exactly as drawing the agents one after another
-    would consume them.  A uniform past the row's last cumulative sum
-    (float undershoot) takes the last positive value.  RC_ variables become
-    the per-type required link counts (their labels must parse as integers).
+    parents' codes and inverting it with one uniform per (agent, variable),
+    in agent-major order as drawing one agent after another takes them.
+    The code counts the row's bounds at or below the uniform, one label at
+    a time: its running sums, +inf from its last positive label on, so a
+    uniform past the row's total (float undershoot) takes that label.  RC_
+    variables become the per-type required link counts (integer labels).
     """
     engine = Engine(attribute_bn)
     column = {name: j for j, name in enumerate(attribute_bn.names)}
@@ -317,15 +317,13 @@ def generate_population(
         for step, name in enumerate(engine.order):
             parents, table = engine.cpt_table(name)
             rows = table.reshape(-1, table.shape[-1])
-            cumulative = np.cumsum(rows, axis=1)
+            bounds = np.cumsum(rows, axis=1)
             last_positive = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+            bounds[np.arange(rows.shape[1]) >= last_positive[:, None]] = np.inf
             row = np.ravel_multi_index(
                 tuple(block[:, column[p]] for p in parents), table.shape[:-1]
-            ) if parents else np.zeros(len(block), dtype=np.intp)
-            drawn = (cumulative[row] <= uniforms[:, step, None]).sum(axis=1)
-            past = drawn == rows.shape[1]
-            drawn[past] = last_positive[row[past]]
-            block[:, column[name]] = drawn
+            ) if parents else 0
+            block[:, column[name]] = sum(bound[row] <= uniforms[:, step] for bound in bounds.T)
     return PopulationStore(link_types, columns, codes)
 
 

@@ -9,8 +9,10 @@ f-string writers (``oracle_network_files``, ``oracle_interaction``) are the
 exporter's former line-by-line code, the reference its bytes must equal.
 So are ``oneshot_population_codes`` and ``oneshot_triangle_count``, the
 former all-at-once population draw and triangle count, which the
-block-at-a-time ones must equal, and ``distribution_error_details``, the
-error report's loop, whose summation order the report must keep.
+block-at-a-time ones must equal, ``undershoot_draw``, the former draw of
+one variable, which the label-at-a-time comparison must equal, and
+``distribution_error_details``, the error report's loop, whose summation
+order the report must keep.
 """
 from __future__ import annotations
 
@@ -112,19 +114,27 @@ def oneshot_population_codes(
     for step, name in enumerate(engine.order):
         parents, table = engine.cpt_table(name)
         rows = table.reshape(-1, table.shape[-1])
-        cumulative = np.cumsum(rows, axis=1)
-        last_positive = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
         if parents:
             row = np.ravel_multi_index(
                 tuple(codes[:, column[p]] for p in parents), table.shape[:-1]
             )
         else:
             row = np.zeros(size, dtype=np.intp)
-        drawn = (cumulative[row] <= uniforms[:, step, None]).sum(axis=1)
-        past = drawn == rows.shape[1]
-        drawn[past] = last_positive[row[past]]
-        codes[:, column[name]] = drawn
+        codes[:, column[name]] = undershoot_draw(rows, row, uniforms[:, step])
     return codes
+
+
+def undershoot_draw(rows: np.ndarray, row: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The labels generate_population drew from CPT ``rows`` when it compared
+    every label at once: per agent, the count of its row's running sums at or
+    below its uniform, and for a uniform past the row's total (float
+    undershoot) the row's last positive label."""
+    cumulative = np.cumsum(rows, axis=1)
+    last_positive = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+    drawn = (cumulative[row] <= uniforms[:, None]).sum(axis=1)
+    past = drawn == rows.shape[1]
+    drawn[past] = last_positive[row[past]]
+    return drawn
 
 
 def distribution_error_details(learned, attribute_bn: BayesianNetwork) -> tuple[float, int]:

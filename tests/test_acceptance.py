@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The demonstration plan
 under plans/kenya drives the whole-pipeline criteria; a deliberately
 inconsistent plan exercises the diagnostic use of the matching error.
 """
+import bisect
 import dataclasses
 import math
 import time
@@ -16,7 +17,7 @@ import pytest
 from popnetgen.bn import load_bn, parse_bn
 from popnetgen.cli import run
 from popnetgen.inference import Engine, ZeroEvidenceError
-from popnetgen.matching import run_homophily_rule
+from popnetgen.matching import class_tables, load_matching_bn_file, run_homophily_rule
 from popnetgen.metrics import (
     build_error_report,
     matching_error,
@@ -30,10 +31,12 @@ from popnetgen.transitivity import TransitivityRule, open_triads, run_transitivi
 from helpers import (
     brute_graph_stats,
     build_store,
+    enum_joint_items,
     gnp_edges,
     link_probability,
     make_random_bn,
     random_evidence,
+    tensor_joint,
     tensor_posterior,
     tensor_probability,
 )
@@ -84,14 +87,17 @@ def test_criterion_01_inference_exactness():
                 got = engine.posterior(ev, query)
                 expected = tensor_posterior(bn, ev, query)
                 assert float(np.max(np.abs(got - expected))) <= 1e-9
+                # what the pipeline queries: the joint, normalised here
+                joint = engine.joint((query,), ev)
+                assert float(np.max(np.abs(joint / joint.sum() - expected))) <= 1e-9
                 posteriors_checked += 1
         else:
             with pytest.raises(ZeroEvidenceError):
                 engine.posterior(ev, bn.names[0])
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
-    ok(1, f"200 random networks, {posteriors_checked} posteriors within 1e-9 "
-          f"of joint enumeration in {elapsed:.1f}s")
+    ok(1, f"200 random networks, {posteriors_checked} posteriors and normalised joints "
+          f"within 1e-9 of joint enumeration in {elapsed:.1f}s")
 
 
 def test_criterion_02_marital_table_posterior():
@@ -116,8 +122,6 @@ def test_criterion_03_sampling_fidelity():
         counts[tuple(proto[n] for n in bn.names)] += 1
     elapsed = time.monotonic() - t0
 
-    from helpers import enum_joint_items
-
     conditional = {}
     z = 0.0
     for assignment, weight in enum_joint_items(bn):
@@ -125,21 +129,54 @@ def test_criterion_03_sampling_fidelity():
             key = tuple(assignment[n] for n in bn.names)
             conditional[key] = weight
             z += weight
-    worst = 0.0
-    for key, weight in conditional.items():
-        p = weight / z
-        se = math.sqrt(p * (1 - p) / draws)
-        deviation = abs(counts[key] / draws - p)
-        if p == 0.0:
-            assert counts[key] == 0
-            continue
-        assert deviation <= 3 * se, (key, deviation, se)
-        worst = max(worst, deviation / se)
-    for key in counts:
-        assert key in conditional
+    worst = assert_within_three_se(counts, {k: w / z for k, w in conditional.items()}, draws)
     assert elapsed < 30.0
-    ok(3, f"{draws} prototypes: every assignment within 3 standard errors "
-          f"(worst {worst:.2f}) in {elapsed:.1f}s")
+
+    # What the pipeline runs.  Agents: every full assignment against its
+    # probability.
+    store = generate_population(bn, draws, substream(2024, "acceptance/population"))
+    drawn = Counter(map(tuple, store.codes.tolist()))
+    law = {tuple(bn.domain(n).index(a[n]) for n in bn.names): w for a, w in enum_joint_items(bn)}
+    agents_worst = assert_within_three_se(drawn, law, draws)
+
+    # A prototype's a2 class, as the matcher draws it: the largest Kenya
+    # colleagues box's running sum inverted, against p(c2 | c1, link = yes).
+    rule = load_matching_bn_file(REPO / "plans" / "kenya" / "colleagues.bn")
+    engine = Engine(rule.bn)
+    kenya = generate_population(
+        load_bn(REPO / "plans" / "kenya" / "attributes.bn"), 2000, substream(1, "population"))
+    tables = class_tables(rule, engine, kenya, np.arange(len(kenya)))
+    c1 = max(tables.rows, key=lambda c: len(tables.rows[c][0]))
+    box, _, _, cdf = tables.rows[c1]
+    classes = Counter(box[bisect.bisect_right(cdf, u * cdf[-1])]
+                      for u in substream(2024, "acceptance/classes").random(draws).tolist())
+    a1, a2 = rule.a1_map(), rule.a2_map()
+    at = dict(zip(a1, np.unravel_index(c1, [len(engine.domains[v]) for v in a1])))
+    at[rule.link_variable] = engine.value_index[rule.link_variable]["yes"]
+    joint = tensor_joint(rule.bn)[tuple(at.get(n, slice(None)) for n in rule.bn.names)]
+    kept = [n for n in rule.bn.names if n not in at]
+    joint = joint.sum(axis=tuple(k for k, n in enumerate(kept) if n not in a2)).ravel()
+    classes_worst = assert_within_three_se(classes, dict(enumerate(joint / joint.sum())), draws)
+    ok(3, f"{draws} prototypes, agents and a2 classes: every assignment and class "
+          f"within 3 standard errors (worst {worst:.2f}, {agents_worst:.2f}, "
+          f"{classes_worst:.2f}); prototypes in {elapsed:.1f}s")
+
+
+def assert_within_three_se(counts: Counter, law: dict, draws: int) -> float:
+    """Asserts that each outcome's share of ``draws`` lies within 3 standard
+    errors of its probability in ``law``, and that outcomes of probability 0
+    or outside ``law`` never occur; returns the largest deviation in standard
+    errors."""
+    possible = {key for key, p in law.items() if p > 0.0}
+    assert set(counts) <= possible, set(counts) - possible
+    worst = 0.0
+    for key, p in law.items():
+        if p > 0.0:
+            se = math.sqrt(p * (1 - p) / draws)
+            deviation = abs(counts[key] / draws - p)
+            assert deviation <= 3 * se, (key, deviation, se)
+            worst = max(worst, deviation / se) if se > 0.0 else worst
+    return worst
 
 
 def test_criterion_04_distribution_error_trend():

@@ -823,6 +823,37 @@ class TestCli:
             "collapsed"
         }
 
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_stats_measures_a_type_holding_every_link_once(self, tmp_path, capsys, monkeypatch,
+                                                          sampled):
+        # A 25 x 200 grid of one type a: a's scope is the collapsed graph.
+        # A sampled path length draws from each scope's own stream, so then
+        # both scopes are measured.
+        out = tmp_path / "grid"
+        out.mkdir()
+        (out / "agents.csv").write_text("id\n" + "".join(f"{v}\n" for v in range(5000)))
+        edges = [(v, v + 1) for v in range(5000) if v % 200 < 199]
+        edges += [(v, v + 200) for v in range(4800)]
+        (out / "edges_all.csv").write_text(
+            "source,target,type\n" + "".join(f"{a},{b},a\n" for a, b in edges))
+        if sampled:
+            monkeypatch.setattr(metrics, "EXACT_PATH_LIMIT", 10)
+            monkeypatch.setattr(metrics, "PATH_SAMPLE_SOURCES", 5)
+        scopes, stats_for_edges = [], cli.stats_for_edges
+
+        def recorded(n, ends, scope):
+            scopes.append(scope)
+            return stats_for_edges(n, ends, scope)
+        monkeypatch.setattr(cli, "stats_for_edges", recorded)
+        assert main(["stats", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert scopes == ["collapsed", "a"][:1 + sampled]
+        assert f"stats.a.path_length_estimated = {str(sampled).lower()}" in lines
+        if not sampled:
+            renamed = [line.replace("stats.collapsed.", "stats.a.", 1) for line in lines
+                       if line.startswith("stats.collapsed.")]
+            assert renamed == [line for line in lines if line.startswith("stats.a.")]
+
     @pytest.mark.parametrize("name", ["all", "All", "collapsed", "COLLAPSED", "sib,x"])
     def test_link_type_name_refused(self, plan_dir, capsys, name):
         text = MINIMAL_PLAN.replace(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popnetgen import population
-from popnetgen.bn import BayesianNetwork, Cpt, load_bn, parse_bn, serialize_bn
+from popnetgen.bn import BayesianNetwork, Cpt, Variable, load_bn, parse_bn, serialize_bn
 from popnetgen.cli import run
 from popnetgen.export import export_network
 from popnetgen.inference import Engine
@@ -31,7 +31,7 @@ from popnetgen.population import (
 )
 from popnetgen.sampling import PrototypeSampler, substream
 
-from helpers import build_store, make_random_bn, oneshot_population_codes
+from helpers import build_store, make_random_bn, oneshot_population_codes, undershoot_draw
 
 KENYA_ATTRIBUTES = Path(__file__).resolve().parent.parent / "plans" / "kenya" / "attributes.bn"
 
@@ -182,20 +182,81 @@ class TestBlockDraw:
         assert outputs[0] == outputs[1]
 
     def test_peak_memory_follows_the_codes(self, monkeypatch):
-        # Kenya at N=40000 in blocks of 4,096 agents.  Drawn all at once
-        # into intp codes, the population peaked at 27.2 MB of traced
-        # memory, 62 times these codes; the store's four demand lists take
-        # about 3 times.
+        # Kenya at N=40000 in blocks of 4,096 agents, and at N=5000 in one
+        # block of the default size.  Drawn all at once into intp codes, the
+        # first peaked at 27.2 MB of traced memory, 62 times these codes;
+        # the store's four demand lists take about 3 times.  Comparing each
+        # uniform with every label of its row at once, the second peaked at
+        # 56 times.
         bn = load_bn(KENYA_ATTRIBUTES)
-        monkeypatch.setattr(population, "POPULATION_BLOCK", 4096)
-        tracemalloc.start()
-        try:
-            store = generate_population(bn, 40_000, substream(1, "population"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert store.codes.nbytes == 40_000 * 11
-        assert peak <= 8 * store.codes.nbytes, peak
+        for size, block, times in [(40_000, 4096, 7), (5_000, population.POPULATION_BLOCK, 20)]:
+            monkeypatch.setattr(population, "POPULATION_BLOCK", block)
+            tracemalloc.start()
+            try:
+                store = generate_population(bn, size, substream(1, "population"))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert store.codes.nbytes == size * 11
+            assert peak <= times * store.codes.nbytes, (size, peak)
+
+
+class FixedUniforms:
+    """Stands in for a generator whose one ``random`` call gives ``uniforms``."""
+
+    def __init__(self, uniforms: np.ndarray):
+        self.uniforms = uniforms
+
+    def random(self, shape):
+        assert shape == self.uniforms.shape
+        return self.uniforms
+
+
+@st.composite
+def cpt_rows(draw):
+    """A child's CPT rows: zeros anywhere in a row, and sums short of 1 by up
+    to 1e-9."""
+    labels = draw(st.integers(1, 6))
+    weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = np.array(draw(st.lists(weight, min_size=labels, max_size=labels)))
+        if not weights.any():
+            weights[draw(st.integers(0, labels - 1))] = 1.0
+        rows.append(weights / weights.sum() * (1.0 - draw(st.floats(0.0, 1e-9))))
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cpt_rows(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
+def test_label_bounds_draw_as_the_undershoot_fix_up(rows, extra):
+    # Per row, uniforms just below, at and past each running sum (the row's
+    # total included), and a few anywhere.  A parent p with a label per row
+    # picks the child c's row; a root q draws from the first row.
+    parent = tuple(f"r{r}" for r in range(len(rows)))
+    labels = tuple(f"x{k}" for k in range(rows.shape[1]))
+    bn = BayesianNetwork(
+        (Variable("p", parent), Variable("c", labels), Variable("q", labels)),
+        {
+            "p": Cpt("p", (), {(): (1.0 / len(parent),) * len(parent)}),
+            "c": Cpt("c", ("p",), {(r,): tuple(row) for r, row in zip(parent, rows.tolist())}),
+            "q": Cpt("q", (), {(): tuple(rows[0].tolist())}),
+        },
+    )
+    agents = []
+    for r, sums in enumerate(np.cumsum(rows, axis=1)):
+        near = [np.nextafter(s, side) for s in sums for side in (0.0, 1.0)]
+        agents += [(r, u) for u in [*sums, *near, *extra] if 0.0 <= u < 1.0]
+    row = np.array([r for r, _ in agents], dtype=np.intp)
+    u = np.array([u for _, u in agents])
+    order = Engine(bn).order
+    uniforms = np.empty((len(agents), 3))
+    uniforms[:, order.index("p")] = (row + 0.5) / len(parent)
+    uniforms[:, order.index("c")] = uniforms[:, order.index("q")] = u
+    codes = generate_population(bn, len(agents), FixedUniforms(uniforms)).codes
+    assert codes[:, 0].tolist() == row.tolist()
+    assert codes[:, 1].tolist() == undershoot_draw(rows, row, u).tolist()
+    assert codes[:, 2].tolist() == undershoot_draw(rows[:1], np.zeros_like(row), u).tolist()
 
 
 @pytest.mark.parametrize(
