@@ -40,9 +40,8 @@ from .population import (
     PopulationStore,
     generate_population,
     learn_marginals,
-    query_candidates,
 )
-from .sampling import PrototypeSampler, substream
+from .sampling import substream
 from .transitivity import TransitivityRule, open_triads, run_transitivity_rule
 
 __version__ = "0.1.0"

@@ -220,8 +220,7 @@ def _parse_row(row: str, lineno: int) -> tuple[tuple[str, ...], list[float], int
 
 def read_network(lines: Iterator[tuple[int, str]]) -> BayesianNetwork:
     """parse_bn on a stream of numbered lines (see ``numbered_lines``)."""
-    variables: list[Variable] = []
-    seen: dict[str, int] = {}
+    variables: dict[str, Variable] = {}  # by name, in declaration order
     raw_cpts: list[tuple[str, tuple[str, ...], list, int]] = []
 
     for lineno, line in lines:
@@ -233,11 +232,10 @@ def read_network(lines: Iterator[tuple[int, str]]) -> BayesianNetwork:
             name = name.strip()
             if not name or any(c in name for c in ",{}|:"):
                 raise BnSyntaxError(f"bad variable name {name!r}", lineno)
-            if name in seen:
+            if name in variables:
                 raise BnSyntaxError(f"duplicate variable {name!r}", lineno)
             labels = _split_labels(rest.rstrip("}").strip(), lineno, "value")
-            seen[name] = lineno
-            variables.append(Variable(name, tuple(labels)))
+            variables[name] = Variable(name, tuple(labels))
 
         elif line.startswith("cpt "):
             header = line[len("cpt "):]
@@ -276,16 +274,14 @@ def read_network(lines: Iterator[tuple[int, str]]) -> BayesianNetwork:
             word = line.split()[0]
             raise BnSyntaxError(f"expected 'variable' or 'cpt', got {word!r}", lineno)
 
-    by_name = {v.name: v for v in variables}
-
     cpts: dict[str, Cpt] = {}
     for child, parents, rows, lineno in raw_cpts:
-        if child not in by_name:
+        if child not in variables:
             raise BnSyntaxError(f"cpt for undeclared variable {child!r}", lineno)
         if child in cpts:
             raise BnSyntaxError(f"duplicate cpt for {child!r}", lineno)
         for p in parents:
-            if p not in by_name:
+            if p not in variables:
                 raise BnSyntaxError(
                     f"cpt for {child!r} references undeclared parent {p!r}", lineno
                 )
@@ -297,7 +293,7 @@ def read_network(lines: Iterator[tuple[int, str]]) -> BayesianNetwork:
                     f"expected {len(parents)}", row_line
                 )
             for value, parent in zip(combo, parents):
-                if value not in by_name[parent].domain:
+                if value not in variables[parent].domain:
                     raise BnSyntaxError(
                         f"{value!r} not in domain of parent {parent!r}", row_line
                     )
@@ -308,7 +304,7 @@ def read_network(lines: Iterator[tuple[int, str]]) -> BayesianNetwork:
             table[combo] = tuple(probs)
         cpts[child] = Cpt(child, parents, table)
 
-    bn = BayesianNetwork(tuple(variables), cpts)
+    bn = BayesianNetwork(tuple(variables.values()), cpts)
     violations = validate(bn)
     if violations:
         raise BnValidationError(violations)

@@ -46,6 +46,7 @@ from .plan import (
     HomophilyPlanRule,
     PlanError,
     build_homophily_rule,
+    link_type_name_problem,
     load_plan,
     validate_plan,
 )
@@ -217,6 +218,8 @@ def _cmd_stats(args) -> int:
     declared = manifest_link_types(directory)
     n = read_agents(directory / "agents.csv")
     ends, kinds, names = read_edges_all(directory / "edges_all.csv")
+    for problem in filter(None, map(link_type_name_problem, names)):  # as a plan names them
+        raise ExportError(f"{directory / 'edges_all.csv'}: {problem}")
     outside = ((ends < 0) | (ends >= n)).any(axis=1)
     if outside.any():
         source, target = ends[np.argmax(outside)].tolist()

@@ -5,16 +5,17 @@ A matching network contains prefixed copies of both agents' attributes
 boolean link variable whose posterior given both attribute sets is the
 probability that the pair may be linked.  load_matching_bn checks the
 file once, validate_rule the copies against the attribute network.  From
-the network alone, rule_supports, which validate calls and the run reuses,
-gives by one small elimination per a2 copy its labels possible with each a1
-class and link = yes: their product is the class's box of candidate a2
-classes, and a rule with no member a1 class is vacuous.  One batched query
-then gives that probability, and the weights a prototype's a2 class is
-drawn from, at the box pairs of the a1 classes that take turns only.
-Pairing works on classes: the fallback scans the classes with available
-agents, and the agents a rule may still pick sit in one bucket per a2
-class.  A link slot reads int64 arrays and its class's row as Python lists
-and draws from sampling.Draws: O(box + degree) with no numpy call at all.
+the network alone, rule_supports, which the rule computes on first use and
+keeps for validate and the run, gives by one small elimination per a2 copy
+its labels possible with each a1 class and link = yes: their product is
+the class's box of candidate a2 classes, and a rule with no member a1 class
+is vacuous.  One batched query then gives that probability, and the
+weights a prototype's a2 class is drawn from, at the box pairs of the a1
+classes that take turns only.  Pairing works on classes: the fallback
+scans the classes with available agents, and the agents a rule may still
+pick sit in one bucket per a2 class.  A link slot reads int64 arrays and
+its class's row as Python lists and draws from sampling.Draws: O(box +
+degree) with no numpy call at all.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import bisect
 import functools
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, NamedTuple
 
@@ -56,7 +57,6 @@ class HomophilyRule:
     counts names the endpoints whose open demand governs the rule ("both",
     "a1" or "a2").  retries bounds prototype draws per link slot; below
     small_set candidates the matcher goes straight to the fallback scan.
-    supports, when set, is rule_supports' result, which the run reuses.
     """
 
     link_type: str
@@ -67,7 +67,12 @@ class HomophilyRule:
     counts: str = "both"
     retries: int = DEFAULT_RETRIES
     small_set: int = DEFAULT_SMALL_SET
-    supports: tuple | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def supports(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """rule_supports on the rule's network, computed on first use and
+        kept; a rule that replace() makes computes its own."""
+        return rule_supports(self, Engine(self.bn))
 
     def a1_map(self) -> dict[str, str]:
         """Matching-network variable -> attribute name, for agent 1 copies."""
@@ -210,31 +215,29 @@ class ClassTables(NamedTuple):
 
     An agent's a1 (a2) class numbers its labels of the attributes the rule
     copies on side 1 (2); the extra last class holds the agents with a label
-    outside the matching network's domain and admits nothing.
-    ``supports[k][c1]`` marks the labels of the k-th a2 copy that are
-    possible with c1's labels and link = yes.  ``members[c1]`` holds when
-    each label of c1 is possible with link = yes.  c1's box is the product
-    of its supports, so it may admit classes whose compatibility is 0.
-    ``rows[c1]``, for each member class that takes turns, holds its box
-    classes in ascending order, each one's index in the box, their
-    compatibility p(link = yes | both classes' labels), 0 where those
-    labels have probability 0 together, and the running sum of p(c1's
-    labels, c2's labels, link = yes) over the box: inverting it draws a
-    prototype's a2 class.
+    outside the matching network's domain and admits nothing.  c1's box is
+    the product of its supports (rule_supports), so it may admit classes
+    whose compatibility is 0.  ``rows[c1]``, for each member class that
+    takes turns, holds its box classes in ascending order, each one's index
+    in the box, their compatibility p(link = yes | both classes' labels), 0
+    where those labels have probability 0 together, and the running sum of
+    p(c1's labels, c2's labels, link = yes) over the box: inverting it draws
+    a prototype's a2 class.
     """
 
     a1_class: np.ndarray
     a2_class: np.ndarray
-    members: np.ndarray
-    supports: tuple[np.ndarray, ...]
     rows: dict[int, tuple[list[int], dict[int, int], list[float], list[float]]]
 
 
 def rule_supports(rule: HomophilyRule, engine: Engine) -> tuple[tuple, np.ndarray]:
-    """What the rule can link, from its network alone: ClassTables'
-    ``supports``, one small elimination per a2 copy, and ``members``.  No
-    a1 class is a member exactly when the rule is vacuous: p(link = yes) =
-    0.  validate and run both read vacuity off this, computed once."""
+    """What the rule can link, from its network alone, by one small
+    elimination per a2 copy: ``supports[k][c1]`` marks the labels of the
+    k-th a2 copy that are possible with a1 class c1's labels and link =
+    yes, and ``members[c1]`` holds when each label of c1 is possible with
+    link = yes.  No a1 class is a member exactly when the rule is vacuous:
+    p(link = yes) = 0.  HomophilyRule.supports keeps it for validate and
+    run."""
     a1 = rule.a1_map()
     dims1 = tuple(len(engine.domains[v]) for v in a1)
     yes = {rule.link_variable: LINK_YES}
@@ -252,12 +255,11 @@ def rule_supports(rule: HomophilyRule, engine: Engine) -> tuple[tuple, np.ndarra
 def class_tables(
     rule: HomophilyRule, engine: Engine, store: PopulationStore, seekers: np.ndarray
 ) -> ClassTables:
-    """The rule's supports and members (rule_supports, or the rule's own),
-    and a row for each member class of an agent of ``seekers``, whose
-    values come from one query at the rows' class pairs."""
+    """Each agent's classes, and a row for each member class of an agent of
+    ``seekers``, whose values come from one query at the rows' class pairs."""
     a1, a2 = rule.a1_map(), rule.a2_map()
     dims1 = tuple(len(engine.domains[v]) for v in a1)
-    supports, members = rule.supports or rule_supports(rule, engine)
+    supports, members = rule.supports
     dims2 = tuple(support.shape[1] for support in supports)
     a1_class = _class_ids(store, engine, a1)
     turns = distinct(a1_class[seekers])
@@ -280,7 +282,7 @@ def class_tables(
         box = c2[start:end]
         index = dict(zip(box, range(len(box))))
         rows[c1] = box, index, compat[start:end], list(accumulate(p_yes[start:end]))
-    return ClassTables(a1_class, _class_ids(store, engine, a2), members, supports, rows)
+    return ClassTables(a1_class, _class_ids(store, engine, a2), rows)
 
 
 class ClassBuckets:
@@ -353,14 +355,15 @@ def run_homophily_rule(
     """
     link_type, counts_a1, counts_a2 = rule.link_type, rule.counts_a1, rule.counts_a2
     left = store.remaining(link_type)  # refuses an unknown type
+    supports, member_class = rule.supports
+    if not member_class.any():  # a cell with link = yes makes its a1 class a member
+        return RuleReport(rule.link_type, "homophily", vacuous=True)
     seekers = np.flatnonzero(left > 0) if counts_a1 else np.arange(len(store))
     tables = class_tables(rule, Engine(rule.bn), store, seekers)
-    if not tables.members.any():  # a cell with link = yes makes its a1 class a member
-        return RuleReport(rule.link_type, "homophily", vacuous=True)
     open_ids = np.flatnonzero(left > 0) if counts_a2 else np.arange(len(store))
-    classes = math.prod(support.shape[1] for support in tables.supports) + 1
+    classes = math.prod(support.shape[1] for support in supports) + 1
     buckets = ClassBuckets(tables.a2_class, classes, open_ids)
-    members = seekers[tables.members[tables.a1_class[seekers]]]
+    members = seekers[member_class[tables.a1_class[seekers]]]
     demand = store.demand[link_type]
     # Summed as Python ints: an int64 sum of large demands wraps.
     demand_total = sum(left[members].tolist()) if counts_a1 else len(members)

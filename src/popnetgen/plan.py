@@ -19,14 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .bn import BayesianNetwork, BnError, key_values, load_bn, numbered_lines, read_text
-from .inference import Engine
-from .matching import (
-    HomophilyRule,
-    MatchingError,
-    load_matching_bn_file,
-    rule_supports,
-    validate_rule,
-)
+from .matching import HomophilyRule, MatchingError, load_matching_bn_file, validate_rule
 from .population import RC_PREFIX, LinkType, PopulationError, check_population_size, link_counts
 from .transitivity import TransitivityRule, parse_pattern
 
@@ -36,6 +29,13 @@ from .transitivity import TransitivityRule, parse_pattern
 # without case, as a case-blind file system compares the file names.
 LINK_TYPE_NAME = re.compile(r"[A-Za-z0-9_-]+")
 RESERVED_LINK_TYPES = ("all", "collapsed")
+
+
+def link_type_name_problem(name: str) -> str | None:
+    """Why ``name`` cannot name a link type, or None when it can."""
+    if not LINK_TYPE_NAME.fullmatch(name) or name.lower() in RESERVED_LINK_TYPES:
+        return f"link type name {name!r} is reserved or not made of letters, digits, '_' and '-'"
+    return None
 
 
 class PlanError(Exception):
@@ -117,11 +117,8 @@ def parse_plan(text: str, base_dir) -> GenerationPlan:
                 raise PlanSyntaxError(
                     "expected 'linktype <name> <directed|undirected>'", lineno
                 )
-            if not LINK_TYPE_NAME.fullmatch(tokens[1]) or tokens[1].lower() in RESERVED_LINK_TYPES:
-                raise PlanSyntaxError(
-                    f"link type name {tokens[1]!r} is reserved or not made of "
-                    "letters, digits, '_' and '-'", lineno,
-                )
+            if problem := link_type_name_problem(tokens[1]):
+                raise PlanSyntaxError(problem, lineno)
             link_types.append(LinkType(tokens[1], tokens[2] == "directed"))
 
         elif head == "rule":
@@ -266,9 +263,8 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
                 if attribute_bn is not None:
                     for problem in validate_rule(loaded, attribute_bn):
                         error(f"{where}: {problem}")
-                supports = rule_supports(loaded, Engine(loaded.bn))
-                rule.loaded = replace(loaded, supports=supports)  # the run reuses them
-                if not supports[1].any():  # no member a1 class
+                rule.loaded = replace(loaded, link_type=rule.link_type)  # the run's rule
+                if not rule.loaded.supports[1].any():  # no member a1 class; kept for the run
                     warning(f"{where}: link variable can never be yes (vacuous rule)")
         else:
             for needed in (rule.t1, rule.t2):
@@ -296,5 +292,6 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
 
 
 def build_homophily_rule(rule: HomophilyPlanRule) -> HomophilyRule:
-    loaded = rule.loaded or load_matching_bn_file(rule.bn_path, defaults=rule.options)
-    return replace(loaded, link_type=rule.link_type)
+    return rule.loaded or replace(
+        load_matching_bn_file(rule.bn_path, defaults=rule.options), link_type=rule.link_type
+    )

@@ -288,6 +288,17 @@ def query_candidates(
     return ids[~np.isin(ids, taken)]
 
 
+def upper_bounds(rows: np.ndarray) -> np.ndarray:
+    """Per probability row, the bounds that invert it by one uniform: the
+    label drawn is the number of bounds at or below the uniform.  They are
+    the running sums, +inf from the last positive label on, so a uniform
+    past the row's total (float undershoot) takes that label."""
+    bounds = np.cumsum(rows, axis=1)
+    last_positive = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
+    bounds[np.arange(rows.shape[1]) >= last_positive[:, None]] = np.inf
+    return bounds
+
+
 def generate_population(
     attribute_bn: BayesianNetwork,
     size: int,
@@ -299,11 +310,10 @@ def generate_population(
     Ancestral sampling, ``POPULATION_BLOCK`` agents at a time: variables
     are drawn in topological order, each agent reading its CPT row off its
     parents' codes and inverting it with one uniform per (agent, variable),
-    in agent-major order as drawing one agent after another takes them.
-    The code counts the row's bounds at or below the uniform, one label at
-    a time: its running sums, +inf from its last positive label on, so a
-    uniform past the row's total (float undershoot) takes that label.  RC_
-    variables become the per-type required link counts (integer labels).
+    in agent-major order as drawing one agent after another takes them:
+    the code counts the row's upper_bounds at or below the uniform, one
+    label at a time.  RC_ variables become the per-type required link
+    counts (integer labels).
     """
     engine = Engine(attribute_bn)
     column = {name: j for j, name in enumerate(attribute_bn.names)}
@@ -316,10 +326,7 @@ def generate_population(
         uniforms = rng.random((len(block), len(column)))
         for step, name in enumerate(engine.order):
             parents, table = engine.cpt_table(name)
-            rows = table.reshape(-1, table.shape[-1])
-            bounds = np.cumsum(rows, axis=1)
-            last_positive = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0.0, axis=1)
-            bounds[np.arange(rows.shape[1]) >= last_positive[:, None]] = np.inf
+            bounds = upper_bounds(table.reshape(-1, table.shape[-1]))
             row = np.ravel_multi_index(
                 tuple(block[:, column[p]] for p in parents), table.shape[:-1]
             ) if parents else 0

@@ -2,7 +2,8 @@
 
 Variables are visited in topological order; each unevidenced variable is
 drawn by inverse-CDF over its domain order from its exact posterior given
-everything assigned so far, and the drawn value is then treated as further
+everything assigned so far, inverted by population.upper_bounds as the
+population's CPT rows are, and the drawn value is then treated as further
 evidence.  The resulting assignments are distributed as the exact conditional
 joint given the initial evidence.
 
@@ -21,6 +22,7 @@ import numpy.random  # numpy 2 loads it on first use; every generate needs it
 
 from .bn import Evidence
 from .inference import Engine, ZeroEvidenceError
+from .population import upper_bounds
 
 
 def substream(master_seed: int, label: str) -> np.random.Generator:
@@ -73,21 +75,6 @@ class Draws:
                 return m >> 32
 
 
-def draw_index(probabilities, u: float) -> int:
-    """Inverse-CDF pick over domain order from one uniform draw."""
-    acc = 0.0
-    last_positive = -1
-    for i, p in enumerate(probabilities):
-        if p > 0.0:
-            last_positive = i
-        acc += p
-        if u < acc:
-            return i
-    if last_positive < 0:
-        raise ValueError("no positive probability in distribution")
-    return last_positive  # float undershoot: u landed past the accumulated sum
-
-
 class PrototypeSampler:
     """Sampler bound to one network's engine, reusing its inference work
     across draws.
@@ -117,6 +104,6 @@ class PrototypeSampler:
             else:
                 parents, table = engine.cpt_table(name)
                 probs = table[tuple(engine.value_index[p][assignment[p]] for p in parents)]
-            idx = draw_index(probs, rng.random())
-            assignment[name] = engine.domains[name][idx]
+            below = upper_bounds(np.reshape(probs, (1, -1))) <= rng.random()
+            assignment[name] = engine.domains[name][int(below.sum())]
         return assignment

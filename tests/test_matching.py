@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popnetgen.bn import BayesianNetwork, BnSyntaxError, Cpt, Variable, load_bn, parse_bn
+from popnetgen import matching
 from popnetgen.cli import EXIT_OK, main
 from popnetgen.inference import Engine
 from popnetgen.matching import (
@@ -147,36 +148,38 @@ def vacuous(rule, engine):
     return not rule_supports(rule, engine)[1].any()
 
 
-def in_box(tables, a1, a2):
-    """From the kept supports: each a2 copy's label of a2's class is
+def in_box(rule, tables, a1, a2):
+    """From the rule's supports: each a2 copy's label of a2's class is
     possible with a1's class and link = yes; the extra classes admit none."""
+    supports, _ = rule.supports
     c1, c2 = tables.a1_class[a1], tables.a2_class[a2]
-    dims2 = [support.shape[1] for support in tables.supports]
-    if c1 == len(tables.supports[0]) or c2 == math.prod(dims2):
+    dims2 = [support.shape[1] for support in supports]
+    if c1 == len(supports[0]) or c2 == math.prod(dims2):
         return False
-    return all(s[c1, code] for s, code in zip(tables.supports, np.unravel_index(c2, dims2)))
+    return all(s[c1, code] for s, code in zip(supports, np.unravel_index(c2, dims2)))
 
 
-def compat_of(tables, a1, a2):
+def compat_of(rule, tables, a1, a2):
     """The value in a1's row inside its box, and 0 outside it, where
     p(both classes' labels, link = yes) is 0."""
-    if not in_box(tables, a1, a2):
+    if not in_box(rule, tables, a1, a2):
         return 0.0
     _, index, compat, _ = tables.rows[tables.a1_class[a1]]
     return compat[index[tables.a2_class[a2]]]
 
 
-def box_table(tables):
-    """Every class pair's box bit, from the kept supports."""
-    box = np.ones((len(tables.supports[0]), 1), dtype=bool)
-    for support in tables.supports:
+def box_table(rule):
+    """Every class pair's box bit, from the rule's supports."""
+    supports, _ = rule.supports
+    box = np.ones((len(supports[0]), 1), dtype=bool)
+    for support in supports:
         box = (box[:, :, None] & support[:, None, :]).reshape(len(box), -1)
     return np.pad(box, ((0, 1), (0, 1)))
 
 
-def compat_table(tables):
+def compat_table(rule, tables):
     """Every class pair's compatibility: the rows' values, 0 elsewhere."""
-    compat = np.zeros(box_table(tables).shape)
+    compat = np.zeros(box_table(rule).shape)
     for c1, (box, _, values, _) in tables.rows.items():
         compat[c1, box] = values
     return compat
@@ -323,20 +326,20 @@ class TestMemberBox:
         store = class_store(rule)
         tables = tables_for(rule, store)
         members = {
-            i for i in range(len(store)) if tables.members[tables.a1_class[i]]
+            i for i in range(len(store)) if rule.supports[1][tables.a1_class[i]]
         }
         assert {store.attributes(i)["gender"] for i in members} == {"male"}
         assert {store.attributes(i)["location"] for i in members} == {"v1", "v2"}
         partners = {
-            j for i in members for j in range(len(store)) if in_box(tables, i, j)
+            j for i in members for j in range(len(store)) if in_box(rule, tables, i, j)
         }
         assert {store.attributes(j)["gender"] for j in partners} == {"female"}
 
     def test_unconditional_link_admits_everything(self):
         rule = load_matching_bn(ALWAYS_YES_MATCHING)
         tables = tables_for(rule, class_store(rule))
-        assert tables.members[tables.a1_class].all()
-        assert box_table(tables)[np.ix_(tables.a1_class, tables.a2_class)].all()
+        assert rule.supports[1][tables.a1_class].all()
+        assert box_table(rule)[np.ix_(tables.a1_class, tables.a2_class)].all()
 
     @pytest.mark.parametrize("counts, rc, links", [
         ("both", [1, 0], 0),  # the female has no demand of her own
@@ -358,8 +361,15 @@ class TestMemberBox:
         assert vacuous(rule, Engine(rule.bn))
         assert not vacuous(spouses_rule(), Engine(spouses_rule().bn))
         tables = tables_for(rule, class_store(rule))
-        assert not tables.members.any() and not box_table(tables).any()
-        assert not compat_table(tables).any()
+        assert not rule.supports[1].any() and not box_table(rule).any()
+        assert not compat_table(rule, tables).any()
+
+    def test_vacuous_rule_builds_no_class_table(self, monkeypatch):
+        doc = ALWAYS_YES_MATCHING.replace("cpt link { 1.0, 0.0 }", "cpt link { 0.0, 1.0 }")
+        rule, built = load_matching_bn(doc), []
+        monkeypatch.setattr(matching, "class_tables", lambda *args: built.append(args))
+        assert run_homophily_rule(class_store(rule), rule, substream(0, "r")).vacuous
+        assert built == []
 
     def test_matches_bruteforce_support_on_random_rules(self):
         rng = np.random.default_rng(41)
@@ -376,14 +386,14 @@ class TestMemberBox:
                     labels[attribute] in {a[bn_var] for a in possible}
                     for bn_var, attribute in rule.a1_map().items()
                 )
-                assert bool(tables.members[tables.a1_class[i]]) == expected
+                assert bool(rule.supports[1][tables.a1_class[i]]) == expected
             # over all a1 classes, the boxes admit exactly the a2 labels
             # possible with link = yes
             for bn_var, attribute in rule.a2_map().items():
                 admitted = {
                     store.attributes(j)[attribute]
                     for i in range(len(store)) for j in range(len(store))
-                    if in_box(tables, i, j)
+                    if in_box(rule, tables, i, j)
                 }
                 assert admitted == {a[bn_var] for a in possible}
             assert run_homophily_rule(store, rule, substream(0, "r")).vacuous == (not possible)
@@ -398,14 +408,14 @@ class TestBaseBox:
             i for i in range(len(store))
             if store.attributes(i) == {"gender": "male", "location": "v2"}
         )
-        admitted = [store.attributes(j) for j in range(len(store)) if in_box(tables, a1, j)]
+        admitted = [store.attributes(j) for j in range(len(store)) if in_box(rule, tables, a1, j)]
         assert admitted == [{"gender": "female", "location": "v2"}]
 
     def test_unconditional_equals_global_set(self):
         rule = load_matching_bn(ALWAYS_YES_MATCHING)
         store = agent_store([{"role": "seeker"}, {"role": "target"}], link_type="pair")
         tables = tables_for(rule, store)
-        assert all(in_box(tables, 0, j) for j in range(len(store)))
+        assert all(in_box(rule, tables, 0, j) for j in range(len(store)))
 
     def test_incompatible_agent_has_empty_box(self):
         # a1 female: no peer can make the link yes
@@ -413,9 +423,10 @@ class TestBaseBox:
             {"gender": "female", "location": "v1"},
             {"gender": "male", "location": "v1"},
         ])
-        tables = tables_for(spouses_rule(), store)
-        assert not tables.members[tables.a1_class[0]]
-        assert not box_table(tables)[tables.a1_class[0]].any()
+        rule = spouses_rule()
+        tables = tables_for(rule, store)
+        assert not rule.supports[1][tables.a1_class[0]]
+        assert not box_table(rule)[tables.a1_class[0]].any()
 
     def test_matches_bruteforce_on_random_rules(self):
         rng = np.random.default_rng(43)
@@ -438,7 +449,7 @@ class TestBaseBox:
                 for j in range(len(store)):
                     a2 = store.attributes(j)
                     expected = all(a2[attr] in values for attr, values in supports.items())
-                    assert in_box(tables, i, j) == expected
+                    assert in_box(rule, tables, i, j) == expected
 
 
 class TestCompatTable:
@@ -447,12 +458,13 @@ class TestCompatTable:
             {"gender": "male", "location": "v1"},
             {"gender": "male", "location": "v1"},
         ])
-        assert compat_of(tables_for(spouses_rule(), store), 0, 1) == 0.0
+        rule = spouses_rule()
+        assert compat_of(rule, tables_for(rule, store), 0, 1) == 0.0
 
     def test_unconditional_link_gives_one(self):
         rule = load_matching_bn(ALWAYS_YES_MATCHING)
         store = agent_store([{"role": "seeker"}, {"role": "target"}], link_type="pair")
-        assert compat_of(tables_for(rule, store), 0, 1) == 1.0
+        assert compat_of(rule, tables_for(rule, store), 0, 1) == 1.0
 
     def test_value_outside_matching_domain_gives_zero(self):
         store = agent_store([
@@ -460,11 +472,12 @@ class TestCompatTable:
             {"gender": "female", "location": "v1"},
             {"gender": "male", "location": "v1"},
         ])
-        tables = tables_for(spouses_rule(), store)
-        assert compat_of(tables, 0, 1) == 0.0
-        assert not tables.members[tables.a1_class[0]]
-        assert compat_of(tables, 2, 1) == 1.0
-        assert not in_box(tables, 2, 0)
+        rule = spouses_rule()
+        tables = tables_for(rule, store)
+        assert compat_of(rule, tables, 0, 1) == 0.0
+        assert not rule.supports[1][tables.a1_class[0]]
+        assert compat_of(rule, tables, 2, 1) == 1.0
+        assert not in_box(rule, tables, 2, 0)
 
     def test_impossible_labels_give_zero(self):
         # no a1 copy is ever a target, so p(a1 target, a2) = 0 for every a2
@@ -473,8 +486,8 @@ class TestCompatTable:
         ))
         store = agent_store([{"role": "target"}, {"role": "seeker"}], link_type="pair")
         tables = tables_for(rule, store)
-        assert compat_of(tables, 0, 1) == compat_of(tables, 0, 0) == 0.0
-        assert compat_of(tables, 1, 0) == 1.0
+        assert compat_of(rule, tables, 0, 1) == compat_of(rule, tables, 0, 0) == 0.0
+        assert compat_of(rule, tables, 1, 0) == 1.0
 
     def test_matches_enumeration_on_random_rules(self):
         rng = np.random.default_rng(47)
@@ -495,7 +508,7 @@ class TestCompatTable:
                     num = sum(w for a, w in agree if a["link"] == "yes")
                     den = sum(w for _, w in agree)
                     expected = num / den if den > 0 else 0.0
-                    assert compat_of(tables, i, j) == pytest.approx(expected, abs=1e-9)
+                    assert compat_of(rule, tables, i, j) == pytest.approx(expected, abs=1e-9)
 
 
 def make_layered_matching_rule(rng, deterministic: bool) -> HomophilyRule:
@@ -559,10 +572,10 @@ def test_class_tables_match_the_dense_tables(seed, deterministic):
     engine, store = Engine(rule.bn), class_store(rule)
     tables = class_tables(rule, engine, store, np.arange(len(store)))
     dense = dense_class_tables(rule, engine, store)
-    assert np.array_equal(tables.members, dense.members)
-    assert np.array_equal(box_table(tables), dense.box)
+    assert np.array_equal(rule.supports[1], dense.members)
+    assert np.array_equal(box_table(rule), dense.box)
     turns = distinct(tables.a1_class)
-    assert sorted(tables.rows) == turns[tables.members[turns]].tolist()
+    assert sorted(tables.rows) == turns[rule.supports[1][turns]].tolist()
     rtol = 64 * np.finfo(np.float64).eps
     same = np.array_equal if deterministic else functools.partial(np.allclose, rtol=rtol, atol=0)
     for c1, (box, index, compat, cdf) in tables.rows.items():
@@ -798,8 +811,8 @@ class TestRunHomophilyRule:
                         continue
                     x, y = store.attributes(i), store.attributes(j)
                     if link_probability(engine, rule, x, y) > 0.0:
-                        assert tables.members[tables.a1_class[i]]
-                        assert in_box(tables, i, j)
+                        assert rule.supports[1][tables.a1_class[i]]
+                        assert in_box(rule, tables, i, j)
 
     def test_unknown_attribute(self):
         store = agent_store([{"gender": "male"}, {"gender": "female"}])

@@ -8,8 +8,10 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import popnetgen
@@ -28,7 +30,8 @@ from popnetgen.plan import (
     parse_plan,
     validate_plan,
 )
-from popnetgen.population import LinkType
+from popnetgen.population import LinkType, generate_population
+from popnetgen.sampling import substream
 from popnetgen.transitivity import TransitivityRule
 
 REPO = Path(__file__).resolve().parent.parent
@@ -377,11 +380,27 @@ class TestCli:
             raise AssertionError("generate asked for p(evidence)")
 
         monkeypatch.setattr(matching_module, "rule_supports", counted)
-        monkeypatch.setattr(plan_module, "rule_supports", counted)
         monkeypatch.setattr(Engine, "probability_of_evidence", refused)
         args = ["generate", str(KENYA_PLAN), "--population", "300", "--out", str(tmp_path / "o")]
         assert main(args) == EXIT_OK
         assert callers == ["validate_plan"] * 4
+
+    def test_a_replaced_rule_analyses_its_own_network(self):
+        # validate_plan analysed the spouses rule; the same rule on the
+        # colleagues network reads that network's supports, not the old ones
+        plan = load_plan(KENYA_PLAN)
+        assert not [issue for issue in validate_plan(plan) if issue.severity == "error"]
+        spouses = next(rule.loaded for rule in plan.rules if rule.link_type == "spouses")
+        spouses.supports  # analysed and kept
+        colleagues = matching_module.load_matching_bn_file(KENYA_PLAN.parent / "colleagues.bn")
+        moved = replace(spouses, bn=colleagues.bn, link_variable=colleagues.link_variable)
+        store = generate_population(plan.attribute_bn, 500, substream(1, "population"))
+        everyone = np.arange(len(store))
+        got, want = (matching_module.class_tables(rule, Engine(rule.bn), store, everyone)
+                     for rule in (moved, colleagues))
+        assert np.array_equal(got.a1_class, want.a1_class)
+        assert np.array_equal(got.a2_class, want.a2_class)
+        assert got.rows == want.rows
 
     def test_generate_reads_each_network_once(self, tmp_path, monkeypatch):
         # run takes the networks validate parsed: the attribute network and
@@ -770,6 +789,21 @@ class TestCli:
         assert main(["stats", str(out)]) == EXIT_INVALID
         err = capsys.readouterr().err
         assert "invalid network files" in err and name in err
+
+    @pytest.mark.parametrize("name", ["collapsed", "COLLAPSED", "all", "a b", "x = y", ""])
+    def test_stats_refuses_a_link_type_name_that_a_plan_refuses(self, plan_dir, capsys, name):
+        # such a name would shadow the collapsed scope's stats.collapsed.*
+        # keys or break the 'key = value' lines
+        out = plan_dir / "cli_out"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_OK
+        assert main(["stats", str(out)]) == EXIT_OK  # the run's own names pass
+        capsys.readouterr()
+        (out / "manifest.txt").unlink()  # else the digest check refuses first
+        with open(out / "edges_all.csv", "a") as fh:
+            fh.write(f"0,1,{name}\n")
+        assert main(["stats", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"{out / 'edges_all.csv'}: link type name {name!r} is reserved" in err
 
     def test_path_through_a_file_is_invalid_exit(self, plan_dir, capsys):
         (plan_dir / "plan.txt").write_text(MINIMAL_PLAN.replace("bn=pair.bn", "bn=pair.bn/x.bn"))

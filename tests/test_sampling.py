@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from popnetgen.bn import load_bn, parse_bn
 from popnetgen.inference import Engine, ZeroEvidenceError
-from popnetgen.sampling import Draws, PrototypeSampler, draw_index, substream
+from popnetgen.population import upper_bounds
+from popnetgen.sampling import Draws, PrototypeSampler, substream
 
 from helpers import enum_joint_items
 
@@ -102,6 +103,11 @@ class TestDraws:
     def test_other_bit_generators_refused(self):
         with pytest.raises(TypeError, match="MT19937"):
             Draws(np.random.Generator(np.random.MT19937(1)))
+
+
+def draw_index(probs, u):
+    """The label that one uniform draws from a row: its upper_bounds at or below u."""
+    return int((upper_bounds(np.array([probs])) <= u).sum())
 
 
 class TestDrawIndex:
