@@ -91,20 +91,6 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _rule_label(plan: GenerationPlan, index: int) -> str:
-    """Stable per-rule stream label: reordering other rules must not change
-    this rule's draws, so the label carries kind, type, and occurrence."""
-    rule = plan.rules[index]
-    kind = "homophily" if isinstance(rule, HomophilyPlanRule) else "transitive"
-    occurrence = sum(
-        1
-        for r in plan.rules[:index]
-        if r.link_type == rule.link_type
-        and isinstance(r, type(rule))
-    )
-    return f"rule/{kind}/{rule.link_type}/{occurrence}"
-
-
 def run(
     plan: GenerationPlan,
     *,
@@ -136,8 +122,14 @@ def run(
     )
 
     reports: list[RuleReport] = []
+    occurrences: dict[tuple[str, str], int] = {}
     for index, plan_rule in enumerate(plan.rules):
-        rng = substream(seed, _rule_label(plan, index))
+        # A stable stream label: reordering other rules must not change this
+        # rule's draws, so the label carries kind, type, and occurrence.
+        kind = "homophily" if isinstance(plan_rule, HomophilyPlanRule) else "transitive"
+        occurrence = occurrences.get((kind, plan_rule.link_type), 0)
+        occurrences[kind, plan_rule.link_type] = occurrence + 1
+        rng = substream(seed, f"rule/{kind}/{plan_rule.link_type}/{occurrence}")
         if isinstance(plan_rule, HomophilyPlanRule):
             report = run_homophily_rule(store, build_homophily_rule(plan_rule), rng)
         else:

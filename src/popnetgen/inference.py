@@ -3,10 +3,10 @@
 Variable elimination in the module's greedy order, each step one np.einsum
 contraction of the factors it touches; the last step, which sums nothing,
 folds the remaining factors pairwise, one two-operand einsum each.
-``posterior`` and ``probability_of_evidence`` read a marginal p(variables,
-evidence) from one least-recently-used cache per Engine, keyed by
-(variables, evidence); ``joint`` and ``joint_at`` are read once by their
-callers and are not cached.  Results are exact: they match full joint
+``posterior`` reads p(variables, evidence) from one least-recently-used
+cache per Engine, keyed by (variables, evidence); ``joint``, whose
+``joint((), evidence)`` is p(evidence), and ``joint_at`` are read once by
+their callers and are not cached.  Results are exact: they match full joint
 enumeration to floating-point accuracy, which the test suite pins at 1e-9.
 Posteriors under zero-probability evidence raise ZeroEvidenceError so
 callers can tell "no candidates exist" apart from numeric noise.
@@ -89,10 +89,6 @@ class Engine:
         one_hot = np.zeros(len(self.domains[query]))
         one_hot[self.value_index[query][evidence[query]]] = 1.0
         return one_hot
-
-    def probability_of_evidence(self, evidence: Evidence) -> float:
-        """Exact p(evidence); 1.0 for empty evidence."""
-        return float(self._marginal((), tuple(sorted(evidence.items())))) if evidence else 1.0
 
     def joint(self, variables: tuple[str, ...], evidence: Evidence = {}) -> np.ndarray:
         """Exact p(variables, evidence), one axis per variable in the given

@@ -85,14 +85,6 @@ class HomophilyRule:
         names = (v.name for v in self.bn.variables if v.name != self.link_variable)
         return {name: name[len(prefix):] for name in names if name.startswith(prefix)}
 
-    @property
-    def counts_a1(self) -> bool:
-        return self.counts in ("both", "a1")
-
-    @property
-    def counts_a2(self) -> bool:
-        return self.counts in ("both", "a2")
-
 
 def validate_rule(rule: HomophilyRule, attribute_bn: BayesianNetwork) -> list[str]:
     """Problems of the rule's copies against the attribute network: each
@@ -198,15 +190,14 @@ class RuleReport:
 def _class_ids(store: PopulationStore, engine: Engine, copies: Mapping[str, str]) -> np.ndarray:
     """Per agent, its combination of labels of the attributes ``copies``
     reads, numbered over the copies' domains; an agent with a label outside
-    them falls in the extra last class."""
-    codes = np.empty((len(copies), len(store)), dtype=np.intp)
-    for k, (bn_var, attribute) in enumerate(copies.items()):
-        j = store.column(attribute)
-        index = engine.value_index[bn_var]
-        codes[k] = np.array([index.get(label, -1) for label in store.labels[j]])[store.codes[:, j]]
-    dims = tuple(len(engine.domains[bn_var]) for bn_var in copies)
-    ids = np.ravel_multi_index(tuple(np.maximum(codes, 0)), dims)
-    ids[(codes < 0).any(axis=0)] = math.prod(dims)
+    them falls in the extra last class.  Numbered by Horner's rule, the
+    first copy's label most significant."""
+    ids, outside = np.zeros(len(store), dtype=np.intp), np.zeros(len(store), dtype=bool)
+    for bn_var, attribute in copies.items():
+        j, index = store.column(attribute), engine.value_index[bn_var]
+        code = np.array([index.get(label, -1) for label in store.labels[j]])[store.codes[:, j]]
+        ids, outside = ids * len(engine.domains[bn_var]) + code, outside | (code < 0)
+    ids[outside] = math.prod(len(engine.domains[bn_var]) for bn_var in copies)
     return ids
 
 
@@ -218,16 +209,16 @@ class ClassTables(NamedTuple):
     outside the matching network's domain and admits nothing.  c1's box is
     the product of its supports (rule_supports), so it may admit classes
     whose compatibility is 0.  ``rows[c1]``, for each member class that
-    takes turns, holds its box classes in ascending order, each one's index
-    in the box, their compatibility p(link = yes | both classes' labels), 0
-    where those labels have probability 0 together, and the running sum of
-    p(c1's labels, c2's labels, link = yes) over the box: inverting it draws
-    a prototype's a2 class.
+    takes turns, holds its box classes in ascending order, their
+    compatibility p(link = yes | both classes' labels), 0 where those labels
+    have probability 0 together, and the running sum of p(c1's labels, c2's
+    labels, link = yes) over the box: inverting it draws a prototype's a2
+    class.
     """
 
     a1_class: np.ndarray
     a2_class: np.ndarray
-    rows: dict[int, tuple[list[int], dict[int, int], list[float], list[float]]]
+    rows: dict[int, tuple[list[int], list[float], list[float]]]
 
 
 def rule_supports(rule: HomophilyRule, engine: Engine) -> tuple[tuple, np.ndarray]:
@@ -279,9 +270,7 @@ def class_tables(
     ends = np.cumsum(np.bincount(row, minlength=len(turns))).tolist()
     rows = {}
     for c1, start, end in zip(turns.tolist(), [0, *ends], ends):
-        box = c2[start:end]
-        index = dict(zip(box, range(len(box))))
-        rows[c1] = box, index, compat[start:end], list(accumulate(p_yes[start:end]))
+        rows[c1] = c2[start:end], compat[start:end], list(accumulate(p_yes[start:end]))
     return ClassTables(a1_class, _class_ids(store, engine, a2), rows)
 
 
@@ -315,15 +304,14 @@ class ClassBuckets:
         self.where[agent] = -1
         self.size[c] -= 1
 
-    def available(self, agents: list[int], box: Mapping[int, int]) -> tuple[list[int], list[int]]:
-        """Per class of ``box``, which maps each to its place in the box, the
-        number of its agents not in ``agents``; and the agents of ``agents``
-        that are in a bucket."""
+    def available(self, agents: list[int], box: list[int]) -> tuple[list[int], list[int]]:
+        """Per class of the ascending ``box``, the number of its agents not in
+        ``agents``; and the agents of ``agents`` that are in a bucket."""
         available = [self.size[c] for c in box]
         taken = [a for a in agents if self.where[a] >= 0]
         for a in taken:
-            k = box.get(self.a2_class[a])
-            if k is not None:
+            k = bisect.bisect_left(box, self.a2_class[a])
+            if k < len(box) and box[k] == self.a2_class[a]:
                 available[k] -= 1
         return available, taken
 
@@ -353,7 +341,7 @@ def run_homophily_rule(
     report.  Every created link passes the dyad-uniqueness and demand
     checks of the store.
     """
-    link_type, counts_a1, counts_a2 = rule.link_type, rule.counts_a1, rule.counts_a2
+    link_type, counts_a1, counts_a2 = rule.link_type, rule.counts != "a2", rule.counts != "a1"
     left = store.remaining(link_type)  # refuses an unknown type
     supports, member_class = rule.supports
     if not member_class.any():  # a cell with link = yes makes its a1 class a member
@@ -377,10 +365,10 @@ def run_homophily_rule(
     prototype_links = fallback_links = rejections = orphans = 0
 
     for a1 in turns:
-        box, index, compat, cdf = tables.rows[a1_class[a1]]
+        box, compat, cdf = tables.rows[a1_class[a1]]
         # Only a1's own links change its demand during its turn.
         for _ in range(demand[a1] if counts_a1 else 1):
-            available, taken = available_of([a1, *partners_of(a1)], index)
+            available, taken = available_of([a1, *partners_of(a1)], box)
             k = None
             if sum(available) >= small_set:
                 # Prototype: up to ``retries`` a2 classes drawn from p(a2

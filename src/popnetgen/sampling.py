@@ -21,7 +21,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; every generate needs it
 
 from .bn import Evidence
-from .inference import Engine, ZeroEvidenceError
+from .inference import Engine
 from .population import upper_bounds
 
 
@@ -93,9 +93,9 @@ class PrototypeSampler:
         Evidenced variables keep their asserted values and consume no
         randomness; every other variable consumes exactly one uniform draw.
         """
-        if evidence and self.engine.probability_of_evidence(evidence) <= 0.0:
-            raise ZeroEvidenceError(f"evidence has probability 0: {dict(evidence)}")
         engine, assignment = self.engine, dict(evidence)
+        if evidence:  # raises ZeroEvidenceError when p(evidence) = 0
+            engine.posterior(evidence, next(iter(evidence)))
         for name in engine.order:
             if name in evidence:
                 continue

@@ -75,7 +75,7 @@ class TestPosterior:
                 continue
             trials += 1
             ev = random_evidence(rng, bn, max_items=3)
-            p_ev = Engine(bn).probability_of_evidence(ev)
+            p_ev = float(Engine(bn).joint((), ev))
             assert p_ev == pytest.approx(tensor_probability(bn, ev), abs=TOL)
             if p_ev == 0.0:
                 continue
@@ -119,18 +119,19 @@ class TestPosterior:
             if not others:
                 continue
             query = others[int(rng.integers(len(others)))]
-            p_ev = Engine(bn).probability_of_evidence(ev)
+            p_ev = float(Engine(bn).joint((), ev))
             if p_ev == 0.0:
                 continue
             vec = Engine(bn).posterior(ev, query)
             for i, value in enumerate(bn.domain(query)):
-                joint = Engine(bn).probability_of_evidence({**ev, query: value})
+                joint = float(Engine(bn).joint((), {**ev, query: value}))
                 assert joint == pytest.approx(p_ev * vec[i], abs=TOL)
 
 
 class TestProbabilityOfEvidence:
     def test_empty_evidence(self, marital_bn):
-        assert Engine(marital_bn).probability_of_evidence({}) == 1.0
+        # barren pruning leaves no factor: exactly 1.0
+        assert float(Engine(marital_bn).joint((), {})) == 1.0
 
     def test_joint_cannot_write_into_the_cpt(self):
         engine = Engine(parse_bn("variable g { a, b }\ncpt g { 0.25, 0.75 }"))
@@ -145,7 +146,7 @@ class TestProbabilityOfEvidence:
 
     def test_zero_prior_value(self):
         bn = parse_bn("variable g { a, b }\ncpt g { 1.0, 0.0 }")
-        assert Engine(bn).probability_of_evidence({"g": "b"}) == 0.0
+        assert float(Engine(bn).joint((), {"g": "b"})) == 0.0
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(303)
@@ -153,7 +154,7 @@ class TestProbabilityOfEvidence:
             for _ in range(30):
                 bn = make_random_bn(rng, max_vars=6, max_domain=3, min_domain=min_domain)
                 ev = random_evidence(rng, bn)
-                assert Engine(bn).probability_of_evidence(ev) == pytest.approx(
+                assert float(Engine(bn).joint((), ev)) == pytest.approx(
                     enum_probability(bn, ev), abs=TOL
                 )
 
@@ -165,7 +166,7 @@ class TestProbabilityOfEvidence:
             ev = {n: bn.domain(n)[int(rng.integers(len(bn.domain(n))))] for n in bn.names}
             weight = assignment_weight(bn, ev)
             engine = Engine(bn)
-            assert engine.probability_of_evidence(ev) == pytest.approx(weight, abs=TOL)
+            assert float(engine.joint((), ev)) == pytest.approx(weight, abs=TOL)
             for query in bn.names:
                 if weight == 0.0:
                     with pytest.raises(ZeroEvidenceError):
@@ -258,7 +259,8 @@ class TestEngineMemo:
                 keep = tuple(names[int(i)] for i in rng.permutation(len(names))[:size])
                 queries += [
                     ("posterior", (ev, names[int(rng.integers(len(names)))])),
-                    ("probability_of_evidence", (ev,)),
+                    # p(evidence): a posterior on an evidenced variable
+                    ("posterior", (ev, next(iter(ev), names[0]))),
                     ("joint", (keep,)),
                 ]
             engine = Engine(bn)
@@ -283,7 +285,7 @@ class TestEngineMemo:
             ev = random_evidence(rng, bn)
             engine = Engine(bn)
             for query, value in ev.items():
-                if engine.probability_of_evidence(ev) == 0.0:
+                if float(engine.joint((), ev)) == 0.0:
                     with pytest.raises(ZeroEvidenceError):
                         engine.posterior(ev, query)
                     continue
@@ -302,7 +304,7 @@ class TestEngineMemo:
             with pytest.raises(UnknownVariableError):
                 engine.posterior(bad, "gender")
             with pytest.raises(UnknownVariableError):
-                engine.probability_of_evidence(bad)
+                engine.joint((), bad)
         assert engine._marginal.cache_info().currsize == 0  # a query that raises stores nothing
 
     def test_an_equal_query_is_served_by_the_cache(self, marital_bn):

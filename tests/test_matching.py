@@ -164,8 +164,8 @@ def compat_of(rule, tables, a1, a2):
     p(both classes' labels, link = yes) is 0."""
     if not in_box(rule, tables, a1, a2):
         return 0.0
-    _, index, compat, _ = tables.rows[tables.a1_class[a1]]
-    return compat[index[tables.a2_class[a2]]]
+    box, compat, _ = tables.rows[tables.a1_class[a1]]
+    return compat[box.index(tables.a2_class[a2])]
 
 
 def box_table(rule):
@@ -180,7 +180,7 @@ def box_table(rule):
 def compat_table(rule, tables):
     """Every class pair's compatibility: the rows' values, 0 elsewhere."""
     compat = np.zeros(box_table(rule).shape)
-    for c1, (box, _, values, _) in tables.rows.items():
+    for c1, (box, values, _) in tables.rows.items():
         compat[c1, box] = values
     return compat
 
@@ -578,9 +578,8 @@ def test_class_tables_match_the_dense_tables(seed, deterministic):
     assert sorted(tables.rows) == turns[rule.supports[1][turns]].tolist()
     rtol = 64 * np.finfo(np.float64).eps
     same = np.array_equal if deterministic else functools.partial(np.allclose, rtol=rtol, atol=0)
-    for c1, (box, index, compat, cdf) in tables.rows.items():
+    for c1, (box, compat, cdf) in tables.rows.items():
         assert box == np.flatnonzero(dense.box[c1]).tolist()
-        assert index == {c2: k for k, c2 in enumerate(box)}
         assert same(compat, dense.compat[c1, box]) and same(cdf, dense.cdf[c1, box])
 
 
@@ -1096,14 +1095,13 @@ def test_available_counts_match_bruteforce_pool(seed, counts):
                     buckets.remove(agent)
     for a1 in range(n):
         taken = [a1, *store.partners_of(a1)]
-        every = dict(zip(range(classes), range(classes)))
-        available, in_buckets = buckets.available(taken, every)
+        available, in_buckets = buckets.available(taken, list(range(classes)))
         pool = query_candidates(store, np.arange(n), demand, a1)
         assert available == np.bincount(a2_class[pool], minlength=classes).tolist()
         box = rng.random(classes) < 0.5
         base = np.flatnonzero(box[a2_class])
         box_classes = np.flatnonzero(box).tolist()
-        in_box, _ = buckets.available(taken, {c: k for k, c in enumerate(box_classes)})
+        in_box, _ = buckets.available(taken, box_classes)
         assert in_box == [available[c] for c in box_classes]
         assert sum(in_box) == len(query_candidates(store, base, demand, a1))
         for c in range(classes):

@@ -376,11 +376,11 @@ class TestCli:
             callers.extend(name for name, module in sites if (name, module) in frames)
             return rule_supports(rule, engine)
 
-        def refused(engine, evidence):
-            raise AssertionError("generate asked for p(evidence)")
+        def refused(engine, evidence, query):
+            raise AssertionError("generate asked for a posterior")
 
         monkeypatch.setattr(matching_module, "rule_supports", counted)
-        monkeypatch.setattr(Engine, "probability_of_evidence", refused)
+        monkeypatch.setattr(Engine, "posterior", refused)
         args = ["generate", str(KENYA_PLAN), "--population", "300", "--out", str(tmp_path / "o")]
         assert main(args) == EXIT_OK
         assert callers == ["validate_plan"] * 4

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from popnetgen import population
@@ -26,6 +26,7 @@ from popnetgen.population import (
     UnknownLinkTypeError,
     check_population_size,
     generate_population,
+    isin_sorted,
     learn_marginals,
     query_candidates,
 )
@@ -284,6 +285,23 @@ def test_population_size_check_matches_numpy(size, variables):
     else:
         with pytest.raises(PopulationError, match=f"cannot hold {size} agents"):
             check_population_size(size, variables)
+
+
+# Small ints, so that values often hit keys, and ints around +-2**62.
+NEAR_KEYS = st.one_of(st.integers(-8, 8), *(st.integers(c - 4, c + 4) for c in (-2**62, 2**62)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(NEAR_KEYS, unique=True, max_size=10), values=st.lists(NEAR_KEYS, max_size=20))
+@example(keys=[], values=[])
+@example(keys=[], values=[3, 3])
+@example(keys=[-2**62, 0, 2**62], values=[])
+@example(keys=[-2**62, 0, 2**62], values=[-2**62 - 1, -2**62, 0, 0, 1, 2**62, 2**62 + 1])
+def test_isin_sorted_is_np_isin(keys, values):
+    keys = np.sort(np.array(keys, dtype=np.int64))
+    values = np.array(values, dtype=np.int64)
+    got = isin_sorted(values, keys)
+    assert got.dtype == bool and got.tolist() == np.isin(values, keys).tolist()
 
 
 class TestQueryCandidates:

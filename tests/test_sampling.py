@@ -1,6 +1,7 @@
 """Prototype sampling: evidence handling, exactness, reproducibility."""
 import itertools
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -152,6 +153,21 @@ class TestSamplePrototype:
         sampler = PrototypeSampler(Engine(parse_bn("variable g { a, b }\ncpt g { 1.0, 0.0 }")))
         with pytest.raises(ZeroEvidenceError):
             sampler.sample({"g": "b"}, substream(0, "t"))
+
+    def test_impossible_evidence_is_named_in_the_error(self):
+        # each label is possible alone, the pair is not
+        doc = """
+        variable r { x, y }
+        variable s { x, y }
+        cpt r { 0.5, 0.5 }
+        cpt s | r { x: 0.0, 1.0
+          y: 1.0, 0.0 }
+        """
+        sampler = PrototypeSampler(Engine(parse_bn(doc)))
+        evidence = {"r": "x", "s": "x"}
+        message = re.escape(f"evidence has probability 0: {evidence}")
+        with pytest.raises(ZeroEvidenceError, match=f"^{message}$"):
+            sampler.sample(evidence, substream(0, "t"))
 
     def test_reproducible_sequences(self):
         bn = parse_bn(FOUR_VAR_DOC)
