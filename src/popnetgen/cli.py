@@ -183,23 +183,24 @@ def run(
 # Subcommands
 
 
-def _cmd_generate(args) -> int:
-    plan = load_plan(args.plan)
+def _checked_plan(path: str, show) -> GenerationPlan | None:
+    """The plan at ``path``, or None if it has an error; each issue goes to ``show``."""
+    plan = load_plan(path)
     issues = validate_plan(plan)
     for issue in issues:
-        _progress(str(issue))
-    if any(issue.severity == "error" for issue in issues):
+        show(str(issue))
+    return None if any(issue.severity == "error" for issue in issues) else plan
+
+
+def _cmd_generate(args) -> int:
+    if (plan := _checked_plan(args.plan, _progress)) is None:
         return EXIT_INVALID
     run(plan, seed=args.seed, population=args.population, out=args.out)
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    plan = load_plan(args.plan)
-    issues = validate_plan(plan)
-    for issue in issues:
-        print(issue)
-    if any(issue.severity == "error" for issue in issues):
+    if (plan := _checked_plan(args.plan, print)) is None:
         return EXIT_INVALID
     print(f"plan ok: {len(plan.rules)} rules, {len(plan.link_types)} link types")
     return EXIT_OK

@@ -231,6 +231,8 @@ def validate_plan(plan: GenerationPlan) -> list[PlanIssue]:
         except PopulationError as exc:
             error(str(exc))
         for variable in attribute_bn.variables:
+            if variable.name == "id":
+                error("attribute variable 'id' names the agent id column of agents.csv")
             if variable.name.startswith(RC_PREFIX):
                 target = variable.name[len(RC_PREFIX):]
                 if target not in declared:

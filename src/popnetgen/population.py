@@ -218,39 +218,16 @@ class PopulationStore:
         return source, target
 
     def add_links(self, link_type: str, ends) -> None:
-        """Insert the (source, target) rows of ``ends`` as links of one type,
-        both ends counted, as a loop of record_link would: a refused row
-        raises that loop's first error once the rows before it are in.  The
-        checks are vectorised, so no row scans a partner buffer."""
+        """Append (source, target) rows as links of one type, both ends counted,
+        as a record_link loop would.  Unchecked: each row must pass record_link's checks."""
         ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
-        n = len(self)
-        source, target = ends[:, 0], ends[:, 1]
-        refused = ((ends < 0) | (ends >= n)).any(axis=1) | (source == target)
-        if link_type not in self.link_types:
-            refused[:1] = True  # the loop's first row raises, if there is one
-        # Each dyad's min * n + max key, against the links so far and the rows
-        # before it: the order of a stable sort puts a repeat after its first.
-        key = np.minimum(source, target) * n + np.maximum(source, target)
-        links = self.edges()
-        refused |= isin_sorted(key, np.sort(links.min(axis=1) * n + links.max(axis=1)))
-        order = np.argsort(key, kind="stable")
-        refused[order[1:][np.diff(key[order]) == 0]] = True
-        stop = int(np.argmax(refused)) if refused.any() else len(ends)
-        if stop:
-            self._insert(link_type, ends[:stop])
-        if stop < len(ends):
-            self.record_link(*ends[stop].tolist(), link_type)  # raises the row's error
-
-    def _insert(self, link_type: str, ends: np.ndarray) -> None:
-        """Append rows that pass every check of record_link, both ends counted."""
         demand, partners = self.demand[link_type], self._partners
         # Each end's (agent, partner) entry, grouped by agent in link order.
         entries = np.stack([ends, ends[:, ::-1]], axis=1).reshape(-1, 2)
         entries = entries[np.argsort(entries[:, 0], kind="stable")]
-        starts = np.flatnonzero(np.diff(entries[:, 0], prepend=-1))
-        bounds = np.append(starts, len(entries))
+        bounds = np.flatnonzero(np.diff(entries[:, 0], prepend=-1, append=-1))
         new = memoryview(entries[:, 1].tobytes())
-        for agent, start, end in zip(entries[starts, 0].tolist(), bounds[:-1].tolist(),
+        for agent, start, end in zip(entries[bounds[:-1], 0].tolist(), bounds[:-1].tolist(),
                                      bounds[1:].tolist()):
             demand[agent] -= end - start
             if not partners[agent]:

@@ -99,8 +99,8 @@ def open_triads(store: PopulationStore, rule: TransitivityRule) -> np.ndarray:
 def run_transitivity_rule(
     store: PopulationStore, rule: TransitivityRule, rng: np.random.Generator
 ) -> RuleReport:
-    """One Bernoulli trial per closable dyad, regardless of how many pivots
-    witness it; links pass the store's dyad checks."""
+    """One Bernoulli trial per closable dyad, however many pivots witness it.
+    open_triads' rows pass record_link's checks, so add_links appends them unchecked."""
     dyads = open_triads(store, rule)
     closed = dyads[rng.random(len(dyads)) < rule.probability]
     store.add_links(rule.t3, closed)

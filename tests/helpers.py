@@ -102,6 +102,12 @@ def build_store(link_types, rows, required=None) -> PopulationStore:
     )
 
 
+def store_state(store):
+    """Demand, each agent's partners in link order, and every link."""
+    partners = [list(store.partners_of(a)) for a in range(len(store))]
+    return {t: list(d) for t, d in store.demand.items()}, partners, store.edges().tolist()
+
+
 def oneshot_population_codes(
     attribute_bn: BayesianNetwork, size: int, rng: np.random.Generator
 ) -> np.ndarray:

@@ -527,6 +527,18 @@ class TestCli:
         assert "generating population" not in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_attribute_named_like_the_id_column_is_invalid(self, plan_dir, capsys):
+        # agents.csv would carry two 'id' columns
+        (plan_dir / "attributes.bn").write_text(ATTR_DOC.replace("role", "id"))
+        (plan_dir / "pair.bn").write_text(MATCH_DOC.replace("role", "id"))
+        assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_INVALID
+        out = capsys.readouterr().out
+        assert "error: attribute variable 'id'" in out and "plan ok" not in out
+        out_dir = plan_dir / "o"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out_dir)]) == EXIT_INVALID
+        assert "error: attribute variable 'id'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_nan_probability_is_invalid(self, plan_dir, capsys):
         doc = "variable role { seeker, target }\ncpt role { nan, 1.0 }\n"
         with pytest.raises(BnValidationError, match="outside"):

@@ -1,4 +1,5 @@
 """Triad closure: enumeration against a cubic oracle, Bernoulli behavior."""
+import copy
 import itertools
 
 import numpy as np
@@ -16,7 +17,7 @@ from popnetgen.transitivity import (
     run_transitivity_rule,
 )
 
-from helpers import build_store
+from helpers import build_store, store_state
 
 
 def family_store():
@@ -174,11 +175,19 @@ class TestEnumerateOpenTriads:
     @settings(max_examples=30, deadline=None)
     @given(store=random_networks())
     def test_matches_bruteforce_on_random_networks(self, store):
-        # every role pair, across a directed and an undirected type
-        for t1, t2 in itertools.product(("spouses", "motherOf"), repeat=2):
+        # every role pair, across a directed and an undirected type; the rows
+        # pass record_link's checks, which add_links relies on
+        existing = ("spouses", "motherOf")
+        for t1, t2, t3 in itertools.product(existing, existing, ("fatherOf", "spouses")):
             for role1, role2 in itertools.product(PIVOT_ROLES, repeat=2):
-                rule = TransitivityRule(t1, t2, "fatherOf", 1.0, role1, role2)
-                assert open_triads(store, rule).tolist() == brute_open_triads(store, rule)
+                rule = TransitivityRule(t1, t2, t3, 1.0, role1, role2)
+                dyads = open_triads(store, rule)
+                assert dyads.tolist() == brute_open_triads(store, rule)
+                bulk, loop = copy.deepcopy(store), copy.deepcopy(store)
+                bulk.add_links(t3, dyads)
+                for source, target in dyads.tolist():
+                    loop.record_link(source, target, t3)
+                assert store_state(bulk) == store_state(loop)
 
 
 class TestRunTransitivityRule:
