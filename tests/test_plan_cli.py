@@ -539,6 +539,23 @@ class TestCli:
         assert "error: attribute variable 'id'" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_warnings_go_to_each_commands_stream(self, plan_dir, capsys):
+        # validate reports on stdout, generate on stderr; a warning stops neither
+        text = MINIMAL_PLAN.replace(
+            "interact pair p=1.0", "linktype spare undirected\ninteract pair p=1.0"
+        )
+        (plan_dir / "plan.txt").write_text(text)
+        assert main(["validate", str(plan_dir / "plan.txt")]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith("warning: ") and "'spare'" in captured.out
+        assert "plan ok" in captured.out and "warning" not in captured.err
+        out_dir = plan_dir / "o"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out_dir)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: ") and "'spare'" in captured.err
+        assert "warning" not in captured.out
+        assert (out_dir / "agents.csv").exists()
+
     def test_nan_probability_is_invalid(self, plan_dir, capsys):
         doc = "variable role { seeker, target }\ncpt role { nan, 1.0 }\n"
         with pytest.raises(BnValidationError, match="outside"):

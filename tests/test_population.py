@@ -529,6 +529,37 @@ class TestAddLinks:
         bulk.add_links(link_type, rows)
         assert store_state(bulk) == store_state(loop)
 
+    def test_undirected_rows_stored_lowest_id_first(self):
+        store = refusal_store()
+        store.add_links("friendship", [(4, 0), (3, 1)])
+        assert store.edges("friendship").tolist() == [[1, 2], [0, 4], [1, 3]]
+
+    def test_directed_rows_keep_their_orientation(self):
+        store = refusal_store()
+        store.add_links("motherOf", [(4, 1), (2, 3)])
+        assert store.edges("motherOf").tolist() == [[0, 3], [4, 1], [2, 3]]
+
+    def test_both_ends_of_every_row_counted(self):
+        # a directed type too: a closure's rows spend both ends' demand
+        store = refusal_store()
+        store.add_links("motherOf", [(4, 1), (2, 3), (4, 2)])
+        assert store.demand["motherOf"] == [0, -1, -2, -1, -2]
+        assert store.demand["friendship"] == [0, 1, 1, 0, 0]
+
+    def test_partners_appended_after_earlier_links_in_row_order(self):
+        store = refusal_store()
+        store.add_links("friendship", [(1, 4), (0, 1), (1, 3)])
+        assert list(store.partners_of(1)) == [2, 4, 0, 3]
+        assert list(store.partners_of(0)) == [3, 1]
+        assert list(store.partners_of(3)) == [0, 1]
+
+    def test_no_rows_change_nothing(self):
+        store = refusal_store()
+        before = store_state(store)
+        store.add_links("friendship", [])
+        store.add_links("motherOf", np.empty((0, 2), dtype=np.int64))
+        assert store_state(store) == before
+
     def test_registry_bytes_per_link_end(self):
         # At Kenya N=10k, seed 1, the list and its int64 buffers take 35.1 B
         # per link end (a dict of sets took 114.6 B); the bound leaves room
