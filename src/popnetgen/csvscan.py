@@ -2,10 +2,11 @@
 
 Writing: ``format_rows`` turns rows of int columns, categorical columns and
 literal separators into UTF-8 bytes, ``WRITE_BLOCK`` rows per block, with
-no Python object per row.  Reading: ``scan`` parses a plain file, one whose
-every line ends in '\\n' or '\\r\\n' and whose every id field is written as
-``str`` writes an int of at most 18 digits.  The readers in ``export`` send
-any other file to their line-by-line tier.
+no Python object per row.  Reading: ``scan`` parses the rows of a file
+whose lines end at '\\n', one '\\r' before it dropped, and refuses the
+first row, by its line, that has the wrong number of fields or an id field
+not written as ``str`` writes an int of at most 18 digits.  popnetgen
+writes no other file, so no other reader is needed.
 """
 from __future__ import annotations
 
@@ -74,37 +75,26 @@ def _place(block: np.ndarray, at: np.ndarray, values, size, table) -> None:
         block[at + k] = table[0][values, k]
 
 
-class _NotPlain(Exception):
-    """A file that the byte parser leaves to the line-by-line reader."""
-
-
-def plain_header(text: str) -> tuple[list[str], int]:
-    """The first line's fields and where the next line starts; _NotPlain
-    when some line ends in a break ``str.splitlines`` takes other than '\\n'
-    or '\\r\\n'."""
-    if any(c in text for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029") or (
-        "\r" in text and text.count("\r") != text.count("\r\n")
-    ):
-        raise _NotPlain
+def header(text: str) -> tuple[list[str], int]:
+    """The first line's fields and where the next line starts."""
     stop = text.find("\n") + 1 or len(text)
     return text[:stop].removesuffix("\n").removesuffix("\r").split(","), stop
 
 
-def _ids(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _ids(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """int64 values of the fields ``b[lo:hi]`` by Horner's rule, one pass
-    per digit position, right-aligned; _NotPlain unless each is an optional
-    '-' and 1-18 digits without a leading zero, "0" excepted."""
+    per digit position, right-aligned, and whether each is written as
+    ``str`` writes an int of 1-18 digits: an optional '-', then digits
+    without a leading zero, "0" excepted."""
     neg = b[lo] == ord("-")
     size = hi - lo - neg
-    if not ((size >= 1) & (size <= 18) & ((b[lo + neg] != ord("0")) | (size == 1) & ~neg)).all():
-        raise _NotPlain
+    ok = (size >= 1) & (size <= 18) & ((b[lo + neg] != ord("0")) | (size == 1) & ~neg)
     value = np.zeros(len(lo), np.int64)
-    for k in range(int(size.max(initial=0)), 0, -1):
+    for k in range(min(int(size.max(initial=0)), 18), 0, -1):
         digit = (b[hi - k] - np.uint8(ord("0"))) * (size >= k)
-        if (digit > 9).any():
-            raise _NotPlain
+        ok &= digit <= 9
         value = value * 10 + digit
-    return np.where(neg, -value, value)
+    return np.where(neg, -value, value), ok
 
 
 def _run_starts(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -123,34 +113,61 @@ def _run_starts(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~same)
 
 
-def scan(text: str, start: int, width: int, ids: Sequence[int], name: int = -1):
+def _bounds(begins: np.ndarray, ends: np.ndarray, commas: np.ndarray, width: int):
+    """Field bounds of rows that hold ``width - 1`` of ``commas`` each, in turn."""
+    rows = len(begins)
+    return np.column_stack([begins - 1, commas[:rows * (width - 1)].reshape(rows, width - 1), ends])
+
+
+def scan(text: str, start: int, width: int, ids: Sequence[int], name: int = -1,
+         numbered: bool = False):
     """Rows of ``text[start:]``, blank ones skipped, parsed as UTF-8 bytes a
     block at a time: an int64 (rows, len(ids)) array of the ``ids`` fields,
     each row's field ``name`` as an index into the names in the order they
-    first appear, and those names.  _NotPlain unless every row has
-    ``width`` fields and every id is as ``_ids`` reads it."""
+    first appear, and those names.  A line ends at '\\n', one '\\r' before
+    it dropped.  ValueError('<line>: <problem>'), by the line of ``text``,
+    at the first row that has other than ``width`` fields, an id that
+    ``_ids`` refuses or, when ``numbered``, a first id other than the row's
+    number from 0."""
     blocks, kinds, code = [np.empty((0, len(ids)), np.int64)], [np.empty(0, np.intp)], {}
     while start < len(text):
         stop = text.find("\n", start + READ_BLOCK - 1) + 1 or len(text)
         data = text[start:stop].encode() + b"\n"  # a blank row if it ended in one
-        start = stop
         b = np.frombuffer(data, np.uint8)
         ends = np.flatnonzero(b == ord("\n"))
         begins = np.concatenate(([0], ends[:-1] + 1))
         ends -= (ends > begins) & (b[ends - 1] == ord("\r"))
         begins, ends = begins[ends > begins], ends[ends > begins]
         # With width - 1 commas per row in all, each row holds its own iff
-        # they ascend from its start to its end.
+        # they ascend from its start to its end.  Else the rows before the
+        # first with another count do.
         commas = np.flatnonzero(b == ord(","))
-        if len(commas) != len(begins) * (width - 1):
-            raise _NotPlain
-        bounds = np.column_stack([begins - 1, commas.reshape(len(begins), width - 1), ends])
-        if (np.diff(bounds) <= 0).any():
-            raise _NotPlain
-        blocks.append(np.column_stack([_ids(b, bounds[:, k] + 1, bounds[:, k + 1]) for k in ids]))
+        fit = len(begins)
+        bounds = _bounds(begins, ends, commas, width) if len(commas) == fit * (width - 1) else None
+        if bounds is None or (np.diff(bounds) <= 0).any():
+            fields = np.searchsorted(commas, ends) - np.searchsorted(commas, begins) + 1
+            fit = int(np.argmax(fields != width))
+            bounds = _bounds(begins[:fit], ends[:fit], commas, width)
+        values, oks = zip(*(_ids(b, bounds[:, k] + 1, bounds[:, k + 1]) for k in ids))
+        ok = np.logical_and.reduce(oks)
+        if numbered:  # row j of the block carries j plus the rows of earlier blocks
+            ok = ok & (values[0] == np.arange(fit) + sum(map(len, blocks)))
+        if fit < len(begins) or not ok.all():
+            row = fit if ok.all() else int(np.argmin(ok))
+            line = 1 + text.count("\n", 0, start) + data.count(b"\n", 0, begins[row])
+            if row == fit:
+                raise ValueError(f"{line}: expected {width} fields, got {fields[row]}")
+            spelled = [good[row] for good in oks]
+            k = ids[int(np.argmin(spelled))]  # the first id spelled wrong, else the first
+            token = data[bounds[row, k] + 1:bounds[row, k + 1]].decode()
+            raise ValueError(f"{line}: agent id {token!r}" + (
+                f", expected {row + sum(map(len, blocks))}" if all(spelled)
+                else " is not a decimal integer of 1-18 digits without a leading zero"))
+        blocks.append(np.column_stack(values))
         if name >= 0:
             lo, hi = bounds[:, name] + 1, bounds[:, name + 1]
             runs = _run_starts(b, lo, hi)
             run_codes = [code.setdefault(data[lo[j]:hi[j]].decode(), len(code)) for j in runs]
             kinds.append(np.repeat(np.array(run_codes, np.intp), np.diff(runs, append=len(lo))))
+        start = stop
     return np.concatenate(blocks), np.concatenate(kinds), list(code)

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .bn import BayesianNetwork, read_text, serialize_bn
-from .csvscan import _NotPlain, format_rows, plain_header, scan
+from .csvscan import format_rows, header, scan
 from .matching import RuleReport
 from .metrics import ErrorReport, NetworkStats
 from .plan import LINK_TYPE_NAME, RESERVED_LINK_TYPES
@@ -234,25 +234,8 @@ def manifest_link_types(directory) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Readers (round-tripping and the stats-only command): ``csvscan`` parses a
-# plain file; any other goes line by line, and only that tier raises.
-
-
-def _fields(path, lineno: int, raw: str, count: int) -> list[str]:
-    fields = raw.split(",")
-    if len(fields) != count:
-        raise ExportError(f"{path}:{lineno}: expected {count} fields, got {len(fields)}")
-    return fields
-
-
-def _agent_id(path, lineno: int, token: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ExportError(f"{path}:{lineno}: agent id {token!r} is not an integer") from None
-    if not -2**63 <= value < 2**63:
-        raise ExportError(f"{path}:{lineno}: agent id {token!r} does not fit in 64 bits")
-    return value
+# Readers (round-tripping and the stats-only command): ``csvscan.scan``
+# parses the rows, and its first refusal names the file's line.
 
 
 def read_edges_all(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -260,60 +243,25 @@ def read_edges_all(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     target) rows, each row's type as an index into the type names, and the
     names in the order they first appear."""
     text = read_text(path, ExportError)
-    try:
-        columns, start = plain_header(text)
-        if columns == ["source", "target", "type"]:
-            return scan(text, start, 3, (0, 1), 2)
-    except _NotPlain:
-        pass
-    return _read_edges_all_by_line(path, text)
-
-
-def _read_edges_all_by_line(path, text: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """read_edges_all on the text, line by line, raising on the first bad line."""
-    lines = text.splitlines()
-    if not lines or lines[0] != "source,target,type":
+    columns, start = header(text)
+    if columns != ["source", "target", "type"]:
         raise ExportError(f"{path}: expected 'source,target,type' header")
-    ends, kinds, code = [], [], {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if raw:
-            source, target, name = _fields(path, lineno, raw, 3)
-            ends.append((_agent_id(path, lineno, source), _agent_id(path, lineno, target)))
-            kinds.append(code.setdefault(name, len(code)))
-    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    return ends, np.array(kinds, dtype=np.intp), list(code)
+    try:
+        return scan(text, start, 3, (0, 1), 2)
+    except ValueError as exc:
+        raise ExportError(f"{path}:{exc}") from None
 
 
 def read_agents(path) -> int:
     """Number of agents in an agent table; every row has one field per
     column and row k carries id k."""
     text = read_text(path, ExportError)
-    try:
-        columns, start = plain_header(text)
-        if "id" in columns:
-            ids = scan(text, start, len(columns), (columns.index("id"),))[0][:, 0]
-            if np.array_equal(ids, np.arange(len(ids))):
-                return len(ids)
-    except _NotPlain:
-        pass
-    return _read_agents_by_line(path, text)
-
-
-def _read_agents_by_line(path, text: str) -> int:
-    """read_agents on the text, line by line, raising on the first bad line."""
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise ExportError(f"{path}: empty agent table")
-    columns = lines[0].split(",")
+    columns, start = header(text)
     if "id" not in columns:
         raise ExportError(f"{path}: no 'id' column")
-    at = columns.index("id")
-    count = 0
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw:
-            continue
-        agent_id = _fields(path, lineno, raw, len(columns))[at]
-        if agent_id != str(count):
-            raise ExportError(f"{path}:{lineno}: agent id {agent_id!r}, expected {count}")
-        count += 1
-    return count
+    try:
+        return len(scan(text, start, len(columns), (columns.index("id"),), numbered=True)[0])
+    except ValueError as exc:
+        raise ExportError(f"{path}:{exc}") from None

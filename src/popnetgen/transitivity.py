@@ -86,11 +86,11 @@ def open_triads(store: PopulationStore, rule: TransitivityRule) -> np.ndarray:
     start = np.searchsorted(pivot2, pivot1)
     count = np.searchsorted(pivot2, pivot1, side="right") - start
     a1, a3 = np.repeat(a1, count), a3[ranges(start, count)]
-    dyads = distinct((a1 * n + a3)[a1 != a3])
+    dyads = distinct(a1 * n + a3)
     # Each link's row * n + col key in both orientations: the occupied pairs.
     occupied = np.sort((store.edges() @ np.array([[n, 1], [1, n]])).ravel())
     dyads = dyads[~isin_sorted(dyads, occupied)]
-    # Where both orientations qualify, drop the descending one (a1 > a3).
+    # Drop the descending orientation where both qualify, and every self dyad (its own reverse).
     a1, a3 = dyads // n, dyads % n
     keep = (a1 < a3) | ~isin_sorted(a3 * n + a1, dyads)
     return np.stack([a1[keep], a3[keep]], axis=1)

@@ -12,7 +12,10 @@ former all-at-once population draw and triangle count, which the
 block-at-a-time ones must equal, ``undershoot_draw``, the former draw of
 one variable, which the label-at-a-time comparison must equal, and
 ``distribution_error_details``, the error report's loop, whose summation
-order the report must keep.
+order the report must keep.  ``canonical_edges_all`` and
+``canonical_agents`` read exported files line by line under the strict rules
+the byte readers must keep, and ``raw_random`` and ``raw_permutation``
+compute two numpy ``Generator`` methods from raw PCG64 words.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from popnetgen.bn import BayesianNetwork, Cpt, Variable
+from popnetgen.export import ExportError
 from popnetgen.inference import Engine, ZeroEvidenceError
 from popnetgen.matching import _class_ids
 from popnetgen.population import RC_PREFIX, PopulationStore, isin_sorted, ranges
@@ -382,6 +386,84 @@ def read_edge_file(path) -> np.ndarray:
     assert lines[0] == "source,target"
     ends = [tuple(map(int, raw.split(","))) for raw in lines[1:] if raw]
     return np.array(ends, dtype=np.int64).reshape(-1, 2)
+
+
+def _canonical_rows(path, text: str, width: int):
+    """(line number, fields) of each line of ``text`` after the first that is
+    not blank, lines split at '\\n' and one '\\r' dropped from each line's
+    end; ExportError at the first line without ``width`` fields."""
+    for lineno, raw in enumerate(text.split("\n")[1:], start=2):
+        if raw := raw.removesuffix("\r"):
+            fields = raw.split(",")
+            if len(fields) != width:
+                raise ExportError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
+            yield lineno, fields
+
+
+def _canonical_id(path, lineno: int, token: str) -> int:
+    """The int ``token`` spells, when ``str`` spells it so in 1-18 digits."""
+    try:
+        canonical = str(int(token)) == token and len(token.removeprefix("-")) <= 18
+    except ValueError:
+        canonical = False
+    if not canonical:
+        raise ExportError(f"{path}:{lineno}: agent id {token!r} is not a decimal integer"
+                          " of 1-18 digits without a leading zero")
+    return int(token)
+
+
+def canonical_edges_all(path, text: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """What read_edges_all returns for ``text``, or the ExportError it raises."""
+    if text.split("\n")[0].removesuffix("\r") != "source,target,type":
+        raise ExportError(f"{path}: expected 'source,target,type' header")
+    ends, kinds, code = [], [], {}
+    for lineno, (source, target, name) in _canonical_rows(path, text, 3):
+        ends.append((_canonical_id(path, lineno, source), _canonical_id(path, lineno, target)))
+        kinds.append(code.setdefault(name, len(code)))
+    return np.array(ends, np.int64).reshape(-1, 2), np.array(kinds, np.intp), list(code)
+
+
+def canonical_agents(path, text: str) -> int:
+    """What read_agents returns for ``text``, or the ExportError it raises."""
+    if not text:
+        raise ExportError(f"{path}: empty agent table")
+    columns = text.split("\n")[0].removesuffix("\r").split(",")
+    if "id" not in columns:
+        raise ExportError(f"{path}: no 'id' column")
+    count = 0
+    for lineno, fields in _canonical_rows(path, text, len(columns)):
+        token = fields[columns.index("id")]
+        if _canonical_id(path, lineno, token) != count:
+            raise ExportError(f"{path}:{lineno}: agent id {token!r}, expected {count}")
+        count += 1
+    return count
+
+
+# -- numpy Generator methods from raw words -----------------------------------
+
+
+def raw_random(bits: np.random.PCG64, shape) -> np.ndarray:
+    """``Generator(bits).random(shape)``: the top 53 bits of one raw word per
+    double, times 2**-53, in C order."""
+    return (bits.random_raw(int(np.prod(shape))) >> 11).reshape(shape) * 2.0**-53
+
+
+def raw_permutation(bits: np.random.PCG64, n: int) -> np.ndarray:
+    """``Generator(bits).permutation(n)`` for n <= 2**32: a Fisher-Yates
+    shuffle of range(n), i from n - 1 down to 1, swapping i with a j drawn
+    in [0, i] from 32-bit half words, low half first, each masked to the
+    bits of i and redrawn while above it.  ``bits`` must hold no half word."""
+    blocks = iter(lambda: bits.random_raw(1024).tolist(), None)  # never None
+    halves = (
+        half for block in blocks for word in block for half in (word & 0xFFFF_FFFF, word >> 32)
+    )
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while (j := next(halves) & mask) > i:
+            pass
+        order[i], order[j] = order[j], order[i]
+    return np.array(order, np.int64)
 
 
 # -- f-string writers ---------------------------------------------------------

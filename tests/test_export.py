@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popnetgen import csvscan, export
+from popnetgen import csvscan
 from popnetgen.bn import parse_bn, read_text, serialize_bn
 from popnetgen.cli import run
 from popnetgen.export import (
@@ -34,6 +34,8 @@ from popnetgen.sampling import substream
 
 from helpers import (
     build_store,
+    canonical_agents,
+    canonical_edges_all,
     oracle_interaction,
     oracle_network_files,
     parse_report,
@@ -223,11 +225,12 @@ EDGE_LINES = st.one_of(
 READ_BLOCKS = st.sampled_from([1, 3, 8, csvscan.READ_BLOCK])
 
 
-def assert_reads_as_by_line(read, by_line, path, block):
-    """``read`` at block size ``block`` returns what ``by_line`` returns,
-    dtypes and shapes included, or raises the same ExportError."""
+def assert_reads_as_reference(read, reference, path, block):
+    """``read`` at block size ``block`` returns what the strict ``reference``
+    returns, dtypes and shapes included, or raises the same ExportError,
+    which names the file and the reference's first bad line."""
     try:
-        expected = by_line(path, read_text(path, ExportError))
+        expected = reference(path, read_text(path, ExportError))
     except ExportError as exc:
         with pytest.raises(ExportError) as got, patch.object(csvscan, "READ_BLOCK", block):
             read(path)
@@ -250,32 +253,36 @@ class TestReadEdgesAll:
         lines=st.lists(EDGE_LINES, max_size=12),
         well_formed=st.booleans(),
         header=st.sampled_from(["source,target,type", "source,target"]),
-        newline=st.sampled_from(["\n", "\r\n"]),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
         block=READ_BLOCKS,
     )
-    def test_bulk_parse_agrees_with_line_by_line(
+    def test_reads_as_the_reference_or_refuses_its_first_bad_line(
         self, tmp_path_factory, lines, well_formed, header, newline, block
     ):
         if well_formed:  # most drawn files hold a bad line; keep half clean
             lines = [f"{len(line)},{len(line) % 5},t{len(line) % 3}" for line in lines]
         path = tmp_path_factory.mktemp("edges") / "edges_all.csv"
         path.write_text(newline.join([header, *lines]) + newline, encoding="utf-8")
-        assert_reads_as_by_line(read_edges_all, export._read_edges_all_by_line, path, block)
+        assert_reads_as_reference(read_edges_all, canonical_edges_all, path, block)
 
     @pytest.mark.parametrize("body", [
-        "9223372036854775807,-9223372036854775808,t\n1000000000000000000,0,t\n",
-        "9223372036854775808,1,t\n",  # 19 digits, past int64
+        # ids of 18 digits are read, of 19 refused
+        "999999999999999999,-999999999999999999,t\n1000000000000000000,0,t\n",
+        "9223372036854775808,1,t\n",  # past int64
         "1,2,t,u\n3,4\n",  # the right comma count, but not three per line
-        "1,2,t\u0085\n",  # line breaks of str.splitlines
+        "1,2,t\u0085\n",  # line breaks of str.splitlines, kept in the type name
         "1,2,t\u2028\n",
         "1,2,t\r3,4,t\n",
+        "1,2,t\r\r\n",
         "-0,00,t\n01,-01,t\n",
+        "+5,1,t\n",
+        "0,1,t\n\n\r\n2,x,t\n",  # blank lines count
     ])
-    def test_agrees_with_line_by_line_on(self, tmp_path, body):
+    def test_reads_as_the_reference_or_refuses_on(self, tmp_path, body):
         path = tmp_path / "edges_all.csv"
         path.write_text("source,target,type\n" + body, encoding="utf-8")
         for block in (1, csvscan.READ_BLOCK):
-            assert_reads_as_by_line(read_edges_all, export._read_edges_all_by_line, path, block)
+            assert_reads_as_reference(read_edges_all, canonical_edges_all, path, block)
 
     def test_peak_memory_is_a_few_times_the_file(self, tmp_path):
         types = ["colleagues", "fatherOf", "friendship", "motherOf", "siblings", "spouses"]
@@ -306,7 +313,7 @@ class TestReadAgents:
         newline=st.sampled_from(["\n", "\r\n", "\r"]),
         block=READ_BLOCKS,
     )
-    def test_bulk_parse_agrees_with_line_by_line(
+    def test_reads_as_the_reference_or_refuses_its_first_bad_line(
         self, tmp_path_factory, rows, header, newline, block
     ):
         columns = header.split(",")
@@ -325,18 +332,23 @@ class TestReadAgents:
             lines.append(",".join(fields))
         path = tmp_path_factory.mktemp("agents") / "agents.csv"
         path.write_text(newline.join(lines) + newline, encoding="utf-8")
-        assert_reads_as_by_line(read_agents, export._read_agents_by_line, path, block)
+        assert_reads_as_reference(read_agents, canonical_agents, path, block)
 
     @pytest.mark.parametrize("text", [
         "c,id,d\na,0,b,1,c\nx\n",  # each id between two commas, but five fields then one
         "c,id,d\r\na,0,b\r\n\r\na,1,b",
         "\ufeffid\n0\n1\n",
+        "id\r0\r1\r",
+        "id\n0\n+1\n",
+        "id\n0\n2\n",
+        "",
+        "\n",
     ])
-    def test_agrees_with_line_by_line_on(self, tmp_path, text):
+    def test_reads_as_the_reference_or_refuses_on(self, tmp_path, text):
         path = tmp_path / "agents.csv"
         path.write_text(text, encoding="utf-8")
         for block in (1, csvscan.READ_BLOCK):
-            assert_reads_as_by_line(read_agents, export._read_agents_by_line, path, block)
+            assert_reads_as_reference(read_agents, canonical_agents, path, block)
 
 
 class TestInteractionNetwork:

@@ -819,6 +819,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "invalid network files" in err and name in err
 
+    @pytest.mark.parametrize("rows, error", [
+        ("0,1,pair\n\r\n+5,1,pair\n", "edges_all.csv:4: agent id '+5' is not"),  # blank lines count
+        ("0,1,pair\r1,2,pair\r", "edges_all.csv:2: expected 3 fields, got 5"),
+        ("0,1,pair\n\n0,2,pair\u2028\n", "edges_all.csv: link type name 'pair\\u2028'"),
+    ])
+    def test_stats_refuses_spellings_popnetgen_never_writes(self, plan_dir, capsys, rows, error):
+        # other line breaks are ordinary characters: a lone '\r' joins lines,
+        # and a break inside a type name fails the plan's name check
+        out = plan_dir / "cli_out"
+        assert main(["generate", str(plan_dir / "plan.txt"), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        (out / "manifest.txt").unlink()
+        (out / "edges_all.csv").write_text("source,target,type\n" + rows, encoding="utf-8")
+        assert main(["stats", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"invalid network files: {out}/{error}" in err
+
     @pytest.mark.parametrize("name", ["collapsed", "COLLAPSED", "all", "a b", "x = y", ""])
     def test_stats_refuses_a_link_type_name_that_a_plan_refuses(self, plan_dir, capsys, name):
         # such a name would shadow the collapsed scope's stats.collapsed.*

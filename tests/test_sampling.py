@@ -15,7 +15,7 @@ from popnetgen.inference import Engine, ZeroEvidenceError
 from popnetgen.population import upper_bounds
 from popnetgen.sampling import Draws, PrototypeSampler, substream
 
-from helpers import enum_joint_items
+from helpers import enum_joint_items, raw_permutation, raw_random
 
 AGE_SLICE_DOC = """
 variable ageDetail { 3, 7, 12, 20, 30 }
@@ -104,6 +104,27 @@ class TestDraws:
     def test_other_bit_generators_refused(self):
         with pytest.raises(TypeError, match="MT19937"):
             Draws(np.random.Generator(np.random.MT19937(1)))
+
+
+class TestGeneratorMethods:
+    """Outputs depend on two numpy Generator methods, whose algorithms NEP 19
+    leaves free to change between numpy versions.  These tests pin each to
+    its raw-word reference, so a numpy that moves a method's stream fails
+    here, by the method's name, and not only in the golden digests.
+    ``choice(replace=False)``, used for sampled path-length sources, has no
+    reference yet."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 65537])
+    def test_random_is_top_53_bits_of_raw_words(self, seed, n):
+        got = np.random.default_rng(seed).random((n, 3))
+        assert np.array_equal(got, raw_random(np.random.PCG64(seed), (n, 3)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 65537])
+    def test_permutation_is_fisher_yates_on_half_words(self, seed, n):
+        got = np.random.default_rng(seed).permutation(n)
+        assert np.array_equal(got, raw_permutation(np.random.PCG64(seed), n))
 
 
 def draw_index(probs, u):
